@@ -5,13 +5,12 @@
 // samplers. Complements the figure benches, which measure end-to-end shapes
 // rather than throughput.
 //
-// Run with no arguments to also write machine-readable JSON to
-// BENCH_pr9.json (override with the usual --benchmark_out= flags). Graph
-// memory footprints (Graph::MemoryBytes) and process peak RSS are attached
-// as counters, so the bench trajectory tracks space as well as time; the
-// thread-scaling sweeps record how sharded refinement
-// (BM_RefineAllThreads*) and the parallel evaluation engine — clustering,
-// path-length sampling, batch sampling, ego-net measures — scale at
+// Every run must name its JSON output with --benchmark_out=<file>; without
+// it the binary prints a usage line and exits 2. Graph memory footprints
+// (Graph::MemoryBytes) and process peak RSS are attached as counters, so
+// the bench trajectory tracks space as well as time; the thread-scaling
+// sweeps record how the parallel evaluation engine — clustering,
+// path-length sampling, batch sampling, ego-net measures — scales at
 // 1/2/4/8 threads, and the end-to-end anonymize bench attaches the
 // pipeline's RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
@@ -29,12 +28,11 @@
 //
 // The PR 8 SIMD family (BM_Simd*, registered per supported level in main)
 // measures the dispatched kernels — block/galloping sorted intersection,
-// bitset splitter counting, batched BFS expansion — with rdtsc cycle
-// stamps, and attaches each row's analytical prediction from the
-// simd/cost_model.h registry as predicted_cycles / measured_cycles /
-// predicted_over_measured counters. CI's bench smoke step fails when any
-// ratio leaves a generous band: the models police the kernels and vice
-// versa. The JSON context records the probed/active SIMD levels and the
+// batched BFS expansion — with rdtsc cycle stamps, and attaches each
+// row's analytical prediction from the simd/cost_model.h registry as
+// predicted_cycles / measured_cycles / predicted_over_measured counters.
+// CI's bench smoke step fails when any ratio leaves a generous band: the
+// models police the kernels and vice versa. The JSON context records the probed/active SIMD levels and the
 // honest build types of both the repo code and the linked google-benchmark
 // (the distro's library is a debug build; see bench/benchmarks.cmake).
 
@@ -60,7 +58,6 @@
 #include "common/rng.h"
 #include "datasets/datasets.h"
 #include "dyn/delta_graph.h"
-#include "dyn/repair.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "ksym/anonymizer.h"
@@ -75,7 +72,6 @@
 #include "simd/cost_model.h"
 #include "simd/intersect.h"
 #include "simd/simd.h"
-#include "simd/splitter.h"
 #include "stats/distributions.h"
 #include "stats/resilience.h"
 
@@ -383,12 +379,11 @@ void BM_EquitableRefinementBig(benchmark::State& state) {
 }
 BENCHMARK(BM_EquitableRefinementBig);
 
-// Thread-scaling sweep for the acceptance target of PR 2: RefineAll on the
-// 200k-vertex graph at 1/2/4/8 threads. The Arg(1) row is the sequential
-// baseline (no pool is ever created), so speedup = row1 / rowN.
+// RefineAll on the 200k-vertex (and, BigScan, the 1M-vertex) graph.
+// Refinement is sequential; the rows keep their historical names and /1
+// argument so they can be followed across artifacts.
 void RefineAllWithThreads(benchmark::State& state, const Graph& graph) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  ExecutionContext context(threads);
+  ExecutionContext context;
   Refiner refiner(graph, &context);
   for (auto _ : state) {
     OrderedPartition partition(graph.NumVertices(), {});
@@ -396,11 +391,6 @@ void RefineAllWithThreads(benchmark::State& state, const Graph& graph) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(graph.NumVertices()));
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(threads));
-  state.counters["parallel_splitters"] = benchmark::Counter(
-      static_cast<double>(context.stats().parallel_splitters),
-      benchmark::Counter::kAvgIterations);
   state.counters["cells_split"] = benchmark::Counter(
       static_cast<double>(context.stats().cells_split),
       benchmark::Counter::kAvgIterations);
@@ -410,15 +400,13 @@ void RefineAllWithThreads(benchmark::State& state, const Graph& graph) {
 void BM_RefineAllThreads(benchmark::State& state) {
   RefineAllWithThreads(state, BigRefineGraph());
 }
-BENCHMARK(BM_RefineAllThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RefineAllThreads)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RefineAllThreadsBigScan(benchmark::State& state) {
   RefineAllWithThreads(state, BigScanGraph());
 }
 BENCHMARK(BM_RefineAllThreadsBigScan)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Arg(1)
     ->Iterations(1)  // Seconds-scale per pass on the 1M-vertex graph.
     ->Unit(benchmark::kMillisecond);
 
@@ -920,15 +908,11 @@ BENCHMARK(BM_AttackPassiveHarnessThreads)
 
 // ---------------------------------------------------------------------------
 // The dynamic-graph subsystem (DESIGN.md §15): edit-batch application cost
-// on the overlay, and incremental repair vs the full recompute it replaces
-// — the artifact carries both splitter counts so the "repair visits
-// strictly fewer splitters" claim is machine-checkable from the JSON.
+// on the overlay, and the full TDV recompute a reanonymize epoch pays.
 
 struct DynBenchData {
   Graph base;
-  VertexPartition parent;               // TDV of `base`.
   dyn::EditBatch batch;                 // One valid 8-edit batch.
-  std::vector<VertexId> touched;
   Graph edited;                         // base + batch, compacted.
 };
 
@@ -937,8 +921,6 @@ const DynBenchData& DynBench() {
     auto* d = new DynBenchData();
     Rng rng(0xD1);
     d->base = ErdosRenyiGnm(20000, 60000, rng);
-    ExecutionContext context(1);
-    d->parent = ComputeTotalDegreePartition(d->base, &context);
     dyn::DeltaGraph delta(d->base);
     for (int i = 0; i < 8;) {
       const auto u = static_cast<VertexId>(rng.NextBounded(20000));
@@ -950,7 +932,6 @@ const DynBenchData& DynBench() {
       d->batch.Insert(u, v);
       ++i;
     }
-    d->touched = d->batch.Endpoints();
     d->edited = delta.Compact();
     return d;
   }();
@@ -987,55 +968,20 @@ void BM_DeltaApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaApply)->Arg(1)->Arg(8)->Arg(64);
 
-void BM_IncrementalRepair(benchmark::State& state) {
-  const DynBenchData& data = DynBench();
-  ExecutionContext context(static_cast<uint32_t>(state.range(0)));
-  dyn::DeltaGraph delta(data.base);
-  const Status applied = delta.Apply(data.batch);
-  if (!applied.ok()) state.SkipWithError(applied.ToString().c_str());
-  dyn::DeltaNeighborSource source(delta);
-  dyn::RepairStats stats;
-  for (auto _ : state) {
-    auto repaired = dyn::RepairTotalDegreePartition(source, data.parent,
-                                                    data.touched, &context,
-                                                    &stats);
-    if (!repaired.ok()) {
-      state.SkipWithError(repaired.status().ToString().c_str());
-    }
-    benchmark::DoNotOptimize(repaired);
-  }
-  ExecutionContext full_context(1);
-  ComputeTotalDegreePartition(data.edited, &full_context);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.base.NumVertices()));
-  state.counters["repair_splitters"] =
-      benchmark::Counter(static_cast<double>(stats.refine_splitters));
-  state.counters["full_splitters"] = benchmark::Counter(
-      static_cast<double>(full_context.stats().splitters_processed));
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(context.threads()));
-  AttachMemoryCounters(state, data.base);
-}
-BENCHMARK(BM_IncrementalRepair)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
+// Refinement is sequential; the row keeps its historical /1 argument so it
+// can be followed across artifacts.
 void BM_FullRecomputeAfterEdits(benchmark::State& state) {
   const DynBenchData& data = DynBench();
-  ExecutionContext context(static_cast<uint32_t>(state.range(0)));
+  ExecutionContext context;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ComputeTotalDegreePartition(data.edited, &context));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(data.base.NumVertices()));
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(context.threads()));
   AttachMemoryCounters(state, data.edited);
 }
-BENCHMARK(BM_FullRecomputeAfterEdits)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullRecomputeAfterEdits)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The SIMD kernel family (DESIGN.md §13): one row per (kernel, supported
@@ -1130,28 +1076,6 @@ void BM_SimdIntersectGallop(benchmark::State& state, simd::SimdLevel level) {
                           static_cast<int64_t>(a.size()));
 }
 
-void BM_SimdSplitterBitset(benchmark::State& state, simd::SimdLevel level) {
-  Rng rng(8082);
-  const size_t n = 1u << 16;
-  std::vector<uint64_t> bits(n / 64);
-  for (uint64_t& word : bits) word = rng.Next();
-  const std::vector<uint32_t> nbrs =
-      RandomSortedUnique(rng, 8192, static_cast<uint32_t>(n));
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    const uint64_t t0 = CycleStamp();
-    const uint64_t hits = simd::CountBitsetHits(level, nbrs.data(),
-                                                nbrs.size(), bits.data());
-    cycles += CycleStamp() - t0;
-    benchmark::DoNotOptimize(hits);
-  }
-  simd::CostParams params;
-  params.arcs = nbrs.size();
-  AttachCycleCounters(state, "splitter_bitset", level, params, cycles);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nbrs.size()));
-}
-
 void BM_SimdBfsExpand(benchmark::State& state, simd::SimdLevel level) {
   Rng rng(8083);
   const size_t n = 1u << 16;
@@ -1208,8 +1132,6 @@ void RegisterSimdBenches() {
                                  BM_SimdIntersect, level);
     benchmark::RegisterBenchmark(("BM_SimdIntersectGallop/" + suffix).c_str(),
                                  BM_SimdIntersectGallop, level);
-    benchmark::RegisterBenchmark(("BM_SimdSplitterBitset/" + suffix).c_str(),
-                                 BM_SimdSplitterBitset, level);
     benchmark::RegisterBenchmark(("BM_SimdBfsExpand/" + suffix).c_str(),
                                  BM_SimdBfsExpand, level);
   }
@@ -1224,25 +1146,21 @@ void RegisterSimdBenches() {
 #define KSYM_BENCHMARK_LIB_BUILD_TYPE "unknown"
 #endif
 
-// Custom main: defaults JSON output to BENCH_pr9.json so every run leaves a
-// machine-readable trace, while still honouring explicit --benchmark_out=.
+// Custom main: every run must name its JSON output, so no run can
+// overwrite a checked-in BENCH_prN.json by accident.
 int main(int argc, char** argv) {
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
+    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
   }
-  std::vector<char*> args(argv, argv + argc);
-  static char out_flag[] = "--benchmark_out=BENCH_pr10.json";
-  static char out_format[] = "--benchmark_out_format=json";
   if (!has_out) {
-    args.push_back(out_flag);
-    args.push_back(out_format);
+    std::fprintf(stderr,
+                 "usage: %s --benchmark_out=<file.json> [benchmark flags]\n",
+                 argv[0]);
+    return 2;
   }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ksym::RegisterSimdBenches();
   // Whether the thread sweeps ran on real cores: on a single-core container
   // the 2/4/8-thread rows measure scheduling overhead, not scaling.

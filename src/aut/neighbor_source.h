@@ -5,20 +5,18 @@
 // worklists) is O(n) vertex state. NeighborSource abstracts exactly that
 // inner loop — "count, per vertex, how many splitter members are adjacent
 // to it" — at whole-splitter granularity, so the refiner pays one virtual
-// call per splitter instead of one per edge, and the same split-plan
-// build/merge code runs over an in-memory CSR graph (CsrNeighborSource,
-// below) or an out-of-core shard set (ShardedNeighborSource in
-// shard/refine.h) without knowing which.
+// call per splitter instead of one per edge, and the same split code runs
+// over an in-memory CSR graph (CsrNeighborSource, below) or an out-of-core
+// shard set (ShardedNeighborSource in shard/refine.h) without knowing
+// which.
 //
-// Contract shared by both entry points: `count` has NumVertices() entries,
-// all zero on entry except those already incremented by earlier calls for
-// the *same* splitter (the refiner never interleaves splitters). Each
-// neighbor occurrence increments its count by one; the call that lifts a
-// vertex's count off zero appends that vertex to a touched list, so the
-// union of the touched lists enumerates {v : count[v] > 0} exactly once.
-// Counts are commutative sums, so any implementation that performs the same
-// multiset of increments is equivalent — the refiner sorts away touched
-// order before it feeds anything into the trace hash (DESIGN.md §7, §11).
+// Contract: `count` has NumVertices() entries, all zero on entry. Each
+// neighbor occurrence increments its count by one; the increment that lifts
+// a vertex's count off zero appends that vertex to `touched`, so `touched`
+// enumerates {v : count[v] > 0} exactly once. Counts are commutative sums,
+// so any implementation that performs the same multiset of increments is
+// equivalent — the refiner sorts away touched order before it feeds
+// anything into a split or the trace hash (DESIGN.md §7, §11).
 
 #ifndef KSYM_AUT_NEIGHBOR_SOURCE_H_
 #define KSYM_AUT_NEIGHBOR_SOURCE_H_
@@ -27,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -39,27 +36,16 @@ class NeighborSource {
   /// Number of vertices of the underlying graph (sizes the count array).
   virtual size_t NumVertices() const = 0;
 
-  /// Sequential counting pass: for every edge (u, v) with u in `splitter`,
-  /// ++count[v], appending v to `touched` when its count lifts off zero.
+  /// For every edge (u, v) with u in `splitter`, ++count[v], appending v to
+  /// `touched` when its count lifts off zero.
   virtual void CountSplitter(std::span<const VertexId> splitter,
                              std::span<uint32_t> count,
                              std::vector<VertexId>& touched) = 0;
-
-  /// Parallel counting pass over `pool`: same increments, performed with
-  /// relaxed atomics; the worker that lifts v off zero appends v to
-  /// touched[worker]. `touched` has one list per pool worker, and each list
-  /// is written only by its worker. Counts (and the touched union) are
-  /// identical to CountSplitter's for any worker count.
-  virtual void CountSplitterParallel(
-      ThreadPool* pool, std::span<const VertexId> splitter,
-      std::span<uint32_t> count,
-      std::span<std::vector<VertexId>> touched) = 0;
 };
 
 /// The in-memory implementation: one resident CSR Graph. This is the path
-/// every pre-existing Refiner user (automorphism search, canonical
-/// labelling, attack measures) still takes; the loops are verbatim the ones
-/// that used to live inside Refiner.
+/// every in-memory Refiner user (automorphism search, canonical labelling,
+/// attack measures) takes.
 class CsrNeighborSource final : public NeighborSource {
  public:
   explicit CsrNeighborSource(const Graph& graph) : graph_(graph) {}
@@ -70,21 +56,8 @@ class CsrNeighborSource final : public NeighborSource {
                      std::span<uint32_t> count,
                      std::vector<VertexId>& touched) override;
 
-  void CountSplitterParallel(ThreadPool* pool,
-                             std::span<const VertexId> splitter,
-                             std::span<uint32_t> count,
-                             std::span<std::vector<VertexId>> touched) override;
-
  private:
-  /// True when the dense target-side pass should handle this splitter;
-  /// fills splitter_bits_ as a side effect when it returns true.
-  bool PrepareDenseSplitter(std::span<const VertexId> splitter);
-
   const Graph& graph_;
-  /// Splitter-membership bitmap scratch for the dense counting path
-  /// (simd/splitter.h); sized and zeroed per dense call, reused across
-  /// calls to avoid churn.
-  std::vector<uint64_t> splitter_bits_;
 };
 
 }  // namespace ksym

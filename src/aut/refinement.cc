@@ -59,22 +59,11 @@ uint32_t OrderedPartition::Individualize(VertexId v) {
   const uint32_t start = cell_start_[v];
   const uint32_t size = cell_size_[start];
   KSYM_CHECK(size >= 2);
-  // Swap v to the *end* of its cell and carve [start, size-1] | [v]. The
-  // remainder keeps its start id, so only v's bookkeeping changes: O(1),
-  // and so is the revert (journal num_groups == 0 marks this case).
-  const uint32_t tail = start + size - 1;
-  const uint32_t vpos = position_[v];
-  const VertexId other = elements_[tail];
-  elements_[tail] = v;
-  elements_[vpos] = other;
-  position_[v] = tail;
-  position_[other] = vpos;
-  cell_size_[start] = size - 1;
-  cell_size_[tail] = 1;
-  cell_start_[v] = tail;
-  ++num_cells_;
-  journal_.push_back({start, size, 0});
-  return tail;
+  // Carve [start, size-1] | [v]: the remainder keeps its start id, so the
+  // split and its revert touch only v's bookkeeping.
+  static constexpr uint32_t kSingleton[] = {1};
+  SplitCell(start, {&v, 1}, kSingleton);
+  return start + size - 1;
 }
 
 std::vector<std::vector<VertexId>> OrderedPartition::Cells() const {
@@ -98,25 +87,46 @@ Permutation OrderedPartition::ToLabeling() const {
 }
 
 void OrderedPartition::SplitCell(uint32_t start,
-                                 const std::vector<VertexId>& reordered,
-                                 const std::vector<uint32_t>& group_sizes) {
-  KSYM_DCHECK(reordered.size() == cell_size_[start]);
-  uint32_t pos = start;
-  size_t idx = 0;
-  for (uint32_t gsize : group_sizes) {
-    const uint32_t gstart = pos;
-    cell_size_[gstart] = gsize;
-    for (uint32_t i = 0; i < gsize; ++i, ++idx, ++pos) {
-      const VertexId v = reordered[idx];
-      elements_[pos] = v;
-      position_[v] = pos;
-      cell_start_[v] = gstart;
-    }
+                                 std::span<const VertexId> tail,
+                                 std::span<const uint32_t> tail_groups) {
+  const uint32_t size = cell_size_[start];
+  const uint32_t rest = size - static_cast<uint32_t>(tail.size());
+  KSYM_DCHECK(tail.size() <= size);
+  // Swap the tail members into the last |tail| slots (any member still
+  // unplaced sits before `end`), then lay them out in the given order.
+  uint32_t end = start + size;
+  for (VertexId v : tail) {
+    --end;
+    const uint32_t from = position_[v];
+    const VertexId displaced = elements_[end];
+    elements_[from] = displaced;
+    position_[displaced] = from;
   }
-  KSYM_DCHECK(idx == reordered.size());
-  num_cells_ += group_sizes.size() - 1;
-  journal_.push_back({start, static_cast<uint32_t>(reordered.size()),
-                      static_cast<uint32_t>(group_sizes.size())});
+  uint32_t pos = start + rest;
+  for (VertexId v : tail) {
+    elements_[pos] = v;
+    position_[v] = pos++;
+  }
+  // Carve the groups. The untouched front keeps `start`, so its members'
+  // cell_start_ entries are already right.
+  uint32_t num_groups = 0;
+  uint32_t gstart = start;
+  if (rest > 0) {
+    cell_size_[start] = rest;
+    gstart += rest;
+    ++num_groups;
+  }
+  for (uint32_t gsize : tail_groups) {
+    cell_size_[gstart] = gsize;
+    for (uint32_t i = gstart; i < gstart + gsize; ++i) {
+      cell_start_[elements_[i]] = gstart;
+    }
+    gstart += gsize;
+    ++num_groups;
+  }
+  KSYM_DCHECK(gstart == start + size);
+  num_cells_ += num_groups - 1;
+  journal_.push_back({start, size, num_groups});
 }
 
 void OrderedPartition::RevertTo(size_t mark) {
@@ -125,18 +135,13 @@ void OrderedPartition::RevertTo(size_t mark) {
     const SplitRecord record = journal_.back();
     journal_.pop_back();
     target_hint_ = std::min(target_hint_, record.start);
-    if (record.num_groups == 0) {
-      // Individualize: merge the tail singleton back; nothing else moved.
-      const uint32_t tail = record.start + record.old_size - 1;
-      cell_start_[elements_[tail]] = record.start;
-      cell_size_[record.start] = record.old_size;
-      --num_cells_;
-      continue;
-    }
-    cell_size_[record.start] = record.old_size;
-    for (uint32_t i = record.start; i < record.start + record.old_size; ++i) {
+    // Later splits are already reverted, so the first group has the size
+    // it had right after this split; only the members behind it moved.
+    const uint32_t end = record.start + record.old_size;
+    for (uint32_t i = record.start + cell_size_[record.start]; i < end; ++i) {
       cell_start_[elements_[i]] = record.start;
     }
+    cell_size_[record.start] = record.old_size;
     num_cells_ -= record.num_groups - 1;
   }
 }
@@ -147,70 +152,42 @@ Refiner::Refiner(const Graph& graph, const ExecutionContext* context)
     : source_(nullptr),
       owned_source_(std::make_unique<CsrNeighborSource>(graph)),
       context_(context),
-      count_(graph.NumVertices(), 0) {
+      count_(graph.NumVertices(), 0),
+      pending_(graph.NumVertices(), 0) {
   source_ = owned_source_.get();
-  touched_.reserve(count_.size());
-  if (context_ != nullptr && !context_->IsSequential()) {
-    shards_.resize(context_->threads());
-    touched_shards_.resize(context_->threads());
-  }
 }
 
 Refiner::Refiner(NeighborSource& source, const ExecutionContext* context)
-    : source_(&source), context_(context), count_(source.NumVertices(), 0) {
-  touched_.reserve(count_.size());
-  if (context_ != nullptr && !context_->IsSequential()) {
-    shards_.resize(context_->threads());
-    touched_shards_.resize(context_->threads());
-  }
-}
+    : source_(&source),
+      context_(context),
+      count_(source.NumVertices(), 0),
+      pending_(source.NumVertices(), 0) {}
 
 uint64_t Refiner::RefineAll(OrderedPartition& p) {
-  worklist_.clear();
-  worklist_.reserve(p.NumCells());
   uint32_t pos = 0;
   const uint32_t n = static_cast<uint32_t>(p.NumVertices());
   while (pos < n) {
-    worklist_.push_back(pos);
+    Schedule(pos);
     pos += p.CellSizeAt(pos);
   }
   return DoRefine(p);
 }
 
 uint64_t Refiner::RefineFrom(OrderedPartition& p, uint32_t seed_start) {
-  worklist_.clear();
-  worklist_.push_back(seed_start);
-  return DoRefine(p);
-}
-
-uint64_t Refiner::RefineSeeded(OrderedPartition& p,
-                               std::span<const uint32_t> seed_starts) {
-  worklist_.assign(seed_starts.begin(), seed_starts.end());
+  Schedule(seed_start);
   return DoRefine(p);
 }
 
 uint64_t Refiner::DoRefine(OrderedPartition& p) {
   ScopedPhaseTimer refine_timer(context_, &RefinementStats::refine_seconds);
-  ThreadPool* pool = context_ != nullptr && !context_->IsSequential()
-                         ? context_->pool()
-                         : nullptr;
   uint64_t hash = 0x243F6A8885A308D3ull;
   size_t head = 0;
-
   while (head < worklist_.size()) {
     const uint32_t w_start = worklist_[head++];
-    // Snapshot the splitter: the cell currently starting at w_start (a
-    // subset of the cell that was scheduled, which is still a valid
-    // refinement step; any carved-off siblings were scheduled separately).
-    const auto w_span = p.CellAt(w_start);
-    splitter_.assign(w_span.begin(), w_span.end());
-
-    if (pool != nullptr) {
-      ProcessSplitterSharded(p, w_start, pool, hash);
-    } else {
-      ProcessSplitterSequential(p, w_start, hash);
-    }
+    pending_[w_start] = 0;
+    ProcessSplitter(p, w_start, hash);
   }
+  worklist_.clear();
 
   if (context_ != nullptr) {
     ++context_->stats().refine_calls;
@@ -220,192 +197,87 @@ uint64_t Refiner::DoRefine(OrderedPartition& p) {
   // The per-split records already pin down the resulting structure given
   // the (inductively equal) input structure; mix the cell count as a cheap
   // extra integrity check.
-  hash = HashMix(hash, p.NumCells());
-  return hash;
+  return HashMix(hash, p.NumCells());
 }
 
-void Refiner::ProcessSplitterSequential(OrderedPartition& p, uint32_t w_start,
-                                        uint64_t& hash) {
-  // Scratch buffers live on the Refiner: this runs millions of times per
-  // automorphism search and per-call allocation dominates otherwise.
-  std::vector<uint32_t>& affected = affected_;
-  std::vector<std::pair<uint32_t, VertexId>>& keyed = keyed_;
-  std::vector<VertexId>& reordered = reordered_;
-  std::vector<uint32_t>& group_sizes = group_sizes_;
-
-  // Count neighbours in the splitter (the only edge access in refinement,
-  // delegated to the source seam — one virtual call per splitter).
-  source_->CountSplitter(splitter_, count_, touched_);
-
-  // Affected cells, in invariant (ascending start) order.
-  affected.clear();
+void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
+                              uint64_t& hash) {
+  // The splitter is the cell at w_start now: a subset of the cell that was
+  // queued, since any part split off it was queued on its own. Counting is
+  // the only edge access in refinement, one seam call per splitter.
+  source_->CountSplitter(p.CellAt(w_start), count_, touched_);
+  if (touched_.empty()) return;
+  keyed_.clear();
   for (VertexId v : touched_) {
-    affected.push_back(p.CellStartOf(v));
+    keyed_.push_back({(uint64_t{p.CellStartOf(v)} << 32) | count_[v], v});
+    count_[v] = 0;
   }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
+  touched_.clear();
+  std::sort(keyed_.begin(), keyed_.end());
 
-  for (uint32_t c_start : affected) {
-    const uint32_t c_size = p.CellSizeAt(c_start);
-    if (c_size == 1) continue;
-    const auto cell = p.CellAt(c_start);
-    keyed.clear();
-    uint32_t min_count = static_cast<uint32_t>(-1);
-    uint32_t max_count = 0;
-    for (VertexId v : cell) {
-      const uint32_t c = count_[v];
-      min_count = std::min(min_count, c);
-      max_count = std::max(max_count, c);
-      keyed.emplace_back(c, v);
+  // One run of keyed_ per affected cell, in ascending cell order.
+  for (size_t first = 0, last = 0; first < keyed_.size(); first = last) {
+    const uint32_t c_start =
+        static_cast<uint32_t>(keyed_[first].cell_and_count >> 32);
+    while (last < keyed_.size() &&
+           keyed_[last].cell_and_count >> 32 == c_start) {
+      ++last;
     }
-    if (min_count == max_count) continue;  // Uniform: no split.
+    const uint32_t c_size = p.CellSizeAt(c_start);
+    const uint32_t rest = c_size - static_cast<uint32_t>(last - first);
+    const auto count_of = [this](size_t i) {
+      return static_cast<uint32_t>(keyed_[i].cell_and_count);
+    };
+    // Uniform (every member touched the same number of times): no split.
+    if (rest == 0 && count_of(first) == count_of(last - 1)) continue;
 
-    std::sort(keyed.begin(), keyed.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    reordered.clear();
-    group_sizes.clear();
+    // Groups in order: the untouched rest (count 0), then the touched
+    // vertices by ascending count. The largest group is the first one of
+    // maximal size — an isomorphism-invariant choice.
+    tail_.clear();
+    tail_groups_.clear();
+    uint32_t largest_start = c_start;
+    uint32_t largest_size = rest;
+    uint32_t gstart = c_start + rest;
+    if (rest > 0) {
+      hash = HashMix(hash, uint64_t{c_start} << 32);
+      hash = HashMix(hash, rest);
+    }
     uint32_t group_len = 0;
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      reordered.push_back(keyed[i].second);
+    for (size_t i = first; i < last; ++i) {
+      tail_.push_back(keyed_[i].vertex);
       ++group_len;
-      const bool last = i + 1 == keyed.size();
-      if (last || keyed[i + 1].first != keyed[i].first) {
-        group_sizes.push_back(group_len);
-        hash = HashMix(hash, (uint64_t{c_start} << 32) | keyed[i].first);
+      if (i + 1 == last || count_of(i + 1) != count_of(i)) {
+        tail_groups_.push_back(group_len);
+        hash = HashMix(hash, (uint64_t{c_start} << 32) | count_of(i));
         hash = HashMix(hash, group_len);
+        if (group_len > largest_size) {
+          largest_size = group_len;
+          largest_start = gstart;
+        }
+        gstart += group_len;
         group_len = 0;
       }
     }
-    p.SplitCell(c_start, reordered, group_sizes);
+    p.SplitCell(c_start, tail_, tail_groups_);
     if (context_ != nullptr) ++context_->stats().cells_split;
-    // Schedule every new sub-cell as a splitter.
-    uint32_t sub_start = c_start;
-    for (uint32_t gsize : group_sizes) {
-      worklist_.push_back(sub_start);
-      sub_start += gsize;
+
+    // Hopcroft's rule: if the parent is still queued, its entry now names
+    // the first group and every other group is queued; otherwise every
+    // group but the largest is. Counts into the skipped group are the
+    // parent's (uniform on every cell, since the parent was processed or
+    // its parent's counts were) minus the queued groups' counts.
+    const uint32_t skip = pending_[c_start] ? c_start : largest_start;
+    gstart = c_start;
+    if (rest > 0) {
+      if (gstart != skip) Schedule(gstart);
+      gstart += rest;
+    }
+    for (uint32_t gsize : tail_groups_) {
+      if (gstart != skip) Schedule(gstart);
+      gstart += gsize;
     }
     hash = HashMix(hash, (uint64_t{w_start} << 32) | c_start);
-  }
-
-  // Reset scratch.
-  for (VertexId v : touched_) count_[v] = 0;
-  touched_.clear();
-}
-
-// The sharded variant of one splitter step. Counting and the affected-cell
-// scan shard across the pool (each gated by its grain — below the grain the
-// phase runs inline as shard 0 through the same code); the merge applies the
-// computed splits sequentially in ascending affected-cell order.
-//
-// Determinism / bit-identity argument (also in DESIGN.md §7):
-//   * counts are sums of per-edge contributions — commutative, so the
-//     atomic relaxed increments yield exactly the sequential counts;
-//   * the affected array is sorted + deduped, erasing shard discovery order;
-//   * each affected cell's split is a pure function of (cell contents,
-//     counts), computed by exactly one shard; static chunking assigns cells
-//     to shards in ascending order, so concatenating the shards' plans
-//     recovers the sequential cell order;
-//   * SplitCell applications and every HashMix fold happen only in the
-//     merge, in that order — identical to the sequential interleaving.
-void Refiner::ProcessSplitterSharded(OrderedPartition& p, uint32_t w_start,
-                                     ThreadPool* pool, uint64_t& hash) {
-  RefinementStats& stats = context_->stats();
-
-  // Phase 1: count neighbours in the splitter, via the source seam. Above
-  // the grain the source shards over the pool (relaxed atomic increments;
-  // the worker that lifts v's count off zero records it in its own touched
-  // list, so the union of the lists has no duplicates); below it, the
-  // sequential pass runs into slot 0.
-  const bool shard_count = splitter_.size() >= context_->splitter_grain;
-  if (shard_count) {
-    source_->CountSplitterParallel(pool, splitter_, count_, touched_shards_);
-  } else {
-    source_->CountSplitter(splitter_, count_, touched_shards_[0]);
-  }
-
-  // Phase 2: affected cells, in invariant (ascending start) order.
-  affected_.clear();
-  for (const std::vector<VertexId>& touched : touched_shards_) {
-    for (VertexId v : touched) affected_.push_back(p.CellStartOf(v));
-  }
-  std::sort(affected_.begin(), affected_.end());
-  affected_.erase(std::unique(affected_.begin(), affected_.end()),
-                  affected_.end());
-
-  // Phase 3: scan affected cells into split plans. Disjoint cells, and `p`
-  // and count_ are read-only here, so shards are fully independent.
-  for (ShardScratch& shard : shards_) shard.plans.clear();
-  const bool shard_scan = affected_.size() >= context_->affected_grain;
-  const auto scan = [this, &p](size_t begin, size_t end, uint32_t shard_index) {
-    ShardScratch& scratch = shards_[shard_index];
-    for (size_t idx = begin; idx < end; ++idx) {
-      const uint32_t c_start = affected_[idx];
-      const uint32_t c_size = p.CellSizeAt(c_start);
-      if (c_size == 1) continue;
-      const auto cell = p.CellAt(c_start);
-      std::vector<std::pair<uint32_t, VertexId>>& keyed = scratch.keyed;
-      keyed.clear();
-      uint32_t min_count = static_cast<uint32_t>(-1);
-      uint32_t max_count = 0;
-      for (VertexId v : cell) {
-        const uint32_t c = count_[v];
-        min_count = std::min(min_count, c);
-        max_count = std::max(max_count, c);
-        keyed.emplace_back(c, v);
-      }
-      if (min_count == max_count) continue;  // Uniform: no split.
-
-      std::sort(keyed.begin(), keyed.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      SplitPlan plan;
-      plan.cell_start = c_start;
-      plan.reordered.reserve(keyed.size());
-      uint32_t group_len = 0;
-      for (size_t i = 0; i < keyed.size(); ++i) {
-        plan.reordered.push_back(keyed[i].second);
-        ++group_len;
-        const bool last = i + 1 == keyed.size();
-        if (last || keyed[i + 1].first != keyed[i].first) {
-          plan.group_sizes.push_back(group_len);
-          plan.group_keys.push_back(keyed[i].first);
-          group_len = 0;
-        }
-      }
-      scratch.plans.push_back(std::move(plan));
-    }
-  };
-  if (shard_scan) {
-    ParallelFor(pool, affected_.size(), scan);
-  } else {
-    scan(0, affected_.size(), 0);
-  }
-  if (shard_count || shard_scan) ++stats.parallel_splitters;
-
-  // Phase 4: deterministic merge. Shards hold plans for ascending chunks of
-  // affected_, so this applies splits in exactly the sequential cell order.
-  for (const ShardScratch& shard : shards_) {
-    for (const SplitPlan& plan : shard.plans) {
-      for (size_t g = 0; g < plan.group_sizes.size(); ++g) {
-        hash = HashMix(hash,
-                       (uint64_t{plan.cell_start} << 32) | plan.group_keys[g]);
-        hash = HashMix(hash, plan.group_sizes[g]);
-      }
-      p.SplitCell(plan.cell_start, plan.reordered, plan.group_sizes);
-      ++stats.cells_split;
-      uint32_t sub_start = plan.cell_start;
-      for (uint32_t gsize : plan.group_sizes) {
-        worklist_.push_back(sub_start);
-        sub_start += gsize;
-      }
-      hash = HashMix(hash, (uint64_t{w_start} << 32) | plan.cell_start);
-    }
-  }
-
-  // Phase 5: reset counts.
-  for (std::vector<VertexId>& touched : touched_shards_) {
-    for (VertexId v : touched) count_[v] = 0;
-    touched.clear();
   }
 }
 

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "aut/neighbor_source.h"
@@ -68,12 +67,14 @@ class OrderedPartition {
   /// For a discrete partition: the labelling vertex -> position.
   Permutation ToLabeling() const;
 
-  /// Replaces the segment [start, start+total) by consecutive groups whose
-  /// sizes are `group_sizes` and whose elements are `reordered` (a
-  /// permutation of the segment's current contents). Internal helper for the
-  /// refiner; exposed for tests.
-  void SplitCell(uint32_t start, const std::vector<VertexId>& reordered,
-                 const std::vector<uint32_t>& group_sizes);
+  /// Splits the cell starting at `start`: the members in `tail` (distinct,
+  /// a subset of the cell) move to the end of the cell in the given order
+  /// and are carved into consecutive groups of sizes `tail_groups`, which
+  /// sum to |tail|. The members not in `tail` stay at the front as one
+  /// cell, unless `tail` is the whole cell. O(|tail|), and so is the
+  /// revert. Internal helper for the refiner; exposed for tests.
+  void SplitCell(uint32_t start, std::span<const VertexId> tail,
+                 std::span<const uint32_t> tail_groups);
 
   /// Backtracking support: every split (including Individualize) is
   /// journaled. JournalMark() before a speculative step, RevertTo(mark) to
@@ -83,6 +84,8 @@ class OrderedPartition {
   void RevertTo(size_t mark);
 
  private:
+  // The cell at `start` had `old_size` members before it split into
+  // `num_groups` cells; the first of them kept `start`.
   struct SplitRecord {
     uint32_t start;
     uint32_t old_size;
@@ -103,27 +106,29 @@ class OrderedPartition {
 struct RefinementOptions {
   /// Initial colouring (empty = unit partition), as for OrderedPartition.
   std::vector<uint32_t> colors = {};
-  /// Execution policy (threads, grains, stats sink). nullptr = sequential.
+  /// Stats sink for refine counters and timers. nullptr = none. Refinement
+  /// itself is sequential whatever the context's thread count.
   const ExecutionContext* context = nullptr;
   /// If non-null, receives the refinement trace hash — the
-  /// isomorphism-invariant digest RefineAll returns, bit-identical across
-  /// thread counts and across the in-memory / sharded neighbor sources.
+  /// isomorphism-invariant digest RefineAll returns, identical across the
+  /// in-memory / sharded neighbor sources.
   uint64_t* trace_hash = nullptr;
 };
 
 /// Stateful refiner holding scratch buffers keyed to one graph.
 ///
-/// With a context whose threads > 1, large splitters shard their neighbour
-/// counting and affected-cell scans across the context's pool; the split
-/// merge stays sequential in affected-cell order, so the resulting
-/// partition *and* the trace hash are bit-identical to the sequential path
-/// (see DESIGN.md §7, "Parallel refinement").
+/// One sequential algorithm (DESIGN.md §7): Hopcroft / Paige–Tarjan
+/// scheduling — a split queues every sub-cell except the largest, unless
+/// the parent cell is still queued — so each vertex sits in O(log n)
+/// processed splitters and a full refinement reads O((n + m) log n) arcs;
+/// splits move only the vertices the splitter touches, after one sort of
+/// them. All per-call state is cleared as it is consumed, so a refine call
+/// costs O(work), never O(n).
 ///
 /// The Graph constructors bind the refiner to an in-memory CSR source; the
 /// NeighborSource constructor accepts any implementation of the counting
 /// seam (e.g. ShardedNeighborSource for out-of-core shard sets) — the
-/// split-plan build/merge and the trace hash are source-agnostic
-/// (DESIGN.md §11).
+/// splits and the trace hash are source-agnostic (DESIGN.md §11).
 class Refiner {
  public:
   explicit Refiner(const Graph& graph);
@@ -141,64 +146,52 @@ class Refiner {
   /// `p` was equitable before the split). Returns the trace hash.
   uint64_t RefineFrom(OrderedPartition& p, uint32_t seed_start);
 
-  /// Refines with the worklist seeded by an explicit set of current cell
-  /// starts — the incremental-repair entry point (dyn/repair.h). The caller
-  /// owns the soundness argument: the fixpoint is only the coarsest
-  /// equitable refinement of `p` if every cell NOT seeded is already
-  /// uniform against every cell of that fixpoint (DESIGN.md §15 spells out
-  /// the seed set the dynamic layer uses). `seed_starts` must be
-  /// duplicate-free cell starts of `p`; scheduling order follows the given
-  /// order, so pass them sorted for a deterministic trace. Returns the
-  /// trace hash.
-  uint64_t RefineSeeded(OrderedPartition& p,
-                        std::span<const uint32_t> seed_starts);
-
  private:
-  /// A split computed by one shard, applied later by the merge step.
-  struct SplitPlan {
-    uint32_t cell_start;
-    std::vector<VertexId> reordered;
-    std::vector<uint32_t> group_sizes;
-    std::vector<uint32_t> group_keys;  // Neighbour count per group (hash).
+  /// A touched vertex keyed for the split pass: (cell start << 32 | count)
+  /// then vertex id, so a sort groups each cell's touched vertices by count
+  /// in an order independent of how the source discovered them.
+  struct TouchedKey {
+    uint64_t cell_and_count;
+    VertexId vertex;
+    friend bool operator<(const TouchedKey& a, const TouchedKey& b) {
+      return a.cell_and_count != b.cell_and_count
+                 ? a.cell_and_count < b.cell_and_count
+                 : a.vertex < b.vertex;
+    }
   };
 
-  /// Thread-local scratch; shards_[s] is written only by shard s.
-  struct ShardScratch {
-    std::vector<std::pair<uint32_t, VertexId>> keyed;
-    std::vector<SplitPlan> plans;
-  };
+  /// Queues the cell starting at `start` as a splitter.
+  void Schedule(uint32_t start) {
+    pending_[start] = 1;
+    worklist_.push_back(start);
+  }
 
-  /// Refines using the splitter cells currently queued in worklist_.
+  /// Drains the worklist. Returns the trace hash.
   uint64_t DoRefine(OrderedPartition& p);
 
-  /// One splitter's count/scan/split step, sequential and sharded variants.
-  /// Both mutate `hash` and append new splitter cells to worklist_.
-  void ProcessSplitterSequential(OrderedPartition& p, uint32_t w_start,
-                                 uint64_t& hash);
-  void ProcessSplitterSharded(OrderedPartition& p, uint32_t w_start,
-                              ThreadPool* pool, uint64_t& hash);
+  /// Splits every cell by its members' neighbour counts in the splitter at
+  /// `w_start`, folding each split into `hash` and queueing sub-cells.
+  void ProcessSplitter(OrderedPartition& p, uint32_t w_start, uint64_t& hash);
 
   NeighborSource* source_;  // The counting seam; never null.
   std::unique_ptr<NeighborSource> owned_source_;  // Set by the Graph ctors.
-  const ExecutionContext* context_;  // May be null (sequential).
-  std::vector<uint32_t> count_;      // Scratch: neighbour counts.
-  std::vector<VertexId> touched_;    // Scratch: vertices with count > 0.
-  // Scratch buffers reused across DoRefine calls (allocation-free refines).
+  const ExecutionContext* context_;  // May be null (no stats).
+  // Per-vertex neighbour counts, zero between splitters.
+  std::vector<uint32_t> count_;
+  // pending_[s] != 0 iff the cell starting at s is in the worklist; all
+  // zero between refine calls.
+  std::vector<uint8_t> pending_;
+  // Scratch reused across calls, so refines do not allocate.
   std::vector<uint32_t> worklist_;
-  std::vector<VertexId> splitter_;
-  std::vector<uint32_t> affected_;
-  std::vector<std::pair<uint32_t, VertexId>> keyed_;
-  std::vector<VertexId> reordered_;
-  std::vector<uint32_t> group_sizes_;
-  std::vector<ShardScratch> shards_;  // Sized to the context's thread count.
-  // Per-worker touched lists for the sharded counting pass (worker w writes
-  // only touched_shards_[w]; the sequential fallback uses slot 0).
-  std::vector<std::vector<VertexId>> touched_shards_;
+  std::vector<VertexId> touched_;
+  std::vector<TouchedKey> keyed_;
+  std::vector<VertexId> tail_;
+  std::vector<uint32_t> tail_groups_;
 };
 
 /// The stable (coarsest equitable) partition refining options.colors — the
 /// paper's TDV(G) when colors is empty. Cells are returned in partition
-/// order. Runs on options.context's policy (sequential when null).
+/// order.
 std::vector<std::vector<VertexId>> EquitablePartition(
     const Graph& graph, const RefinementOptions& options);
 

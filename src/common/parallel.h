@@ -1,8 +1,8 @@
 // Execution policy for the analysis layers: a fixed thread pool, a
 // deterministic ParallelFor, and the ExecutionContext handed through the
-// refinement / orbit / anonymization entry points.
+// refinement / orbit / anonymization / evaluation entry points.
 //
-// Design rules, relied on by the parallel refiner (aut/refinement.cc):
+// Design rules, relied on by the parallel evaluation kernels (DESIGN.md §8):
 //   * ParallelFor uses *static* chunking — shard s always receives the same
 //     contiguous index range for a given (n, num_threads) — so any
 //     shard-indexed output buffer is filled deterministically.
@@ -74,7 +74,7 @@ struct RefinementStats {
   uint64_t refine_calls = 0;         // DoRefine invocations.
   uint64_t splitters_processed = 0;  // Worklist entries consumed.
   uint64_t cells_split = 0;          // SplitCell operations applied.
-  uint64_t parallel_splitters = 0;   // Splitters that took the sharded path.
+  uint64_t parallel_splitters = 0;   // Always 0: refinement is sequential.
   double refine_seconds = 0.0;       // Wall time inside refinement.
   double partition_seconds = 0.0;    // Initial partition (Orb(G) or TDV(G)).
   double copy_seconds = 0.0;         // Orbit-copy phase of Algorithm 1.
@@ -82,9 +82,10 @@ struct RefinementStats {
 };
 
 /// Execution policy threaded through Refiner, EquitablePartition, orbit
-/// computation, AnonymizationOptions and backbone detection: how many
-/// threads to use, when to fall back to the sequential path, and a stats
-/// sink for per-phase timers.
+/// computation, AnonymizationOptions, backbone detection and the
+/// evaluation kernels: how many threads the parallel kernels use, and a
+/// stats sink for per-phase timers. Refinement itself always runs
+/// sequentially and only reports into the sink.
 ///
 /// threads == 1 (the default) is the sequential policy: no pool is ever
 /// created and every consumer behaves exactly as before this API existed.
@@ -106,15 +107,6 @@ class ExecutionContext {
 
   RefinementStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = RefinementStats{}; }
-
-  /// Sequential-fallback grains: a refine splitter shards its neighbour
-  /// counting only when the splitter has at least `splitter_grain` members,
-  /// and shards the affected-cell scan only when at least `affected_grain`
-  /// cells were touched. Below the grain the sequential path is cheaper
-  /// than a pool dispatch. Tests set these to 0 to force sharding on small
-  /// graphs; results are bit-identical either way.
-  size_t splitter_grain = 4096;
-  size_t affected_grain = 256;
 
  private:
   uint32_t threads_ = 1;

@@ -7,17 +7,16 @@
 // merged view: per-vertex neighbour walks stream the base range and the
 // insert overlay in one ascending merge while the delete overlay masks
 // base entries, so the view is itself a valid simple graph with sorted
-// adjacency — the same invariants Graph guarantees. DeltaNeighborSource
-// lifts that view through the NeighborSource seam (aut/neighbor_source.h),
-// which is all the refinement stack needs; Compact() materializes a fresh
-// owning CSR once the overlay crosses a ratio threshold (merged walks cost
-// one extra branch per entry, so a fat overlay taxes every refine pass).
+// adjacency — the same invariants Graph guarantees. Compact() materializes
+// that view as a fresh owning CSR, which is what refinement and the orbit
+// copy read; a commit compacts in place once the overlay crosses a ratio
+// threshold (merged walks cost one extra branch per entry, so a fat
+// overlay taxes every walk).
 //
 // EditBatch is the unit of mutation. Apply() is all-or-nothing behind a
 // validation ladder — self-loops, duplicate edits, out-of-range endpoints,
 // delete-of-absent (and insert-of-present) — so a rejected batch leaves
-// the graph untouched, and a committed batch's endpoint set is exactly the
-// repair layer's touched-vertex set (dyn/repair.h).
+// the graph untouched.
 //
 // ContentChecksum() folds the merged adjacency into the content key the
 // PlanCache (dyn/plan_cache.h) and the serve layer's keying discipline
@@ -32,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "aut/neighbor_source.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -72,8 +70,8 @@ class EditBatch {
   std::span<const Edit> edits() const { return edits_; }
   void clear() { edits_.clear(); }
 
-  /// Sorted, duplicate-free endpoint set — the repair layer's
-  /// touched-vertex set for this batch.
+  /// Sorted, duplicate-free endpoint set: the vertices this batch
+  /// touches.
   std::vector<VertexId> Endpoints() const;
 
  private:
@@ -179,28 +177,6 @@ class DeltaGraph {
 /// The same content fold over a resident CSR graph — the key under which a
 /// compacted (or from-scratch) graph matches its DeltaGraph ancestor.
 uint64_t GraphContentChecksum(const Graph& graph);
-
-/// The NeighborSource seam over a DeltaGraph: refinement (and so repair)
-/// runs against the merged view without compaction. The graph must stay
-/// quiescent (no Apply) while a refiner is bound to it.
-class DeltaNeighborSource final : public NeighborSource {
- public:
-  explicit DeltaNeighborSource(const DeltaGraph& graph) : graph_(graph) {}
-
-  size_t NumVertices() const override { return graph_.NumVertices(); }
-
-  void CountSplitter(std::span<const VertexId> splitter,
-                     std::span<uint32_t> count,
-                     std::vector<VertexId>& touched) override;
-
-  void CountSplitterParallel(ThreadPool* pool,
-                             std::span<const VertexId> splitter,
-                             std::span<uint32_t> count,
-                             std::span<std::vector<VertexId>> touched) override;
-
- private:
-  const DeltaGraph& graph_;
-};
 
 }  // namespace dyn
 }  // namespace ksym

@@ -6,11 +6,9 @@
 // content checksum (DeltaGraph::ContentChecksum / GraphContentChecksum):
 //
 //   * plans    — the TDV partition + its refinement trace hash, keyed by
-//                checksum alone. A plan is what the incremental repair
-//                consumes: a mutated graph's repair starts from the
-//                *parent* checksum's cached plan (delta-aware reuse), and
-//                the repaired partition is inserted under the child
-//                checksum so the chain extends.
+//                checksum alone. A plan hit skips refinement: only the
+//                orbit copy runs (a new k on a known graph, or a graph
+//                state reached again by other edits or another session).
 //   * releases — the anonymized ReleaseTriple, keyed by (checksum, k). A
 //                warm release entry turns a repeated `reanonymize` of an
 //                unchanged graph into a pure lookup: no refinement, no
@@ -41,10 +39,7 @@ namespace dyn {
 struct CachedPlan {
   VertexPartition tdv;
   uint64_t partition_checksum = 0;  // PartitionChecksum(tdv).
-  /// Full-refine trace hash when the plan came from a from-scratch
-  /// refinement; 0 when it came from incremental repair (the repair
-  /// schedule's hash is not comparable — the contract is
-  /// partition_checksum, see dyn/repair.h).
+  /// The refinement trace hash of the refine that computed `tdv`.
   uint64_t trace_hash = 0;
 };
 

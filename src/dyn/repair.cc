@@ -1,9 +1,5 @@
 #include "dyn/repair.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "aut/refinement.h"
 #include "dyn/delta_graph.h"
 
 namespace ksym {
@@ -16,166 +12,6 @@ uint64_t PartitionChecksum(const VertexPartition& partition) {
     for (VertexId v : cell) h = HashCombine(h, v);
   }
   return h;
-}
-
-namespace {
-
-// Weighted colour refinement on the cell quotient of an equitable
-// partition: rows[i] holds (j, d_ij) with d_ij = neighbours any vertex of
-// cell i has in cell j. Starting from the unit colouring, iterate
-// signature = (own colour, per-colour summed weights) until the colour
-// count stops growing. Returns the stable colour per cell.
-std::vector<uint32_t> QuotientStableColors(
-    const std::vector<std::vector<std::pair<uint32_t, uint32_t>>>& rows) {
-  const size_t c = rows.size();
-  std::vector<uint32_t> color(c, 0);
-  size_t num_colors = 1;
-  // Signatures flattened as uint64 sequences; sort-based grouping.
-  std::vector<std::vector<uint64_t>> sig(c);
-  std::vector<std::pair<uint32_t, uint64_t>> acc;  // (colour, summed weight)
-  std::vector<uint32_t> order(c);
-  for (uint32_t i = 0; i < c; ++i) order[i] = i;
-  for (;;) {
-    for (size_t i = 0; i < c; ++i) {
-      acc.clear();
-      for (const auto& [j, w] : rows[i]) acc.push_back({color[j], w});
-      std::sort(acc.begin(), acc.end());
-      std::vector<uint64_t>& s = sig[i];
-      s.clear();
-      s.push_back(color[i]);
-      // Merge-sum runs of equal colour.
-      for (size_t a = 0; a < acc.size();) {
-        uint64_t sum = 0;
-        size_t b = a;
-        while (b < acc.size() && acc[b].first == acc[a].first) {
-          sum += acc[b].second;
-          ++b;
-        }
-        s.push_back(acc[a].first);
-        s.push_back(sum);
-        a = b;
-      }
-    }
-    // New colours by signature, assigned in ascending signature order (any
-    // deterministic order works; the lifted partition is the same).
-    std::sort(order.begin(), order.end(), [&sig](uint32_t a, uint32_t b) {
-      return sig[a] < sig[b];
-    });
-    std::vector<uint32_t> next(c, 0);
-    size_t next_colors = 0;
-    for (size_t i = 0; i < c; ++i) {
-      if (i > 0 && sig[order[i]] != sig[order[i - 1]]) ++next_colors;
-      next[order[i]] = static_cast<uint32_t>(next_colors);
-    }
-    ++next_colors;
-    // Signatures include the old colour, so colours only ever split; a
-    // stable count means a stable partition.
-    if (next_colors == num_colors) return color;
-    color = std::move(next);
-    num_colors = next_colors;
-  }
-}
-
-}  // namespace
-
-Result<VertexPartition> RepairTotalDegreePartition(
-    NeighborSource& source, const VertexPartition& parent,
-    std::span<const VertexId> touched, const ExecutionContext* context,
-    RepairStats* stats) {
-  const size_t n = source.NumVertices();
-  if (parent.cell_of.size() != n) {
-    return Status::InvalidArgument(
-        "parent partition covers " + std::to_string(parent.cell_of.size()) +
-        " vertices but the graph has " + std::to_string(n));
-  }
-  for (VertexId v : touched) {
-    if (v >= n) {
-      return Status::OutOfRange("touched vertex " + std::to_string(v) +
-                                " out of range (n=" + std::to_string(n) + ")");
-    }
-  }
-  if (touched.empty()) return parent;
-
-  // Dissolve: pool colour 0 for every cell containing a touched vertex;
-  // untouched parent cell i keeps colour i+1 (order preserved).
-  std::vector<bool> cell_touched(parent.NumCells(), false);
-  for (VertexId v : touched) cell_touched[parent.cell_of[v]] = true;
-  std::vector<uint32_t> colors(n, 0);
-  std::vector<VertexId> pool;
-  for (VertexId v = 0; v < n; ++v) {
-    const uint32_t cell = parent.cell_of[v];
-    if (cell_touched[cell]) {
-      pool.push_back(v);
-    } else {
-      colors[v] = cell + 1;
-    }
-  }
-  if (stats != nullptr) {
-    stats->pool_vertices = pool.size();
-    stats->pool_cells = static_cast<size_t>(
-        std::count(cell_touched.begin(), cell_touched.end(), true));
-  }
-
-  OrderedPartition p(n, colors);
-
-  // Seed set: the pool plus every cell with a neighbour in the pool. One
-  // counting pass enumerates N(pool) as its touched list.
-  std::vector<uint32_t> count(n, 0);
-  std::vector<VertexId> adjacent;
-  source.CountSplitter(pool, count, adjacent);
-  std::vector<uint32_t> seeds;
-  seeds.reserve(adjacent.size() + 1);
-  seeds.push_back(p.CellStartOf(pool.front()));
-  for (VertexId v : adjacent) {
-    seeds.push_back(p.CellStartOf(v));
-    count[v] = 0;  // Reset the scratch for the quotient pass below.
-  }
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  if (stats != nullptr) stats->seed_cells = seeds.size();
-
-  Refiner refiner(source, context);
-  const uint64_t splitters_before =
-      context != nullptr ? context->stats().splitters_processed : 0;
-  refiner.RefineSeeded(p, seeds);
-  if (stats != nullptr && context != nullptr) {
-    stats->refine_splitters =
-        context->stats().splitters_processed - splitters_before;
-  }
-
-  // Quotient coarsening. P* cells and a representative-vertex -> cell map;
-  // one counting pass per cell j fills column j of the weight matrix, read
-  // off at representatives only (equitability makes any member exact).
-  std::vector<std::vector<VertexId>> star = p.Cells();
-  const size_t c = star.size();
-  if (stats != nullptr) stats->refined_cells = c;
-  constexpr uint32_t kNotRep = static_cast<uint32_t>(-1);
-  std::vector<uint32_t> rep_cell(n, kNotRep);
-  for (uint32_t i = 0; i < c; ++i) rep_cell[star[i].front()] = i;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows(c);
-  std::vector<VertexId> counted;
-  for (uint32_t j = 0; j < c; ++j) {
-    source.CountSplitter(star[j], count, counted);
-    for (VertexId v : counted) {
-      if (rep_cell[v] != kNotRep) {
-        rows[rep_cell[v]].push_back({j, count[v]});
-      }
-      count[v] = 0;
-    }
-    counted.clear();
-  }
-
-  const std::vector<uint32_t> qcolor = QuotientStableColors(rows);
-  uint32_t num_classes = 0;
-  for (uint32_t color : qcolor) num_classes = std::max(num_classes, color + 1);
-  if (stats != nullptr) stats->quotient_merges = c - num_classes;
-
-  std::vector<std::vector<VertexId>> merged(num_classes);
-  for (uint32_t i = 0; i < c; ++i) {
-    std::vector<VertexId>& out = merged[qcolor[i]];
-    out.insert(out.end(), star[i].begin(), star[i].end());
-  }
-  return VertexPartition::FromCells(n, std::move(merged));
 }
 
 }  // namespace dyn

@@ -1,81 +1,26 @@
-// Incremental equitable-partition repair (DESIGN.md §15).
+// The partition checksum of the dynamic layer (DESIGN.md §15).
 //
-// Given TDV(G_old) and a committed edit batch whose endpoints are the
-// *touched* vertices, recompute TDV(G_new) without re-refining the whole
-// graph. Three steps:
-//
-//  1. *Dissolve*: merge every parent cell containing a touched vertex into
-//     one pool cell; every untouched parent cell survives as its own cell.
-//  2. *Seeded refine*: run the worklist refiner (Refiner::RefineSeeded)
-//     with the worklist seeded by the pool plus every cell adjacent to the
-//     pool in G_new. The fixpoint P* is equitable: any never-scheduled,
-//     never-split cell X is an untouched parent cell with no pool
-//     neighbours, so counts into X are unchanged from G_old for non-pool
-//     vertices (their adjacency didn't change and TDV(G_old) was stable)
-//     and zero for pool vertices — uniform either way.
-//  3. *Quotient coarsening*: P* is equitable, hence refines the coarsest
-//     equitable partition TDV(G_new) — but possibly strictly (an edit can
-//     *coarsen* TDV globally: add one edge to a path and a triangle's
-//     all-in-one-cell partition appears). Build the cell-quotient weight
-//     matrix d(i,j) = |N(v) ∩ cell_j| for v ∈ cell_i (well-defined by
-//     equitability) and run weighted colour refinement on the quotient
-//     from the unit colouring; merging P* cells with equal stable colours
-//     lifts to exactly TDV(G_new) (the lifted partition is equitable, and
-//     the TDV-induced quotient colouring is stable, so the coarsest stable
-//     colouring is no finer than it).
-//
-// The result is returned as a canonical VertexPartition, so bit-identity
-// with ComputeTotalDegreePartition(G_new) is plain operator== — and the
-// trace-hash contract for the dynamic layer is PartitionChecksum equality
-// (the repair's refinement *schedule* legitimately differs from a full
-// recompute's, so raw refine trace hashes do not match; the partition
-// checksum hashes what the schedules converge to).
+// A reanonymize epoch reports the checksum of the TDV partition it
+// published, so a client can check that epoch against a from-scratch
+// ComputeTotalDegreePartition of the same edge set without comparing
+// release bytes. The checksum hashes what a refinement converges to (the
+// canonical VertexPartition), not how it got there, so it is independent of
+// the refiner's schedule and trace hash.
 
 #ifndef KSYM_DYN_REPAIR_H_
 #define KSYM_DYN_REPAIR_H_
 
 #include <cstdint>
-#include <span>
 
-#include "aut/neighbor_source.h"
 #include "aut/orbits.h"
-#include "common/parallel.h"
-#include "common/status.h"
 
 namespace ksym {
 namespace dyn {
 
-/// Counters for one repair run, asserted in dyn_test / reported by
-/// BM_IncrementalRepair. `refine_splitters` counts only worklist entries
-/// the seeded refine consumed (the quotient pass's counting calls bypass
-/// the worklist), making "repair visits strictly fewer splitters than a
-/// full refine" a well-defined comparison.
-struct RepairStats {
-  size_t pool_cells = 0;       // Parent cells dissolved into the pool.
-  size_t pool_vertices = 0;    // Vertices in the pool.
-  size_t seed_cells = 0;       // Worklist seeds handed to RefineSeeded.
-  uint64_t refine_splitters = 0;  // Splitters the seeded refine consumed.
-  size_t refined_cells = 0;    // |P*| before coarsening.
-  size_t quotient_merges = 0;  // P* cells merged away by coarsening.
-};
-
 /// Canonical content digest of a VertexPartition (cells are sorted and
-/// min-ordered by construction) — the dynamic layer's trace-hash contract
-/// and the PlanCache's partition identity.
+/// min-ordered by construction) — the dynamic layer's partition identity,
+/// used by the PlanCache and the reanonymize report.
 uint64_t PartitionChecksum(const VertexPartition& partition);
-
-/// Repairs `parent` — which must be TDV of the pre-edit graph — into TDV
-/// of the post-edit graph behind `source`. `touched` lists every vertex
-/// incident to an applied edit (EditBatch::Endpoints of all batches since
-/// `parent` was computed); duplicates are fine. Requires
-/// parent.cell_of.size() == source.NumVertices() (vertex count is
-/// immutable under edits). With `touched` empty, returns a copy of
-/// `parent`. Runs on `context`'s execution policy; requires splitter
-/// counters via context->stats() when `stats` is non-null.
-Result<VertexPartition> RepairTotalDegreePartition(
-    NeighborSource& source, const VertexPartition& parent,
-    std::span<const VertexId> touched, const ExecutionContext* context,
-    RepairStats* stats = nullptr);
 
 }  // namespace dyn
 }  // namespace ksym

@@ -2,7 +2,8 @@
 
 #include <utility>
 
-#include "aut/refinement.h"
+#include "aut/orbits.h"
+#include "dyn/repair.h"
 #include "ksym/anonymizer.h"
 
 namespace ksym {
@@ -33,12 +34,9 @@ Result<CommitOutcome> DynamicSession::Commit() {
         "commit with no staged edits (mutate first)");
   }
   KSYM_RETURN_IF_ERROR(graph_.Apply(staged_));
-  const std::vector<VertexId> endpoints = staged_.Endpoints();
-  touched_since_plan_.insert(touched_since_plan_.end(), endpoints.begin(),
-                             endpoints.end());
   CommitOutcome outcome;
   outcome.edits = staged_.size();
-  outcome.touched_vertices = endpoints.size();
+  outcome.touched_vertices = staged_.Endpoints().size();
   outcome.num_edges = graph_.NumEdges();
   staged_.clear();
   ++stats_.commits;
@@ -71,57 +69,33 @@ Result<ReanonymizeOutcome> DynamicSession::Reanonymize(
     return outcome;
   }
 
-  std::shared_ptr<const CachedPlan> plan =
-      cache_->GetPlan(outcome.graph_checksum);
-  if (plan != nullptr) {
-    outcome.plan_cache_hit = true;
-    ++stats_.plan_cache_hits;
-  } else {
-    // Delta-aware reuse: repair from the anchor state's cached plan when
-    // the chain is intact, else refine from scratch.
-    std::shared_ptr<const CachedPlan> parent;
-    if (has_plan_anchor_ && !touched_since_plan_.empty()) {
-      parent = cache_->GetPlan(plan_anchor_checksum_);
-    }
-    DeltaNeighborSource source(graph_);
-    CachedPlan fresh;
-    if (parent != nullptr) {
-      KSYM_ASSIGN_OR_RETURN(
-          fresh.tdv,
-          RepairTotalDegreePartition(source, parent->tdv,
-                                     touched_since_plan_, context,
-                                     &outcome.repair));
-      outcome.repaired = true;
-      ++stats_.repairs;
-    } else {
-      ScopedPhaseTimer timer(context, &RefinementStats::partition_seconds);
-      uint64_t trace = 0;
-      fresh.tdv = VertexPartition::FromCells(
-          graph_.NumVertices(),
-          EquitablePartition(source, RefinementOptions{
-                                         .context = context,
-                                         .trace_hash = &trace}));
-      fresh.trace_hash = trace;
-      ++stats_.full_refines;
-    }
-    fresh.partition_checksum = PartitionChecksum(fresh.tdv);
-    plan = cache_->PutPlan(outcome.graph_checksum, std::move(fresh));
-  }
-  outcome.partition_checksum = plan->partition_checksum;
-  // This state's plan is cached: re-anchor the chain here.
-  has_plan_anchor_ = true;
-  plan_anchor_checksum_ = outcome.graph_checksum;
-  touched_since_plan_.clear();
-
-  // Orbit copy on the resident merged graph. The overlay view cannot feed
-  // Algorithm 1 (it mutates a MutableGraph), so compact if needed — the
-  // checksum, and therefore the cache key, is unchanged by compaction.
+  // Both the refine and the orbit copy run on the resident merged graph.
+  // Algorithm 1 cannot read the overlay (it mutates a MutableGraph), so
+  // compact if needed; the checksum, and therefore the cache key, is
+  // unchanged by compaction.
   Graph compacted;
   const Graph* resident = &graph_.base();
   if (graph_.HasOverlay()) {
     compacted = graph_.Compact();
     resident = &compacted;
   }
+
+  std::shared_ptr<const CachedPlan> plan =
+      cache_->GetPlan(outcome.graph_checksum);
+  if (plan != nullptr) {
+    outcome.plan_cache_hit = true;
+    ++stats_.plan_cache_hits;
+  } else {
+    ScopedPhaseTimer timer(context, &RefinementStats::partition_seconds);
+    CachedPlan fresh;
+    fresh.tdv = ComputeTotalDegreePartition(*resident, context,
+                                            &fresh.trace_hash);
+    fresh.partition_checksum = PartitionChecksum(fresh.tdv);
+    ++stats_.full_refines;
+    plan = cache_->PutPlan(outcome.graph_checksum, std::move(fresh));
+  }
+  outcome.partition_checksum = plan->partition_checksum;
+
   AnonymizationOptions options;
   options.k = k;
   options.use_total_degree_partition = true;

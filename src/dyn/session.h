@@ -2,21 +2,16 @@
 // mutate/commit/reanonymize ops and the ksym_dynamic replay CLI
 // (DESIGN.md §15).
 //
-// A DynamicSession is one named, long-lived mutable graph: a DeltaGraph,
-// a staged (validated but uncommitted) edit batch, and the bookkeeping
-// that links successive graph states for the plan cache — the checksum of
-// the last state whose TDV plan was cached, plus every vertex touched
-// since. Reanonymize resolves in strictly cheapening order:
+// A DynamicSession is one named, long-lived mutable graph: a DeltaGraph
+// and a staged (validated but uncommitted) edit batch. Reanonymize
+// resolves in strictly cheapening order:
 //
 //   release cache hit (checksum, k)   -> no refinement, no orbit copy
 //   plan cache hit (checksum)         -> orbit copy only
-//   parent plan + incremental repair  -> seeded refine from the parent TDV
-//   full recompute                    -> from-scratch refinement
+//   full refine                       -> TDV of the compacted graph
 //
 // whichever path ran, the result is inserted under the current checksum,
-// so the parent chain extends across edits and every path yields
-// bit-identical releases (the exactness chain: repaired TDV ==
-// ComputeTotalDegreePartition of the merged graph, canonical
+// and every path yields bit-identical releases (the TDV is a canonical
 // VertexPartition; AnonymizeWithPartition is deterministic given the
 // partition).
 //
@@ -35,7 +30,6 @@
 #include "common/status.h"
 #include "dyn/delta_graph.h"
 #include "dyn/plan_cache.h"
-#include "dyn/repair.h"
 #include "ksym/release_io.h"
 
 namespace ksym {
@@ -51,8 +45,7 @@ struct SessionStats {
   size_t reanonymizes = 0;
   size_t release_cache_hits = 0;
   size_t plan_cache_hits = 0;  // Plan found under the current checksum.
-  size_t repairs = 0;          // Plans derived by incremental repair.
-  size_t full_refines = 0;     // Plans derived from scratch.
+  size_t full_refines = 0;     // Plans derived by refinement.
 };
 
 struct CommitOutcome {
@@ -69,8 +62,6 @@ struct ReanonymizeOutcome {
   uint64_t partition_checksum = 0;
   bool release_cache_hit = false;
   bool plan_cache_hit = false;
-  bool repaired = false;  // Plan derived by incremental repair this call.
-  RepairStats repair;     // Valid when `repaired`.
   size_t vertices_added = 0;
   size_t edges_added = 0;
 };
@@ -96,8 +87,8 @@ class DynamicSession {
   /// mutate time and a failed call leaves the staged batch unchanged.
   Status Stage(const EditBatch& edits);
 
-  /// Applies the staged batch to the graph, extends the touched set, and
-  /// compacts past the ratio threshold. Committing an empty stage is an
+  /// Applies the staged batch to the graph and compacts past the ratio
+  /// threshold. Committing an empty stage is an
   /// error (FailedPrecondition).
   Result<CommitOutcome> Commit();
 
@@ -113,11 +104,6 @@ class DynamicSession {
   double compact_ratio_;
   PlanCache* cache_;
   EditBatch staged_;
-  // Plan-chain anchor: the checksum of the last state whose plan was
-  // cached, and every vertex touched by commits since then.
-  bool has_plan_anchor_ = false;
-  uint64_t plan_anchor_checksum_ = 0;
-  std::vector<VertexId> touched_since_plan_;
   SessionStats stats_;
 };
 

@@ -147,7 +147,6 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
   }
   const char* path = outcome.release_cache_hit ? "release-cache-hit"
                      : outcome.plan_cache_hit  ? "plan-cache-hit"
-                     : outcome.repaired        ? "incremental-repair"
                                                : "full-refine";
   response.report += StrFormat("reanonymize k=%u via %s\n", request.k, path);
   response.report += StrFormat("graph checksum: %s\n",
@@ -155,15 +154,6 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
   response.report += StrFormat(
       "partition checksum: %s\n",
       ChecksumHex(outcome.partition_checksum).c_str());
-  if (outcome.repaired) {
-    response.report += StrFormat(
-        "repair: %zu pool cells (%zu vertices), %zu seeds, "
-        "%llu splitters, %zu quotient merges\n",
-        outcome.repair.pool_cells, outcome.repair.pool_vertices,
-        outcome.repair.seed_cells,
-        static_cast<unsigned long long>(outcome.repair.refine_splitters),
-        outcome.repair.quotient_merges);
-  }
   const ReleaseTriple& release = *outcome.release;
   response.report += StrFormat(
       "release: %zu vertices, %zu edges (%zu originals)\n",

@@ -190,18 +190,36 @@ void Server::AcceptLoop() {
 }
 
 void Server::ServeConnection(int fd) {
-  std::string buffer;
+  std::string buffer;  // The pending (newline-less) line, then new bytes.
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // EOF, reset, or shutdown — all mean "done".
+    // Only the new bytes can hold a newline: each byte is scanned once.
+    size_t scan = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
+    size_t line_start = 0;
     size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
+    while ((pos = buffer.find('\n', scan)) != std::string::npos) {
+      const std::string line = buffer.substr(line_start, pos - line_start);
+      line_start = scan = pos + 1;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
       SendAll(fd, HandleLine(line) + "\n");
+    }
+    buffer.erase(0, line_start);
+    if (buffer.size() > kMaxRequestLineBytes) {
+      // A client that never ends its line would grow this buffer without
+      // bound: answer once, then drop the connection.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.parse_errors;
+      }
+      SendAll(fd, SerializeWireLine(ErrorResponse(Status::InvalidArgument(
+                      StrFormat("request line exceeds %zu bytes without a "
+                                "newline; closing the connection",
+                                kMaxRequestLineBytes)))) +
+                      "\n");
+      break;
     }
   }
   // A partial frame at EOF (client died mid-write) is dropped: there is
@@ -584,7 +602,6 @@ std::string Server::StatsReport() const {
                       simd::SimdLevelName(simd::ActiveSimdLevel()));
   line("simd_intersect_calls", simd_calls.intersect);
   line("simd_intersect_gallop_calls", simd_calls.intersect_gallop);
-  line("simd_splitter_dense_calls", simd_calls.splitter_dense);
   line("simd_splitter_scalar_calls", simd_calls.splitter_scalar);
   line("simd_bfs_expand_calls", simd_calls.bfs_expand);
   report += StrFormat("phase_anonymize_seconds: %.3f\n",

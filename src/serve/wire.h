@@ -16,6 +16,7 @@
 #ifndef KSYM_SERVE_WIRE_H_
 #define KSYM_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,6 +27,12 @@
 
 namespace ksym {
 namespace serve {
+
+/// The longest request line the daemon buffers while waiting for its
+/// newline (far above any real request: paths, flags and edit lists). A
+/// connection whose pending line grows past it gets one error response and
+/// is closed, so no client can grow daemon memory without bound.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
 
 /// One scalar wire value. Integers keep sign information: non-negative
 /// integers are kUint (full uint64 range, e.g. seeds and checksums),

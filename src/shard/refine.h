@@ -4,22 +4,22 @@
 //
 // The refiner keeps all O(n) vertex state (counts, partition arrays,
 // worklists) resident and reaches the O(2|E|) edge arrays only through
-// NeighborSource::CountSplitter{,Parallel}. ShardedNeighborSource serves
-// those passes shard-by-shard: it buckets the splitter's members by owning
-// storage shard, then processes the storage shards in ascending range
-// order, pinning each exactly once per splitter — so a full refinement
-// streams the edge set under the residency budget instead of holding it.
+// NeighborSource::CountSplitter. ShardedNeighborSource serves that pass
+// shard-by-shard: it buckets the splitter's members by owning storage
+// shard, then processes the storage shards in ascending range order,
+// pinning each exactly once per splitter — so a full refinement streams
+// the edge set under the residency budget instead of holding it.
 //
 // Bit-identity argument (the §11 determinism argument in brief): counts are
 // commutative sums of per-edge contributions, so regrouping the splitter by
-// storage shard — or chunking a group across pool workers — performs the
-// same multiset of increments as the in-memory pass; touched-list discovery
-// order differs, but the refiner sorts + dedups the affected-cell array
-// before anything order-sensitive happens. Every split plan and every trace
-// hash fold lives above the seam, untouched. Hence the final partition and
-// the refinement trace hash are bit-identical to the in-memory run at any
-// shard count, thread count, and residency budget — pinned by
-// sharded_refinement_test across 1/2/4 shards x 1/2/4 threads x budgets.
+// storage shard performs the same multiset of increments as the in-memory
+// pass; touched-list discovery order differs, but the refiner sorts the
+// touched vertices by (cell, count, vertex id) before anything
+// order-sensitive happens. Every split and every trace hash fold lives
+// above the seam, untouched. Hence the final partition and the refinement
+// trace hash are bit-identical to the in-memory run at any shard count and
+// residency budget — pinned by sharded_refinement_test across 1/2/4 shards
+// x budgets.
 //
 // Like every sharded kernel, the source takes the graph by mutable
 // reference (loading shards mutates the residency cache) and CHECKs on
@@ -49,11 +49,6 @@ class ShardedNeighborSource final : public NeighborSource {
   void CountSplitter(std::span<const VertexId> splitter,
                      std::span<uint32_t> count,
                      std::vector<VertexId>& touched) override;
-
-  void CountSplitterParallel(ThreadPool* pool,
-                             std::span<const VertexId> splitter,
-                             std::span<uint32_t> count,
-                             std::span<std::vector<VertexId>> touched) override;
 
  private:
   /// Buckets the splitter's members into groups_[s] by owning storage

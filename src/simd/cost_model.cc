@@ -59,24 +59,6 @@ CycleCost IntersectGallopCost(const CostParams& p) {
   return {lo * probes * (kL1LoadCost + 1.0 + 0.5 * kMispredictPenalty)};
 }
 
-// --- Bitset splitter counting (per neighbor-slot test over `arcs`).
-CycleCost SplitterBitsetScalarCost(const CostParams& p) {
-  // Index load, word load, shift, mask, add: branchless chain ~4 cycles.
-  return {static_cast<double>(p.arcs) * 4.0};
-}
-CycleCost SplitterBitsetSse42Cost(const CostParams& p) {
-  // Same ops across 4 independent accumulators: ILP-limited, ~2.2/slot.
-  return {static_cast<double>(p.arcs) * 2.2};
-}
-CycleCost SplitterBitsetAvx2Cost(const CostParams& p) {
-  // Two 4-lane gathers in flight + shift/mask/add: ~gather-throughput
-  // bound per lane.
-  return {static_cast<double>(p.arcs) * (kGatherPerLane + 0.5)};
-}
-CycleCost SplitterBitsetNeonCost(const CostParams& p) {
-  return {static_cast<double>(p.arcs) * 2.5};  // Gather-free unroll.
-}
-
 // --- BFS frontier expansion (per neighbor slot; hits add the write +
 // queue append).
 CycleCost BfsExpandScalarCost(const CostParams& p) {
@@ -114,10 +96,6 @@ constexpr KernelCostEntry kTable[] = {
     {"intersect_gallop", SimdLevel::kSse42, IntersectGallopCost},
     {"intersect_gallop", SimdLevel::kAvx2, IntersectGallopCost},
     {"intersect_gallop", SimdLevel::kNeon, IntersectGallopCost},
-    {"splitter_bitset", SimdLevel::kScalar, SplitterBitsetScalarCost},
-    {"splitter_bitset", SimdLevel::kSse42, SplitterBitsetSse42Cost},
-    {"splitter_bitset", SimdLevel::kAvx2, SplitterBitsetAvx2Cost},
-    {"splitter_bitset", SimdLevel::kNeon, SplitterBitsetNeonCost},
     {"bfs_expand", SimdLevel::kScalar, BfsExpandScalarCost},
     {"bfs_expand", SimdLevel::kSse42, BfsExpandSse42Cost},
     {"bfs_expand", SimdLevel::kAvx2, BfsExpandAvx2Cost},

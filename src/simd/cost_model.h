@@ -23,7 +23,7 @@ namespace simd {
 struct CostParams {
   size_t na = 0;       // Intersection: length of the first list.
   size_t nb = 0;       // Intersection: length of the second list.
-  size_t arcs = 0;     // Splitter / BFS: neighbor slots tested.
+  size_t arcs = 0;     // BFS: neighbor slots tested.
   double hit_fraction = 0.0;  // BFS: fraction of tests that discover.
 };
 
@@ -35,7 +35,7 @@ struct CycleCost {
 
 /// One registered estimator. Kernel names are stable identifiers used by
 /// the bench JSON and the CI band check: "intersect", "intersect_gallop",
-/// "splitter_bitset", "bfs_expand".
+/// "bfs_expand".
 struct KernelCostEntry {
   const char* kernel;
   SimdLevel level;

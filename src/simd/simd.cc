@@ -8,7 +8,7 @@ namespace ksym {
 namespace simd {
 namespace {
 
-std::atomic<uint64_t> g_counts[5] = {};
+std::atomic<uint64_t> g_counts[4] = {};
 
 SimdLevel ProbeLevel() {
 #if defined(__aarch64__) || defined(_M_ARM64)
@@ -94,9 +94,8 @@ SimdCallCounts SimdCallCountsSnapshot() {
   SimdCallCounts counts;
   counts.intersect = g_counts[0].load(std::memory_order_relaxed);
   counts.intersect_gallop = g_counts[1].load(std::memory_order_relaxed);
-  counts.splitter_dense = g_counts[2].load(std::memory_order_relaxed);
-  counts.splitter_scalar = g_counts[3].load(std::memory_order_relaxed);
-  counts.bfs_expand = g_counts[4].load(std::memory_order_relaxed);
+  counts.splitter_scalar = g_counts[2].load(std::memory_order_relaxed);
+  counts.bfs_expand = g_counts[3].load(std::memory_order_relaxed);
   return counts;
 }
 

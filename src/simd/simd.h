@@ -1,20 +1,18 @@
 // Runtime SIMD dispatch for the hot kernels (DESIGN.md §13).
 //
-// The flat CSR layout (DESIGN.md §7) exists so the three dominant inner
-// loops — sorted-neighbor intersection (triangles / clustering), splitter
-// counting (equitable refinement), and BFS frontier expansion — can run
-// vectorized. Each kernel in src/simd/ ships scalar, SSE4.2, and AVX2
-// implementations (NEON compile-time-gated on aarch64), selected once at
-// startup by a CPUID probe that the KSYM_SIMD_LEVEL environment variable
-// can lower ("scalar" | "sse42" | "avx2" | "neon"): sanitizer CI and the
-// differential tests force every path on one machine.
+// The flat CSR layout (DESIGN.md §7) lets two dominant inner loops —
+// sorted-neighbor intersection (triangles / clustering) and BFS frontier
+// expansion — run vectorized. Each kernel in src/simd/ ships scalar,
+// SSE4.2, and AVX2 implementations (NEON compile-time-gated on aarch64),
+// selected once at startup by a CPUID probe that the KSYM_SIMD_LEVEL
+// environment variable can lower ("scalar" | "sse42" | "avx2" | "neon"):
+// sanitizer CI and the differential tests force every path on one machine.
 //
 // Contract every vectorized path obeys: it produces results *bit-identical*
 // to the scalar loop it replaces — identical integer sums, identical output
-// sequences, identical refinement trace hashes — at every level and thread
-// count. The vector variants only reassociate commutative integer
-// reductions and hoist comparisons; no floating-point operation is ever
-// reordered (DESIGN.md §7/§8/§11/§13).
+// sequences — at every level and thread count. The vector variants only
+// reassociate commutative integer reductions and hoist comparisons; no
+// floating-point operation is ever reordered (DESIGN.md §7/§8/§13).
 
 #ifndef KSYM_SIMD_SIMD_H_
 #define KSYM_SIMD_SIMD_H_
@@ -66,17 +64,16 @@ SimdLevel SetSimdLevelForTesting(SimdLevel level);
 struct SimdCallCounts {
   uint64_t intersect = 0;        // Sorted-intersection merge/block calls.
   uint64_t intersect_gallop = 0; // Skewed pairs routed to the galloping variant.
-  uint64_t splitter_dense = 0;   // Splitter counts via the bitset-adjacency path.
-  uint64_t splitter_scalar = 0;  // Splitter counts via the verbatim scalar loop.
+  uint64_t splitter_dense = 0;   // Always 0: no dense splitter kernel.
+  uint64_t splitter_scalar = 0;  // Refinement splitter counting passes.
   uint64_t bfs_expand = 0;       // BFS runs through the batched frontier expander.
 };
 
 enum class SimdKernel : uint8_t {
   kIntersect = 0,
   kIntersectGallop = 1,
-  kSplitterDense = 2,
-  kSplitterScalar = 3,
-  kBfsExpand = 4,
+  kSplitterScalar = 2,
+  kBfsExpand = 3,
 };
 
 /// Adds `n` to the cumulative counter for `kernel` (relaxed; thread-safe).

@@ -1,8 +1,7 @@
 // Tests for the dynamic-graph subsystem (DESIGN.md §15): the DeltaGraph
 // overlay and its validation ladder, the edit-trace parsers (including a
-// single-byte corruption fuzz), incremental equitable-partition repair
-// against full recomputation over randomized edit streams, the PlanCache,
-// and the DynamicSession cache ladder.
+// single-byte corruption fuzz), the PlanCache, and the DynamicSession
+// cache ladder.
 
 #include <algorithm>
 #include <set>
@@ -279,185 +278,6 @@ TEST(DeltaGraphTest, ChecksumIgnoresBatching) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental repair
-// ---------------------------------------------------------------------------
-
-// Runs repair for one applied batch and checks bit-identity with the full
-// recompute of the merged graph, at the given thread count.
-void ExpectRepairMatchesFull(const DeltaGraph& delta,
-                             const VertexPartition& parent,
-                             std::span<const VertexId> touched,
-                             uint32_t threads, RepairStats* stats = nullptr) {
-  ExecutionContext repair_context(threads);
-  DeltaNeighborSource source(delta);
-  auto repaired = RepairTotalDegreePartition(source, parent, touched,
-                                             &repair_context, stats);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-
-  ExecutionContext full_context(threads);
-  const Graph compacted = delta.Compact();
-  const VertexPartition full =
-      ComputeTotalDegreePartition(compacted, &full_context);
-  EXPECT_EQ(*repaired, full) << "threads=" << threads;
-  EXPECT_EQ(PartitionChecksum(*repaired), PartitionChecksum(full));
-}
-
-TEST(RepairTest, EmptyTouchedSetReturnsTheParent) {
-  const Graph graph = TestGraph();
-  ExecutionContext context(1);
-  const VertexPartition parent =
-      ComputeTotalDegreePartition(graph, &context);
-  DeltaGraph delta(graph);
-  DeltaNeighborSource source(delta);
-  auto repaired =
-      RepairTotalDegreePartition(source, parent, {}, &context);
-  ASSERT_TRUE(repaired.ok());
-  EXPECT_EQ(*repaired, parent);
-}
-
-// Adding 0-2 to the path 0-1-2 closes a triangle: TDV coarsens from
-// {ends, middle} to one cell. A repair that only refines would miss this.
-TEST(RepairTest, EditCanCoarsenTdvTriangle) {
-  DeltaGraph delta(MakePath(3));
-  ExecutionContext context(1);
-  const VertexPartition parent =
-      ComputeTotalDegreePartition(delta.Compact(), &context);
-  ASSERT_EQ(parent.cells.size(), 2u);
-
-  EditBatch batch;
-  batch.Insert(0, 2);
-  ASSERT_TRUE(delta.Apply(batch).ok());
-  for (uint32_t threads : {1u, 2u}) {
-    ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads);
-  }
-}
-
-// P5 + closing edge = C5, vertex-transitive: everything merges into one
-// cell although only two vertices were touched.
-TEST(RepairTest, EditCanCoarsenTdvCycle) {
-  DeltaGraph delta(MakePath(5));
-  ExecutionContext context(1);
-  const VertexPartition parent =
-      ComputeTotalDegreePartition(delta.Compact(), &context);
-  ASSERT_GT(parent.cells.size(), 1u);
-
-  EditBatch batch;
-  batch.Insert(0, 4);
-  ASSERT_TRUE(delta.Apply(batch).ok());
-  for (uint32_t threads : {1u, 2u}) {
-    ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads);
-  }
-}
-
-// Drives a random edit stream over a base graph: each epoch applies a
-// valid batch, repairs the previous epoch's TDV, and cross-checks the
-// full recompute at 1/2/4 threads.
-void RunRandomEditStream(Graph base, uint64_t seed, size_t epochs,
-                         size_t batch_size, bool prefer_hub) {
-  Rng rng(seed);
-  const size_t n = base.NumVertices();
-  ASSERT_GE(n, 4u);
-
-  // Mirror of the merged edge set, for generating valid edits.
-  std::set<std::pair<VertexId, VertexId>> edges;
-  for (VertexId v = 0; v < n; ++v) {
-    for (VertexId w : base.Neighbors(v)) {
-      if (v < w) edges.insert({v, w});
-    }
-  }
-  VertexId hub = 0;
-  for (VertexId v = 1; v < n; ++v) {
-    if (base.Degree(v) > base.Degree(hub)) hub = v;
-  }
-
-  DeltaGraph delta(std::move(base));
-  ExecutionContext context(1);
-  VertexPartition parent =
-      ComputeTotalDegreePartition(delta.Compact(), &context);
-
-  for (size_t epoch = 0; epoch < epochs; ++epoch) {
-    EditBatch batch;
-    std::set<std::pair<VertexId, VertexId>> in_batch;
-    for (size_t i = 0; i < batch_size; ++i) {
-      const bool remove = !edges.empty() && rng.NextBounded(2) == 0;
-      if (remove) {
-        auto it = edges.begin();
-        std::advance(it, rng.NextBounded(edges.size()));
-        if (!in_batch.insert(*it).second) continue;
-        batch.Delete(it->first, it->second);
-        edges.erase(it);
-      } else {
-        for (int attempt = 0; attempt < 64; ++attempt) {
-          VertexId u = prefer_hub && rng.NextBounded(2) == 0
-                           ? hub
-                           : static_cast<VertexId>(rng.NextBounded(n));
-          VertexId v = static_cast<VertexId>(rng.NextBounded(n));
-          if (u == v) continue;
-          if (u > v) std::swap(u, v);
-          if (edges.count({u, v}) || !in_batch.insert({u, v}).second) {
-            continue;
-          }
-          batch.Insert(u, v);
-          edges.insert({u, v});
-          break;
-        }
-      }
-    }
-    if (batch.empty()) continue;
-    ASSERT_TRUE(delta.Apply(batch).ok());
-
-    for (uint32_t threads : {1u, 2u, 4u}) {
-      ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads);
-    }
-    parent = ComputeTotalDegreePartition(delta.Compact(), &context);
-  }
-}
-
-TEST(RepairTest, RandomErdosRenyiEditStreams) {
-  Rng rng(0xE5);
-  RunRandomEditStream(ErdosRenyiGnm(24, 40, rng), 0xA1, 8, 3,
-                      /*prefer_hub=*/false);
-  RunRandomEditStream(ErdosRenyiGnm(40, 90, rng), 0xA2, 6, 5,
-                      /*prefer_hub=*/false);
-}
-
-TEST(RepairTest, RandomBarabasiAlbertHubEditStreams) {
-  Rng rng(0xBA);
-  RunRandomEditStream(BarabasiAlbert(32, 2, rng), 0xB1, 8, 3,
-                      /*prefer_hub=*/true);
-  RunRandomEditStream(BarabasiAlbert(48, 3, rng), 0xB2, 6, 4,
-                      /*prefer_hub=*/true);
-}
-
-TEST(RepairTest, RepairVisitsStrictlyFewerSplitters) {
-  Rng rng(0x51);
-  DeltaGraph delta(ErdosRenyiGnm(300, 900, rng));
-  ExecutionContext context(1);
-  const VertexPartition parent =
-      ComputeTotalDegreePartition(delta.Compact(), &context);
-
-  EditBatch batch;
-  for (int attempt = 0;; ++attempt) {
-    ASSERT_LT(attempt, 1000);
-    const auto u = static_cast<VertexId>(rng.NextBounded(300));
-    const auto v = static_cast<VertexId>(rng.NextBounded(300));
-    if (u == v || delta.HasEdge(u, v)) continue;
-    batch.Insert(u, v);
-    break;
-  }
-  ASSERT_TRUE(delta.Apply(batch).ok());
-
-  RepairStats stats;
-  ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), 1, &stats);
-
-  ExecutionContext full_context(1);
-  ComputeTotalDegreePartition(delta.Compact(), &full_context);
-  const uint64_t full_splitters = full_context.stats().splitters_processed;
-  EXPECT_GT(stats.refine_splitters, 0u);
-  EXPECT_LT(stats.refine_splitters, full_splitters);
-}
-
-// ---------------------------------------------------------------------------
 // PlanCache
 // ---------------------------------------------------------------------------
 
@@ -524,7 +344,7 @@ TEST(PlanCacheTest, EvictsPastTheByteBudgetButNeverTheNewInsert) {
 // DynamicSession cache ladder
 // ---------------------------------------------------------------------------
 
-TEST(SessionTest, CacheLadderFullThenHitThenRepair) {
+TEST(SessionTest, CacheLadderFullThenHitThenRefine) {
   PlanCache cache(size_t{64} << 20);
   DynamicSession session("t", TestGraph(), /*compact_ratio=*/0.5, &cache);
   ExecutionContext context(1);
@@ -534,7 +354,6 @@ TEST(SessionTest, CacheLadderFullThenHitThenRepair) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->release_cache_hit);
   EXPECT_FALSE(first->plan_cache_hit);
-  EXPECT_FALSE(first->repaired);
   EXPECT_EQ(session.stats().full_refines, 1u);
   ASSERT_NE(first->release, nullptr);
 
@@ -555,7 +374,7 @@ TEST(SessionTest, CacheLadderFullThenHitThenRepair) {
   EXPECT_EQ(context.stats().refine_calls, 0u);
   EXPECT_EQ(third->partition_checksum, first->partition_checksum);
 
-  // Edit + commit + reanonymize: incremental repair off the cached plan.
+  // Edit + commit + reanonymize: a new graph state, refined in full.
   EditBatch batch;
   batch.Insert(1, 3);
   batch.Delete(0, 1);
@@ -569,17 +388,16 @@ TEST(SessionTest, CacheLadderFullThenHitThenRepair) {
   ASSERT_TRUE(fourth.ok());
   EXPECT_FALSE(fourth->release_cache_hit);
   EXPECT_FALSE(fourth->plan_cache_hit);
-  EXPECT_TRUE(fourth->repaired);
-  EXPECT_EQ(session.stats().repairs, 1u);
+  EXPECT_EQ(session.stats().full_refines, 2u);
   EXPECT_NE(fourth->graph_checksum, first->graph_checksum);
 
-  // The repaired plan is exactly the full recompute of the merged graph.
+  // The new plan is exactly the full recompute of the compacted graph.
   ExecutionContext check(1);
   const VertexPartition full =
       ComputeTotalDegreePartition(session.graph().Compact(), &check);
   EXPECT_EQ(fourth->partition_checksum, PartitionChecksum(full));
 
-  // And the repaired state is itself cached now.
+  // And the new state is itself cached now.
   auto fifth = session.Reanonymize(3, &context);
   ASSERT_TRUE(fifth.ok());
   EXPECT_TRUE(fifth->release_cache_hit);

@@ -466,9 +466,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GroupOrderProperty,
 
 // ---------------------------------------------------------------------- //
 // Dynamic sweep: on an evolving graph, every per-epoch release produced   //
-// through the incremental session (DESIGN.md §15) keeps the passive       //
-// adversary's candidate-set floor at k — the incremental repair path must //
-// never leak anonymity a full recompute would have provided.              //
+// through the dynamic session (DESIGN.md §15) keeps the passive           //
+// adversary's candidate-set floor at k — the session's cache ladder must  //
+// never leak anonymity a from-scratch release would have provided.        //
 // ---------------------------------------------------------------------- //
 
 class DynamicProperty
@@ -517,13 +517,6 @@ TEST_P(DynamicProperty, EveryEpochReleaseKeepsTheCandidateFloor) {
     auto outcome = session.Reanonymize(k, &context);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_NE(outcome->release, nullptr);
-    if (epoch > 0) {
-      // Past the first epoch the plan chain is warm: the session must be
-      // repairing, not recomputing.
-      EXPECT_TRUE(outcome->repaired || outcome->plan_cache_hit ||
-                  outcome->release_cache_hit)
-          << kind << " epoch " << epoch;
-    }
 
     for (const auto& measure :
          {AdjacencyMeasure(2), CommunityMeasure(4), DegreeMeasure()}) {

@@ -1,11 +1,15 @@
-// Tests for ordered partitions and equitable (colour) refinement.
+// Tests for ordered partitions and equitable (colour) refinement, with a
+// naive synchronous 1-WL as the refiner's independent oracle.
 
 #include "aut/refinement.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
+#include "common/rng.h"
 #include "graph/generators.h"
 
 namespace ksym {
@@ -69,6 +73,40 @@ TEST(OrderedPartitionTest, RevertRestoresCells) {
   p.RevertTo(mark);
   EXPECT_EQ(p.NumCells(), 1u);
   EXPECT_EQ(p.CellSizeAt(p.CellStartOf(4)), 6u);
+}
+
+TEST(OrderedPartitionTest, SplitCellMovesTheTailBehindTheRest) {
+  OrderedPartition p(6, {});
+  const size_t mark = p.JournalMark();
+  const std::vector<VertexId> tail = {4, 1, 5};
+  const std::vector<uint32_t> groups = {1, 2};
+  p.SplitCell(0, tail, groups);
+  ASSERT_EQ(p.NumCells(), 3u);
+  const auto cells = p.Cells();
+  // The untouched rest keeps the cell start; the tail follows in order.
+  EXPECT_EQ(std::set<VertexId>(cells[0].begin(), cells[0].end()),
+            (std::set<VertexId>{0, 2, 3}));
+  EXPECT_EQ(cells[1], (std::vector<VertexId>{4}));
+  EXPECT_EQ(cells[2], (std::vector<VertexId>{1, 5}));
+  EXPECT_EQ(p.CellStartOf(2), 0u);
+  EXPECT_EQ(p.CellStartOf(4), 3u);
+  EXPECT_EQ(p.CellStartOf(5), 4u);
+
+  p.RevertTo(mark);
+  EXPECT_EQ(p.NumCells(), 1u);
+  EXPECT_EQ(p.CellSizeAt(0), 6u);
+  for (VertexId v = 0; v < 6; ++v) EXPECT_EQ(p.CellStartOf(v), 0u);
+}
+
+TEST(OrderedPartitionTest, SplitCellWithTheWholeCellAsTail) {
+  OrderedPartition p(3, {});
+  const std::vector<VertexId> tail = {2, 0, 1};
+  const std::vector<uint32_t> groups = {1, 2};
+  p.SplitCell(0, tail, groups);
+  const auto cells = p.Cells();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0], (std::vector<VertexId>{2}));
+  EXPECT_EQ(cells[1], (std::vector<VertexId>{0, 1}));
 }
 
 TEST(OrderedPartitionTest, TargetCellIsFirstNonSingleton) {
@@ -186,6 +224,118 @@ TEST(RefinementTest, EquitablePartitionCellsCoverAllVertices) {
     }
   }
   EXPECT_EQ(total, g.NumVertices());
+}
+
+// ---------------------------------------------------------------------------
+// Independent oracle: naive synchronous 1-WL
+// ---------------------------------------------------------------------------
+
+using CellSet = std::set<std::vector<VertexId>>;
+
+CellSet AsCellSet(const std::vector<std::vector<VertexId>>& cells) {
+  CellSet set;
+  for (std::vector<VertexId> cell : cells) {
+    std::sort(cell.begin(), cell.end());
+    set.insert(std::move(cell));
+  }
+  return set;
+}
+
+CellSet CellsOfColors(const std::vector<uint32_t>& colors) {
+  std::map<uint32_t, std::vector<VertexId>> by_color;
+  for (VertexId v = 0; v < colors.size(); ++v) by_color[colors[v]].push_back(v);
+  CellSet set;
+  for (auto& [color, cell] : by_color) set.insert(std::move(cell));
+  return set;
+}
+
+// Synchronous colour refinement written without any of the refiner's
+// machinery: each round, a vertex's signature is its colour followed by the
+// sorted multiset of its neighbours' colours, and signatures are renumbered
+// into colours. Signatures start with the old colour, so classes only
+// split; the first round that adds no colour has reached the fixpoint.
+std::vector<uint32_t> NaiveStableColors(const Graph& graph,
+                                        std::vector<uint32_t> colors) {
+  const size_t n = graph.NumVertices();
+  size_t num_colors = std::set<uint32_t>(colors.begin(), colors.end()).size();
+  std::vector<std::vector<uint32_t>> signature(n);
+  for (;;) {
+    std::map<std::vector<uint32_t>, uint32_t> ids;
+    for (VertexId v = 0; v < n; ++v) {
+      signature[v].assign(1, colors[v]);
+      for (VertexId u : graph.Neighbors(v)) signature[v].push_back(colors[u]);
+      std::sort(signature[v].begin() + 1, signature[v].end());
+      ids.emplace(signature[v], 0);
+    }
+    if (ids.size() == num_colors) return colors;
+    uint32_t next = 0;
+    for (auto& [sig, id] : ids) id = next++;
+    for (VertexId v = 0; v < n; ++v) colors[v] = ids[signature[v]];
+    num_colors = ids.size();
+  }
+}
+
+// An ER, BA or Watts-Strogatz graph of 5-70 vertices.
+Graph RandomOracleGraph(int family, Rng& rng) {
+  const size_t n = 5 + rng.NextBounded(66);
+  switch (family) {
+    case 0:
+      return ErdosRenyiGnm(n, n / 2 + rng.NextBounded(2 * n), rng);
+    case 1:
+      return BarabasiAlbert(n, 1 + rng.NextBounded(3), rng);
+    default: {
+      const size_t k = 1 + rng.NextBounded(std::min<size_t>(3, (n - 1) / 2));
+      return WattsStrogatz(n, k, 0.1 * static_cast<double>(rng.NextBounded(5)),
+                           rng);
+    }
+  }
+}
+
+// The refiner's cells equal the oracle's as sets — from the unit partition
+// and from random initial colours, and again after Individualize +
+// RefineFrom, where the oracle gives the individualized vertex a colour of
+// its own. Every result must be equitable, and RevertTo must restore the
+// cells the individualization split.
+TEST(RefinementOracleTest, MatchesNaiveOneWlOnRandomGraphs) {
+  Rng rng(0x1E1);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Graph graph = RandomOracleGraph(trial % 3, rng);
+    const size_t n = graph.NumVertices();
+    std::vector<uint32_t> random_colors(n);
+    for (uint32_t& color : random_colors) {
+      color = static_cast<uint32_t>(rng.NextBounded(3));
+    }
+    for (const bool colored : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
+                                      << " colored=" << colored);
+      const std::vector<uint32_t> colors =
+          colored ? random_colors : std::vector<uint32_t>{};
+      const auto cells =
+          EquitablePartition(graph, RefinementOptions{.colors = colors});
+      ExpectEquitable(graph, cells);
+      const std::vector<uint32_t> stable = NaiveStableColors(
+          graph, colored ? colors : std::vector<uint32_t>(n, 0));
+      ASSERT_EQ(AsCellSet(cells), CellsOfColors(stable));
+
+      OrderedPartition p(n, colors);
+      Refiner refiner(graph);
+      refiner.RefineAll(p);
+      ASSERT_EQ(AsCellSet(p.Cells()), AsCellSet(cells));
+      const uint32_t target = p.TargetCell();
+      if (target == OrderedPartition::kNoCell) continue;
+      const auto target_cell = p.CellAt(target);
+      const VertexId v = target_cell[rng.NextBounded(target_cell.size())];
+      const size_t mark = p.JournalMark();
+      refiner.RefineFrom(p, p.Individualize(v));
+      ExpectEquitable(graph, p.Cells());
+      std::vector<uint32_t> individualized = stable;
+      individualized[v] = static_cast<uint32_t>(n);  // A fresh colour.
+      ASSERT_EQ(AsCellSet(p.Cells()),
+                CellsOfColors(NaiveStableColors(graph, individualized)));
+      p.RevertTo(mark);
+      EXPECT_EQ(AsCellSet(p.Cells()), AsCellSet(cells));
+    }
+  }
 }
 
 }  // namespace

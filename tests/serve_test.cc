@@ -3,7 +3,8 @@
 // GraphCache (hits, eviction, pinning), the request-level API (CLI/daemon
 // equivalence, batched-vs-solo bit-equality), the ArgParser the tools share,
 // and the Server end to end over a real unix socket — including admission
-// rejection, queued-deadline expiry, and server-side sample batching.
+// rejection, queued-deadline expiry, server-side sample batching, and the
+// request-line cap.
 
 #include <cstdint>
 #include <numeric>
@@ -578,6 +579,32 @@ TEST(ServerTest, BadLinesAnswerErrorsAndCountParseErrors) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.parse_errors, 3u);
   EXPECT_EQ(stats.failed, 1u);
+  server.Stop();
+}
+
+// A client that never sends a newline gets one error once its pending
+// line passes the cap, then EOF; the daemon keeps serving everyone else.
+TEST(ServerTest, OverlongLineIsRejectedAndTheConnectionClosed) {
+  Server server(BaseOptions("srv_overlong.sock"));
+  ASSERT_TRUE(server.Start().ok());
+  {
+    TestClient client(server.options().socket_path);
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.SendRaw(std::string(kMaxRequestLineBytes + 1, 'x')));
+    const auto response = ParseWireLine(client.RecvLine());
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status"), "error");
+    EXPECT_NE(response->GetString("error").find("without a newline"),
+              std::string::npos)
+        << response->GetString("error");
+    EXPECT_EQ(client.RecvLine(), "");  // Closed.
+  }
+  TestClient second(server.options().socket_path);
+  ASSERT_TRUE(second.connected());
+  const auto stats = ParseWireLine(second.RoundTrip("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->GetString("status"), "ok");
+  EXPECT_EQ(server.stats().parse_errors, 1u);
   server.Stop();
 }
 

@@ -1,7 +1,7 @@
 // Tests for the out-of-core refinement seam (DESIGN.md §11): the sharded
 // equitable partition and TDV computation must be bit-identical — cells AND
-// trace hash — to the in-memory path at every shard count, thread count,
-// and residency budget, and the residency stats must reflect the streaming.
+// trace hash — to the in-memory path at every shard count and residency
+// budget, and the residency stats must reflect the streaming.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "aut/orbits.h"
 #include "aut/refinement.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -24,13 +23,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-ExecutionContext ForcedParallelContext(uint32_t threads) {
-  ExecutionContext context(threads);
-  context.splitter_grain = 0;
-  context.affected_grain = 0;
-  return context;
 }
 
 /// ER core with degree skew plus a cycle tail: several refinement rounds,
@@ -52,7 +44,7 @@ std::string SplitToTemp(const Graph& graph, uint32_t num_shards,
   return prefix + ".manifest";
 }
 
-TEST(ShardedRefinementTest, MatchesInMemoryAcrossShardsThreadsAndBudgets) {
+TEST(ShardedRefinementTest, MatchesInMemoryAcrossShardsAndBudgets) {
   const Graph graph = MakeRefinementGraph();
 
   uint64_t expected_trace = 0;
@@ -64,31 +56,27 @@ TEST(ShardedRefinementTest, MatchesInMemoryAcrossShardsThreadsAndBudgets) {
   for (uint32_t shards : {1u, 2u, 4u}) {
     const std::string manifest =
         SplitToTemp(graph, shards, "eq_" + std::to_string(shards));
-    for (uint32_t threads : {1u, 2u, 4u}) {
-      for (size_t budget : {size_t{256} << 20, size_t{1}}) {
-        SCOPED_TRACE(testing::Message() << "shards=" << shards << " threads="
-                                        << threads << " budget=" << budget);
-        ShardedGraphOptions options;
-        options.max_resident_bytes = budget;
-        auto sharded = ShardedGraph::Open(manifest, options);
-        ASSERT_TRUE(sharded.ok()) << sharded.status();
+    for (size_t budget : {size_t{256} << 20, size_t{1}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << shards << " budget=" << budget);
+      ShardedGraphOptions options;
+      options.max_resident_bytes = budget;
+      auto sharded = ShardedGraph::Open(manifest, options);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-        const ExecutionContext context = ForcedParallelContext(threads);
-        uint64_t trace = 0;
-        const auto cells = ShardedEquitablePartition(
-            *sharded,
-            RefinementOptions{.context = &context, .trace_hash = &trace});
-        EXPECT_EQ(cells, expected_cells);
-        EXPECT_EQ(trace, expected_trace);
+      uint64_t trace = 0;
+      const auto cells = ShardedEquitablePartition(
+          *sharded, RefinementOptions{.trace_hash = &trace});
+      EXPECT_EQ(cells, expected_cells);
+      EXPECT_EQ(trace, expected_trace);
 
-        // The streaming really went through the residency cache...
-        const ShardResidencyStats& stats = sharded->stats();
-        EXPECT_GT(stats.loads, 0u);
-        EXPECT_GT(stats.peak_resident_bytes, 0u);
-        // ...and a 1-byte budget with several shards must keep evicting.
-        if (shards > 1 && budget == 1) {
-          EXPECT_GT(stats.evictions, 0u);
-        }
+      // The streaming really went through the residency cache...
+      const ShardResidencyStats& stats = sharded->stats();
+      EXPECT_GT(stats.loads, 0u);
+      EXPECT_GT(stats.peak_resident_bytes, 0u);
+      // ...and a 1-byte budget with several shards must keep evicting.
+      if (shards > 1 && budget == 1) {
+        EXPECT_GT(stats.evictions, 0u);
       }
     }
   }

@@ -2,8 +2,8 @@
 // (src/simd/, DESIGN.md §13). The contract under test is bit-identity:
 // every vectorized variant must produce byte-identical results to the
 // scalar loop it replaces — intersection outputs, triangle counts,
-// clustering doubles, BFS distance arrays AND queue orders, and equitable
-// refinement trace hashes — at every KSYM_SIMD_LEVEL and thread count.
+// clustering doubles, BFS distance arrays AND queue orders — at every
+// KSYM_SIMD_LEVEL and thread count.
 // Levels the host cannot execute are skipped (SupportedLevels); CI runs
 // the whole suite per level via the env override as well.
 
@@ -13,7 +13,6 @@
 #include <cstring>
 #include <vector>
 
-#include "aut/refinement.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
@@ -23,7 +22,6 @@
 #include "simd/cost_model.h"
 #include "simd/intersect.h"
 #include "simd/simd.h"
-#include "simd/splitter.h"
 
 namespace ksym {
 namespace {
@@ -178,25 +176,6 @@ TEST(SimdIntersect, RandomizedAgainstSetIntersection) {
   }
 }
 
-TEST(SimdSplitter, BitsetHitsMatchScalar) {
-  Rng rng(7);
-  const size_t n = 2048;
-  std::vector<uint64_t> bits(n / 64);
-  for (uint64_t& word : bits) word = rng.Next();
-  for (int round = 0; round < 50; ++round) {
-    const std::vector<uint32_t> nbrs =
-        RandomSortedUnique(rng, rng.NextBounded(300), n);
-    uint64_t expect = 0;
-    for (uint32_t w : nbrs) expect += (bits[w >> 6] >> (w & 63)) & 1;
-    for (SimdLevel level : SupportedLevels()) {
-      EXPECT_EQ(simd::CountBitsetHits(level, nbrs.data(), nbrs.size(),
-                                      bits.data()),
-                expect)
-          << simd::SimdLevelName(level);
-    }
-  }
-}
-
 TEST(SimdBfs, ExpandMatchesScalarOrderAndDistances) {
   Rng rng(13);
   const size_t n = 1024;
@@ -231,8 +210,7 @@ class SimdGraphEquivalenceTest : public ::testing::Test {
   static std::vector<Graph> TestGraphs() {
     std::vector<Graph> graphs;
     Rng rng(4242);
-    graphs.push_back(ErdosRenyiGnm(500, 3000, rng));  // Dense enough for
-                                                      // the bitset gate.
+    graphs.push_back(ErdosRenyiGnm(500, 3000, rng));  // Dense.
     graphs.push_back(ErdosRenyiGnm(300, 450, rng));   // Sparse.
     graphs.push_back(BarabasiAlbert(400, 5, rng));    // Skewed degrees:
                                                       // gallop territory.
@@ -285,52 +263,8 @@ TEST_F(SimdGraphEquivalenceTest, BfsDistAndQueueBitIdentical) {
   }
 }
 
-TEST_F(SimdGraphEquivalenceTest, RefinementTraceHashBitIdentical) {
-  for (const Graph& graph : TestGraphs()) {
-    uint64_t hash_base = 0;
-    std::vector<std::vector<VertexId>> cells_base;
-    {
-      ScopedSimdLevel scoped(SimdLevel::kScalar);
-      RefinementOptions options;
-      options.trace_hash = &hash_base;
-      cells_base = EquitablePartition(graph, options);
-    }
-    for (SimdLevel level : SupportedLevels()) {
-      ScopedSimdLevel scoped(level);
-      for (const uint32_t threads : {1u, 2u, 4u}) {
-        const ExecutionContext context(threads);
-        uint64_t hash = 0;
-        RefinementOptions options;
-        options.context = threads == 1 ? nullptr : &context;
-        options.trace_hash = &hash;
-        const auto cells = EquitablePartition(graph, options);
-        EXPECT_EQ(hash, hash_base)
-            << simd::SimdLevelName(level) << " x" << threads;
-        EXPECT_EQ(cells, cells_base)
-            << simd::SimdLevelName(level) << " x" << threads;
-      }
-    }
-  }
-}
-
-TEST_F(SimdGraphEquivalenceTest, DenseSplitterPathActuallyRuns) {
-  // The unit partition's first splitter is the whole vertex set, whose
-  // edge mass always clears the density gate on a 500-vertex graph — so a
-  // vector level must take the bitset path at least once. Guards against
-  // the fast path silently gating itself off.
-  if (simd::MaxSupportedSimdLevel() == SimdLevel::kScalar) {
-    GTEST_SKIP() << "no vector tier on this host";
-  }
-  const Graph graph = TestGraphs().front();
-  ScopedSimdLevel scoped(simd::MaxSupportedSimdLevel());
-  const uint64_t before = simd::SimdCallCountsSnapshot().splitter_dense;
-  EquitablePartition(graph, RefinementOptions{});
-  EXPECT_GT(simd::SimdCallCountsSnapshot().splitter_dense, before);
-}
-
 TEST(SimdCostModel, RegistryCoversEveryKernelAndLevel) {
-  const char* kernels[] = {"intersect", "intersect_gallop",
-                           "splitter_bitset", "bfs_expand"};
+  const char* kernels[] = {"intersect", "intersect_gallop", "bfs_expand"};
   for (const char* kernel : kernels) {
     for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSse42,
                             SimdLevel::kAvx2, SimdLevel::kNeon}) {

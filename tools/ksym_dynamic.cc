@@ -164,7 +164,6 @@ int main(int argc, char** argv) {
                  s.release_cache_hits);
     std::fprintf(stderr, "session_plan_cache_hits: %zu\n",
                  s.plan_cache_hits);
-    std::fprintf(stderr, "session_repairs: %zu\n", s.repairs);
     std::fprintf(stderr, "session_full_refines: %zu\n", s.full_refines);
   }
   return 0;
