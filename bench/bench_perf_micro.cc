@@ -21,10 +21,8 @@
 // .ksymcsr read vs mmap zero-copy load (validated and trusted variants) —
 // the startup cost a publisher pays per anonymization run.
 //
-// The PR 5 residency sweeps (BM_Sharded*Residency) run the shard-streaming
-// kernels over an 8-shard split of the 200k graph at LRU budgets of
-// 1/2/4/8 resident shards, against in-memory baselines — the
-// cap-vs-throughput trade the sharded subsystem exists to expose.
+// BM_ShardedAnonymize runs the out-of-core publish over an 8-shard split
+// of the 200k graph, against its in-memory baseline.
 //
 // The PR 8 SIMD family (BM_Simd*, registered per supported level in main)
 // measures the dispatched kernels — block/galloping sorted intersection,
@@ -65,7 +63,6 @@
 #include "ksym/release_io.h"
 #include "ksym/sampling.h"
 #include "ksym/sharded_anonymizer.h"
-#include "shard/kernels.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_graph.h"
 #include "simd/bfs.h"
@@ -534,159 +531,44 @@ void BM_ExactSampleHepth(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactSampleHepth);
 
-// --- PR 5 sharded residency sweeps: resident-cap vs throughput for the
-// shard-streaming kernels on the 200k-vertex graph cut into 8 vertex-range
-// shards. Arg = how many of the largest shards the LRU budget can hold at
-// once; Arg(8) keeps the whole set resident (pure streaming overhead vs
-// the in-memory kernel), Arg(1) evicts on nearly every cross-shard access
-// (the out-of-core worst case). Every row computes bit-identical results —
-// only loads/evictions move.
+// --- Out-of-core anonymization: the full manifest-in →
+// anonymized-shard-set-out pipeline (degree pass, sharded TDV refinement,
+// delta-based orbit copy, streamed release emission) on the 200k-vertex
+// graph in 8 vertex-range shards, against the in-memory Anonymize +
+// WriteReleaseCsrFile baseline. Both produce byte-identical releases.
 
-struct ShardSet {
-  std::string manifest_path;
-  size_t largest_shard_bytes = 0;
-};
-
-const ShardSet& BenchShardSet() {
-  static const ShardSet* set = [] {
-    auto* s = new ShardSet();
+/// Writes the 8-shard set once per process and returns its manifest path.
+const std::string& BenchShardManifest() {
+  static const std::string* path = [] {
     const std::string prefix =
         std::filesystem::temp_directory_path().string() + "/ksym_bench_200k";
     PartitionOptions options;
     options.num_shards = 8;
-    const auto manifest =
-        Partitioner::Split(BigRefineGraph(), {}, options, prefix);
-    KSYM_CHECK(manifest.ok());
-    s->manifest_path = prefix + ".manifest";
-    for (const ShardInfo& shard : manifest->shards) {
-      s->largest_shard_bytes =
-          std::max(s->largest_shard_bytes,
-                   static_cast<size_t>(std::filesystem::file_size(
-                       ResolveShardPath(s->manifest_path, shard))));
-    }
-    return s;
+    KSYM_CHECK(Partitioner::Split(BigRefineGraph(), {}, options, prefix).ok());
+    return new std::string(prefix + ".manifest");
   }();
-  return *set;
+  return *path;
 }
-
-/// Opens the bench shard set with a budget of `resident_shards` largest
-/// shards. CHECKs on failure: the set was just written by this process.
-ShardedGraph OpenBenchShards(int64_t resident_shards) {
-  const ShardSet& set = BenchShardSet();
-  ShardedGraphOptions options;
-  options.max_resident_bytes =
-      static_cast<size_t>(resident_shards) * set.largest_shard_bytes;
-  auto sharded = ShardedGraph::Open(set.manifest_path, options);
-  KSYM_CHECK(sharded.ok());
-  return std::move(*sharded);
-}
-
-void AttachResidencyCounters(benchmark::State& state,
-                             const ShardedGraph& sharded) {
-  const ShardResidencyStats& stats = sharded.stats();
-  state.counters["resident_cap_bytes"] = benchmark::Counter(
-      static_cast<double>(sharded.options().max_resident_bytes));
-  state.counters["shard_loads"] = benchmark::Counter(
-      static_cast<double>(stats.loads), benchmark::Counter::kAvgIterations);
-  state.counters["shard_evictions"] = benchmark::Counter(
-      static_cast<double>(stats.evictions),
-      benchmark::Counter::kAvgIterations);
-  state.counters["shard_hits"] = benchmark::Counter(
-      static_cast<double>(stats.hits), benchmark::Counter::kAvgIterations);
-  state.counters["peak_resident_bytes"] = benchmark::Counter(
-      static_cast<double>(stats.peak_resident_bytes));
-  state.counters["peak_rss_mb"] = benchmark::Counter(PeakRssMegabytes());
-}
-
-void BM_ShardedDegreeResidency(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardedDegreeValues(sharded));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(sharded.NumVertices()));
-  AttachResidencyCounters(state, sharded);
-}
-BENCHMARK(BM_ShardedDegreeResidency)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedClusteringResidency(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardedClusteringValues(sharded));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(sharded.NumVertices()));
-  AttachResidencyCounters(state, sharded);
-}
-BENCHMARK(BM_ShardedClusteringResidency)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedPathLengthsResidency(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
-  for (auto _ : state) {
-    Rng rng(13);  // Fresh stream per iteration: identical work each pass.
-    benchmark::DoNotOptimize(ShardedSampledPathLengths(sharded, 200, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * 200);
-  AttachResidencyCounters(state, sharded);
-}
-BENCHMARK(BM_ShardedPathLengthsResidency)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-/// The whole-graph baselines the residency sweeps compare against, on the
-/// same graph with the same kernels' in-memory counterparts.
-void BM_ShardedDegreeInMemoryBaseline(benchmark::State& state) {
-  const Graph& graph = BigRefineGraph();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DegreeValues(graph));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(graph.NumVertices()));
-  AttachMemoryCounters(state, graph);
-}
-BENCHMARK(BM_ShardedDegreeInMemoryBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedPathLengthsInMemoryBaseline(benchmark::State& state) {
-  const Graph& graph = BigRefineGraph();
-  for (auto _ : state) {
-    Rng rng(13);
-    benchmark::DoNotOptimize(SampledPathLengths(graph, 200, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * 200);
-  AttachMemoryCounters(state, graph);
-}
-BENCHMARK(BM_ShardedPathLengthsInMemoryBaseline)
-    ->Unit(benchmark::kMillisecond);
-
-// --- PR 6 out-of-core anonymization sweep: the full manifest-in →
-// anonymized-shard-set-out pipeline (streaming degrees, sharded TDV
-// refinement, delta-based orbit copy, streamed release emission) on the
-// 200k-vertex 8-shard set, at LRU budgets of 1/2/4 resident shards,
-// against the in-memory Anonymize + WriteReleaseCsrFile baseline. Every
-// row produces byte-identical releases — only loads/evictions move.
 
 void BM_ShardedAnonymize(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
+  const auto sharded = ShardedGraph::Open(BenchShardManifest());
+  KSYM_CHECK(sharded.ok());
   const std::string out_prefix =
       std::filesystem::temp_directory_path().string() + "/ksym_bench_sa_out";
   ShardedAnonymizationOptions options;
   options.k = 3;
   for (auto _ : state) {
-    auto result = AnonymizeSharded(sharded, options, out_prefix);
+    auto result = AnonymizeSharded(*sharded, options, out_prefix);
     KSYM_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(sharded.NumVertices()));
-  AttachResidencyCounters(state, sharded);
+                          static_cast<int64_t>(sharded->NumVertices()));
+  state.counters["mapped_bytes"] = benchmark::Counter(
+      static_cast<double>(sharded->stats().resident_bytes));
+  state.counters["peak_rss_mb"] = benchmark::Counter(PeakRssMegabytes());
 }
-BENCHMARK(BM_ShardedAnonymize)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedAnonymize)->Unit(benchmark::kMillisecond);
 
 void BM_ShardedAnonymizeInMemoryBaseline(benchmark::State& state) {
   const Graph& graph = BigRefineGraph();

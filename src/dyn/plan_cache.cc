@@ -17,20 +17,13 @@ size_t ApproxPlanBytes(const CachedPlan& plan) {
   return sizeof(CachedPlan) + ApproxPartitionBytes(plan.tdv);
 }
 
-size_t ApproxReleaseBytes(const ReleaseTriple& release) {
-  const size_t n = release.graph.NumVertices();
-  const size_t entries = release.graph.NumEdges() * 2;
-  return (n + 1) * sizeof(EdgeIndex) + entries * sizeof(VertexId) +
-         ApproxPartitionBytes(release.partition);
-}
-
 }  // namespace
 
 std::shared_ptr<void> PlanCache::Lookup(const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
+      entries_.splice(entries_.begin(), entries_, it);
       ++stats_.hits;
       return it->value;
     }
@@ -44,28 +37,28 @@ std::shared_ptr<void> PlanCache::Insert(const Key& key, size_t bytes,
   std::lock_guard<std::mutex> lock(mu_);
   // A racing computation may have inserted the same key while we were off
   // the lock; keep the incumbent so both callers share one artifact.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
+      entries_.splice(entries_.begin(), entries_, it);
       return it->value;
     }
   }
-  lru_.push_front(Entry{key, bytes, std::move(value)});
+  entries_.push_front(Entry{key, bytes, std::move(value)});
   stats_.resident_bytes += bytes;
   ++stats_.entries;
   // Evict past the cap, never the entry just inserted. Pinned holders keep
   // evicted artifacts alive; eviction only releases budget.
-  while (stats_.resident_bytes > max_bytes_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
+  while (stats_.resident_bytes > max_bytes_ && entries_.size() > 1) {
+    const Entry& victim = entries_.back();
     stats_.resident_bytes -= victim.bytes;
     --stats_.entries;
     ++stats_.evictions;
-    lru_.pop_back();
+    entries_.pop_back();
   }
   if (stats_.resident_bytes > stats_.peak_resident_bytes) {
     stats_.peak_resident_bytes = stats_.resident_bytes;
   }
-  return lru_.front().value;
+  return entries_.front().value;
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::GetPlan(uint64_t graph_checksum) {

@@ -103,7 +103,7 @@ class PlanCache {
   mutable std::mutex mu_;
   size_t max_bytes_;
   PlanCacheStats stats_;
-  std::list<Entry> lru_;  // Front = most recently used.
+  std::list<Entry> entries_;  // Front = most recently used.
 };
 
 }  // namespace dyn

@@ -16,6 +16,14 @@ ReleaseTriple MakeReleaseTriple(const AnonymizationResult& result) {
                        result.original_vertices};
 }
 
+size_t ApproxReleaseBytes(const ReleaseTriple& release) {
+  const size_t n = release.graph.NumVertices();
+  const size_t entries = release.graph.NumEdges() * 2;
+  return (n + 1) * sizeof(EdgeIndex) + entries * sizeof(VertexId) +
+         n * sizeof(uint32_t) + n * sizeof(VertexId) +
+         release.partition.cells.size() * sizeof(std::vector<VertexId>);
+}
+
 Status WriteRelease(const ReleaseTriple& release, std::ostream& out) {
   out << "# ksym-release 1\n";
   out << "original " << release.original_vertices << "\n";

@@ -36,6 +36,11 @@ struct ReleaseTriple {
 /// Extracts the release triple from an anonymization result.
 ReleaseTriple MakeReleaseTriple(const AnonymizationResult& result);
 
+/// Approximate heap footprint of a materialized release triple — what the
+/// daemon's caches charge for one: the CSR arrays plus the partition
+/// (cell_of + the cells' vertex lists, which together hold 2n entries).
+size_t ApproxReleaseBytes(const ReleaseTriple& release);
+
 Status WriteRelease(const ReleaseTriple& release, std::ostream& out);
 Status WriteReleaseFile(const ReleaseTriple& release, const std::string& path);
 

@@ -73,7 +73,7 @@ class ReleaseDelta {
 /// unit member's current neighborhood is its base row followed by its delta
 /// row, and each neighbor is handled independently, so the split changes
 /// nothing (see ksym/orbit_copy.cc for the single-graph original).
-void ShardedOrbitCopy(ShardedGraph& base, ReleaseDelta& delta,
+void ShardedOrbitCopy(const ShardedGraph& base, ReleaseDelta& delta,
                       TrackedPartition& partition, uint32_t cell_index,
                       std::span<const VertexId> unit) {
   KSYM_CHECK(!unit.empty());
@@ -118,7 +118,7 @@ void ShardedOrbitCopy(ShardedGraph& base, ReleaseDelta& delta,
 }  // namespace
 
 Result<ShardedAnonymizationResult> AnonymizeSharded(
-    ShardedGraph& graph, const ShardedAnonymizationOptions& options,
+    const ShardedGraph& graph, const ShardedAnonymizationOptions& options,
     const std::string& output_prefix) {
   if (!options.requirement && options.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
@@ -131,16 +131,10 @@ Result<ShardedAnonymizationResult> AnonymizeSharded(
   ShardedAnonymizationResult result;
   result.original_vertices = n;
 
-  // Streaming degree pass: the one whole-graph reduction the requirement
-  // functions need, O(n) resident.
+  // Degree pass: the one whole-graph reduction the requirement functions
+  // need, O(n) in memory.
   std::vector<size_t> degrees(n);
-  for (uint32_t s = 0; s < graph.NumShards(); ++s) {
-    const Result<ShardView> view = graph.Shard(s);
-    KSYM_CHECK(view.ok());
-    for (VertexId v = view->begin(); v < view->end(); ++v) {
-      degrees[v] = view->Degree(v);
-    }
-  }
+  for (VertexId v = 0; v < n; ++v) degrees[v] = graph.Degree(v);
   SymmetryRequirement requirement = options.requirement;
   if (!requirement && options.exclude_hubs_fraction > 0.0) {
     requirement = HubExclusionRequirement(
@@ -190,7 +184,7 @@ Result<ShardedAnonymizationResult> AnonymizeSharded(
   // Stream the released graph out as balanced vertex ranges: an original's
   // row is its base row (ids < n, already sorted) followed by its sorted
   // delta row (ids >= n); a copy's row is its sorted delta row. Ranges
-  // ascend, so the base shards stream through residency once more.
+  // ascend, so the base shards are read in file order once more.
   delta.SortRows();
   const size_t released_n = delta.NumVertices();
   const VertexPartition released = partition.ToVertexPartition();

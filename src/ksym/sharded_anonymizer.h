@@ -4,8 +4,9 @@
 // AnonymizeSharded runs the paper's Algorithm 1 end-to-end against a
 // ShardedGraph without ever materializing the full graph:
 //
-//   1. One streaming pass collects the exact per-vertex degree array (the
-//      only whole-graph reduction the requirement functions need).
+//   1. One pass over the shards collects the exact per-vertex degree
+//      array (the only whole-graph reduction the requirement functions
+//      need).
 //   2. The initial partition is TDV(G) via the sharded refinement seam
 //      (shard/refine.h) — bit-identical cells and trace hash to the
 //      in-memory run. The exact Orb(G) path needs the IR search's random
@@ -23,8 +24,8 @@
 // `ksym_shard merge` of the output is byte-identical to
 // WriteReleaseCsrFile of the in-memory Anonymize run on the merged input —
 // same CSR arrays (Freeze() sorts the same edge sets), same labels, same
-// refinement trace — pinned by sharded_anonymize_test across shard counts,
-// thread counts, and residency budgets.
+// refinement trace — pinned by sharded_anonymize_test across shard counts
+// and thread counts.
 
 #ifndef KSYM_KSYM_SHARDED_ANONYMIZER_H_
 #define KSYM_KSYM_SHARDED_ANONYMIZER_H_
@@ -71,17 +72,15 @@ struct ShardedAnonymizationResult {
   RefinementStats refinement;
   uint64_t refinement_trace = 0;
 
-  /// Residency behaviour of the input shard set over the whole pipeline.
+  /// The input shard set's mappings (ShardedGraph::stats()).
   ShardResidencyStats residency;
 };
 
 /// Anonymizes the shard set behind `graph`, writing the released graph as
 /// `<output_prefix>.<i>.ksymcsr` shards plus `<output_prefix>.manifest`.
-/// Uses the TDV initial partition (Section 7); like every sharded kernel it
-/// takes the graph by mutable reference (residency cache) and CHECKs on
-/// shard-load failure after the validated Open.
+/// Uses the TDV initial partition (Section 7).
 Result<ShardedAnonymizationResult> AnonymizeSharded(
-    ShardedGraph& graph, const ShardedAnonymizationOptions& options,
+    const ShardedGraph& graph, const ShardedAnonymizationOptions& options,
     const std::string& output_prefix);
 
 }  // namespace ksym

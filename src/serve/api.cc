@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <utility>
 
 #include "attack/harness.h"
@@ -94,17 +92,6 @@ void AppendPhaseStats(const RefinementStats& refinement, uint32_t threads,
       refinement.copy_seconds * 1e3);
 }
 
-void AppendResidencyStats(const ShardResidencyStats& stats,
-                          std::string& log) {
-  log += StrFormat(
-      "residency: %llu loads, %llu hits, %llu evictions, "
-      "peak resident %zu bytes\n",
-      static_cast<unsigned long long>(stats.loads),
-      static_cast<unsigned long long>(stats.hits),
-      static_cast<unsigned long long>(stats.evictions),
-      stats.peak_resident_bytes);
-}
-
 Result<Response> RunAnonymizeSharded(const AnonymizeRequest& request,
                                      GraphCache* cache) {
   if (request.minimal) {
@@ -118,11 +105,6 @@ Result<Response> RunAnonymizeSharded(const AnonymizeRequest& request,
         "set via the total degree partition)");
   }
 
-  ShardedGraphOptions open_options;
-  if (request.resident_bytes > 0) {
-    open_options.max_resident_bytes = request.resident_bytes;
-  }
-
   Response response;
   ExecutionContext context(request.threads);
   ShardedAnonymizationOptions options;
@@ -131,26 +113,18 @@ Result<Response> RunAnonymizeSharded(const AnonymizeRequest& request,
   options.context = &context;
   options.output_shards = request.output_shards;
 
-  // ShardedGraph is single-threaded: a cached set serializes concurrent
-  // requests on its mutex for the duration of the computation.
-  std::shared_ptr<CachedShardSet> cached;
-  std::optional<ShardedGraph> opened;
-  ShardedGraph* graph = nullptr;
+  // A ShardedGraph is immutable after Open, so concurrent requests share a
+  // cached set without locking.
+  std::shared_ptr<const ShardedGraph> graph;
   if (cache != nullptr) {
     bool hit = false;
-    KSYM_ASSIGN_OR_RETURN(
-        cached, cache->GetShardSet(request.input, open_options, &hit));
-    graph = &cached->graph;
+    KSYM_ASSIGN_OR_RETURN(graph, cache->GetShardSet(request.input, &hit));
     response.log += StrFormat("shard set %s\n", hit ? "cached" : "opened");
   } else {
-    auto result = ShardedGraph::Open(request.input, open_options);
-    if (!result.ok()) return result.status();
-    opened.emplace(std::move(result).value());
-    graph = &*opened;
+    KSYM_ASSIGN_OR_RETURN(ShardedGraph opened,
+                          ShardedGraph::Open(request.input));
+    graph = std::make_shared<const ShardedGraph>(std::move(opened));
   }
-
-  std::unique_lock<std::mutex> lock;
-  if (cached != nullptr) lock = std::unique_lock<std::mutex>(cached->mu);
 
   response.report += StrFormat(
       "opened shard set %s: %zu vertices, %zu edges, %u shards "
@@ -168,7 +142,9 @@ Result<Response> RunAnonymizeSharded(const AnonymizeRequest& request,
       result.copy_operations, result.orbits_excluded);
   response.log += StrFormat("anonymize %.1f ms\n", timer.ElapsedMillis());
   AppendPhaseStats(result.refinement, context.threads(), response.log);
-  AppendResidencyStats(result.residency, response.log);
+  response.log += StrFormat("mapped %u shards, %zu bytes\n",
+                            graph->NumShards(),
+                            result.residency.resident_bytes);
   response.report += StrFormat(
       "wrote %zu-vertex release as %zu shards to %s.manifest\n",
       result.released_vertices, result.manifest.NumShards(),
@@ -567,10 +543,6 @@ Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {
 // Wire decoding.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Checks that `object` holds no keys outside `allowed` (plus the framing
-/// keys every request may carry).
 Status CheckKeys(const WireObject& object,
                  std::initializer_list<const char*> allowed) {
   for (const auto& [key, value] : object.fields) {
@@ -590,12 +562,10 @@ Status CheckKeys(const WireObject& object,
   return Status::Ok();
 }
 
-}  // namespace
-
 Result<AnonymizeRequest> AnonymizeRequestFromWire(const WireObject& object) {
   KSYM_RETURN_IF_ERROR(CheckKeys(
       object, {"input", "output", "k", "exclude_hubs", "minimal", "tdv",
-               "binary", "threads", "resident_bytes", "output_shards"}));
+               "binary", "threads", "output_shards"}));
   AnonymizeRequest request;
   request.input = object.GetString("input");
   request.output = object.GetString("output");
@@ -606,8 +576,6 @@ Result<AnonymizeRequest> AnonymizeRequestFromWire(const WireObject& object) {
   request.binary = object.GetBool("binary", false);
   request.threads =
       static_cast<uint32_t>(object.GetUint("threads", request.threads));
-  request.resident_bytes =
-      static_cast<size_t>(object.GetUint("resident_bytes", 0));
   request.output_shards =
       static_cast<uint32_t>(object.GetUint("output_shards", 0));
   return request;

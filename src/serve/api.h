@@ -21,6 +21,7 @@
 #define KSYM_SERVE_API_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ struct AnonymizeRequest {
   bool tdv = false;
   bool binary = false;
   uint32_t threads = 1;
-  size_t resident_bytes = 0;   // Sharded input: residency cap (0 = default).
+  size_t resident_bytes = 0;   // Ignored: a shard set is mapped whole.
   uint32_t output_shards = 0;  // Sharded input: output shard count.
 };
 
@@ -112,6 +113,11 @@ std::vector<Result<Response>> RunSampleBatch(
 // Wire decoding (daemon side). Unknown keys are rejected — a typo'd flag
 // must not silently become a default.
 // ---------------------------------------------------------------------------
+
+/// Checks that `object` holds no keys outside `allowed` (plus the framing
+/// keys every request may carry: "op", "id", "deadline_ms").
+Status CheckKeys(const WireObject& object,
+                 std::initializer_list<const char*> allowed);
 
 Result<AnonymizeRequest> AnonymizeRequestFromWire(const WireObject& object);
 Result<AuditRequest> AuditRequestFromWire(const WireObject& object);

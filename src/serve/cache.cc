@@ -10,17 +10,6 @@ namespace ksym {
 namespace serve {
 namespace {
 
-/// Approximate heap footprint of a materialized release triple: the CSR
-/// arrays plus the partition (cell_of + the cells' vertex lists, which
-/// together hold 2n entries).
-size_t ApproxReleaseBytes(const ReleaseTriple& release) {
-  const size_t n = release.graph.NumVertices();
-  const size_t entries = release.graph.NumEdges() * 2;
-  return (n + 1) * sizeof(EdgeIndex) + entries * sizeof(VertexId) +
-         n * sizeof(uint32_t) + n * sizeof(VertexId) +
-         release.partition.cells.size() * sizeof(std::vector<VertexId>);
-}
-
 /// Content checksum of the manifest file — the shard-set cache key. Reads
 /// the whole manifest (small: one line per shard), never the shards.
 Result<uint64_t> ManifestChecksum(const std::string& path) {
@@ -39,9 +28,9 @@ Result<uint64_t> ManifestChecksum(const std::string& path) {
 
 std::shared_ptr<void> GraphCache::Lookup(const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
+      entries_.splice(entries_.begin(), entries_, it);
       ++stats_.hits;
       return it->value;
     }
@@ -55,28 +44,28 @@ std::shared_ptr<void> GraphCache::Insert(const Key& key, size_t bytes,
   std::lock_guard<std::mutex> lock(mu_);
   // A racing request may have loaded the same key while we were off the
   // lock; keep the incumbent so both callers share one mapping.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
+      entries_.splice(entries_.begin(), entries_, it);
       return it->value;
     }
   }
-  lru_.push_front(Entry{key, bytes, std::move(value)});
+  entries_.push_front(Entry{key, bytes, std::move(value)});
   stats_.resident_bytes += bytes;
   ++stats_.entries;
   // Evict past the cap, never the entry just inserted. Dropping the cache's
   // reference is all eviction does — pinned holders keep the data alive.
-  while (stats_.resident_bytes > max_bytes_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
+  while (stats_.resident_bytes > max_bytes_ && entries_.size() > 1) {
+    const Entry& victim = entries_.back();
     stats_.resident_bytes -= victim.bytes;
     --stats_.entries;
     ++stats_.evictions;
-    lru_.pop_back();
+    entries_.pop_back();
   }
   if (stats_.resident_bytes > stats_.peak_resident_bytes) {
     stats_.peak_resident_bytes = stats_.resident_bytes;
   }
-  return lru_.front().value;
+  return entries_.front().value;
 }
 
 Result<std::shared_ptr<const MappedCsrGraph>> GraphCache::GetGraph(
@@ -111,23 +100,20 @@ Result<std::shared_ptr<const ReleaseTriple>> GraphCache::GetRelease(
       Insert(key, bytes, std::move(value)));
 }
 
-Result<std::shared_ptr<CachedShardSet>> GraphCache::GetShardSet(
-    const std::string& manifest_path, const ShardedGraphOptions& options,
-    bool* hit) {
+Result<std::shared_ptr<const ShardedGraph>> GraphCache::GetShardSet(
+    const std::string& manifest_path, bool* hit) {
   KSYM_ASSIGN_OR_RETURN(const uint64_t checksum,
                         ManifestChecksum(manifest_path));
   const Key key{'s', checksum};
   if (std::shared_ptr<void> found = Lookup(key)) {
     if (hit != nullptr) *hit = true;
-    return std::static_pointer_cast<CachedShardSet>(found);
+    return std::static_pointer_cast<const ShardedGraph>(found);
   }
   if (hit != nullptr) *hit = false;
-  KSYM_ASSIGN_OR_RETURN(ShardedGraph graph,
-                        ShardedGraph::Open(manifest_path, options));
-  // Account the set's own residency cap: the most it will keep mapped.
-  const size_t bytes = options.max_resident_bytes;
-  auto value = std::make_shared<CachedShardSet>(std::move(graph));
-  return std::static_pointer_cast<CachedShardSet>(
+  KSYM_ASSIGN_OR_RETURN(ShardedGraph graph, ShardedGraph::Open(manifest_path));
+  const size_t bytes = graph.stats().resident_bytes;
+  auto value = std::make_shared<ShardedGraph>(std::move(graph));
+  return std::static_pointer_cast<const ShardedGraph>(
       Insert(key, bytes, std::move(value)));
 }
 

@@ -7,19 +7,18 @@
 // entry, and an overwritten file is a new key, never a stale hit. Entries
 // are LRU-evicted past `max_bytes`.
 //
-// Residency vs. lifetime follows the ShardedGraph convention: lookups hand
-// out shared_ptr pins, eviction only drops the cache's own reference, so an
-// in-flight request can never have its mapping unmapped underneath it —
-// eviction just releases budget. The entry being inserted is always
-// admitted, even when it alone exceeds the cap (progress beats the budget).
+// Residency vs. lifetime: lookups hand out shared_ptr pins, eviction only
+// drops the cache's own reference, so an in-flight request can never have
+// its mapping unmapped underneath it — eviction just releases budget. The
+// entry being inserted is always admitted, even when it alone exceeds the
+// cap (progress beats the budget).
 //
-// Three entry kinds, disjoint key spaces:
+// Three entry kinds, disjoint key spaces, every value immutable once
+// inserted, so concurrent requests share an entry without locking:
 //   * whole graphs   (MapCsrFile — zero-copy, bytes = file size)
 //   * release triples (ReadReleaseCsrFile — materialized, bytes estimated)
 //   * shard sets     (ShardedGraph — keyed by manifest-file checksum;
-//                     single-threaded, so the entry carries a mutex and
-//                     callers hold it across use; bytes = the set's own
-//                     residency cap, a conservative bound)
+//                     bytes = the set's mapped shard bytes)
 //
 // Text inputs are never cached (no checksummed header to key on); the API
 // layer loads them per-request and records a bypass.
@@ -51,16 +50,6 @@ struct CacheStats {
   size_t entries = 0;
 };
 
-/// A cached shard set. ShardedGraph is single-threaded (its residency LRU
-/// mutates on every access), so concurrent requests on the same manifest
-/// serialize on `mu` for the duration of their computation.
-struct CachedShardSet {
-  std::mutex mu;
-  ShardedGraph graph;
-
-  explicit CachedShardSet(ShardedGraph g) : graph(std::move(g)) {}
-};
-
 class GraphCache {
  public:
   explicit GraphCache(size_t max_bytes) : max_bytes_(max_bytes) {}
@@ -79,11 +68,9 @@ class GraphCache {
       const std::string& path, bool* hit = nullptr);
 
   /// Shard-set lookup by manifest path (keyed by the manifest file's
-  /// content checksum). Callers must lock the entry's `mu` while driving
-  /// the graph.
-  Result<std::shared_ptr<CachedShardSet>> GetShardSet(
-      const std::string& manifest_path, const ShardedGraphOptions& options,
-      bool* hit = nullptr);
+  /// content checksum).
+  Result<std::shared_ptr<const ShardedGraph>> GetShardSet(
+      const std::string& manifest_path, bool* hit = nullptr);
 
   /// Counts an uncacheable (text) load in the stats.
   void RecordBypass();
@@ -119,7 +106,7 @@ class GraphCache {
   mutable std::mutex mu_;
   size_t max_bytes_;
   CacheStats stats_;
-  std::list<Entry> lru_;  // Front = most recently used.
+  std::list<Entry> entries_;  // Front = most recently used.
 };
 
 }  // namespace serve

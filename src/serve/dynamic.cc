@@ -14,27 +14,6 @@ namespace ksym {
 namespace serve {
 namespace {
 
-/// Same unknown-field rejection as the api.cc decoders: a typo'd flag must
-/// not silently become a default.
-Status CheckKeys(const WireObject& object,
-                 std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : object.fields) {
-    if (key == "op" || key == "id" || key == "deadline_ms") continue;
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return Status::InvalidArgument(
-          StrFormat("unknown request field \"%s\"", key.c_str()));
-    }
-  }
-  return Status::Ok();
-}
-
 /// Loads the base graph for a new session. The session outlives any cache
 /// pin, so the graph is deep-copied into owning storage either way; the
 /// cache still saves the parse on repeat creations from the same file.

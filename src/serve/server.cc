@@ -148,21 +148,17 @@ void Server::Stop() {
   }
   // Every queued job has been drained (workers only exit on an empty queue)
   // and new arrivals are refused, so no connection thread can be waiting on
-  // a promise — unblock the ones parked in recv() and collect them.
+  // a promise — unblock the ones parked in recv() and collect them. The
+  // accept thread is gone, so conns_ no longer grows.
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (;;) {
-    std::thread conn;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      if (conn_threads_.empty()) break;
-      conn = std::move(conn_threads_.back());
-      conn_threads_.pop_back();
+    for (const Connection& conn : conns_) {
+      if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
     }
-    if (conn.joinable()) conn.join();
+    conns.swap(conns_);
   }
+  for (Connection& conn : conns) conn.thread.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -176,20 +172,43 @@ void Server::AcceptLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) return;
     }
+    ReapConnections();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    std::lock_guard<std::mutex> conn_lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(&Server::ServeConnection, this, fd);
+    {
+      // The new thread can only clear conn.fd under conn_mu_, so it never
+      // races this assignment of conn.thread.
+      std::lock_guard<std::mutex> conn_lock(conn_mu_);
+      Connection& conn = conns_.emplace_back();
+      conn.fd = fd;
+      conn.thread = std::thread(&Server::ServeConnection, this, &conn);
+    }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.connections;
   }
 }
 
-void Server::ServeConnection(int fd) {
+void Server::ReapConnections() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      if (it->fd < 0) {
+        finished.push_back(std::move(it->thread));
+        it = conns_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (std::thread& thread : finished) thread.join();
+}
+
+void Server::ServeConnection(Connection* conn) {
+  const int fd = conn->fd;
   std::string buffer;  // The pending (newline-less) line, then new bytes.
   char chunk[4096];
   for (;;) {
@@ -223,7 +242,12 @@ void Server::ServeConnection(int fd) {
     }
   }
   // A partial frame at EOF (client died mid-write) is dropped: there is
-  // nobody left to answer.
+  // nobody left to answer. Retire the fd before closing it, so Stop()
+  // cannot shut down a reused descriptor number.
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn->fd = -1;
+  }
   ::close(fd);
 }
 

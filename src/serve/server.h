@@ -36,6 +36,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,9 +124,25 @@ class Server {
  private:
   struct Job;
 
+  /// One accepted connection. Its thread sets `fd` to -1 under conn_mu_
+  /// just before closing the descriptor, so Stop() never shuts down an fd
+  /// number the process may have reused, and AcceptLoop joins the threads
+  /// whose connection is gone.
+  struct Connection {
+    Connection() = default;
+    Connection(const Connection&) = delete;  // Its thread holds its address.
+    Connection& operator=(const Connection&) = delete;
+
+    int fd = -1;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* conn);
   void WorkerLoop();
+
+  /// Joins every connection thread that has closed its descriptor.
+  void ReapConnections();
 
   /// Executes one dequeued job (or a sample batch seeded by it) and returns
   /// the jobs paired with their rendered responses. Called with no locks
@@ -158,8 +175,7 @@ class Server {
   ServerStats stats_;
 
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::list<Connection> conns_;  // Stable addresses: threads hold pointers.
 };
 
 }  // namespace serve

@@ -95,8 +95,8 @@ std::string ResolveShardPath(const std::string& manifest_path,
 /// File-level verification of every shard named by a manifest at
 /// `manifest_path`: each shard file must exist, pass header validation, and
 /// agree with its manifest row on vertex count, entry count, and header
-/// checksum. O(1) per shard (headers only); pair with MapCsrSections
-/// validation for full-depth checks (ksym_shard verify does).
+/// checksum. O(1) per shard (headers only); ShardedGraph::Open follows it
+/// with full MapCsrSections validation of every shard.
 Status VerifyShardFiles(const ShardManifest& manifest,
                         const std::string& manifest_path);
 

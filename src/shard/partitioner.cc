@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/str.h"
+#include "shard/sharded_graph.h"
 
 namespace ksym {
 
@@ -132,36 +133,27 @@ Result<ShardManifest> Partitioner::Split(const Graph& graph,
 }
 
 Result<LoadedGraph> MergeShards(const std::string& manifest_path) {
-  KSYM_ASSIGN_OR_RETURN(const ShardManifest manifest,
-                        ShardManifest::ReadFile(manifest_path));
-  KSYM_RETURN_IF_ERROR(VerifyShardFiles(manifest, manifest_path));
-
-  const size_t n = static_cast<size_t>(manifest.num_vertices);
+  KSYM_ASSIGN_OR_RETURN(const ShardedGraph sharded,
+                        ShardedGraph::Open(manifest_path));
+  const size_t n = sharded.NumVertices();
   std::vector<EdgeIndex> offsets;
   offsets.reserve(n + 1);
   offsets.push_back(0);
   std::vector<VertexId> neighbors;
-  neighbors.reserve(static_cast<size_t>(manifest.num_neighbor_entries));
+  neighbors.reserve(
+      static_cast<size_t>(sharded.manifest().num_neighbor_entries));
   LoadedGraph out;
   out.labels.reserve(n);
 
-  for (const ShardInfo& s : manifest.shards) {
-    CsrReadOptions options;
-    options.shard_global_vertices = manifest.num_vertices;
-    options.shard_base = s.begin;
-    KSYM_ASSIGN_OR_RETURN(
-        const MappedCsrSections sections,
-        MapCsrSections(ResolveShardPath(manifest_path, s), options));
-    // Rebase the shard's local offsets onto the running global entry count;
-    // VerifyShardFiles already pinned the per-shard counts to the manifest.
-    const EdgeIndex base = offsets.back();
-    for (size_t v = 1; v < sections.offsets.size(); ++v) {
-      offsets.push_back(sections.offsets[v] + base);
+  for (uint32_t s = 0; s < sharded.NumShards(); ++s) {
+    const ResidentShard& shard = sharded.Shard(s);
+    for (VertexId v = shard.begin(); v < shard.end(); ++v) {
+      const std::span<const VertexId> row = shard.Neighbors(v);
+      neighbors.insert(neighbors.end(), row.begin(), row.end());
+      offsets.push_back(neighbors.size());
     }
-    neighbors.insert(neighbors.end(), sections.neighbors.begin(),
-                     sections.neighbors.end());
-    out.labels.insert(out.labels.end(), sections.labels.begin(),
-                      sections.labels.end());
+    out.labels.insert(out.labels.end(), shard.labels().begin(),
+                      shard.labels().end());
   }
   out.graph = Graph::FromCsr(std::move(offsets), std::move(neighbors));
   return out;

@@ -3,10 +3,10 @@
 //
 // A split is lossless by construction: shard i holds the offsets slice
 // [begin, end] rebased to 0, the matching slice of the global neighbors
-// array with ids kept global, and the labels slice — so concatenating the
-// shards in range order and re-adding the cumulative entry bases yields the
-// original arrays exactly, and `split → merge → WriteCsrFile` reproduces
-// the original .ksymcsr byte for byte (CI enforces this).
+// array with ids kept global, and the labels slice — so appending the
+// shards' rows and labels in range order yields the original arrays
+// exactly, and `split → merge → WriteCsrFile` reproduces the original
+// .ksymcsr byte for byte (CI enforces this).
 
 #ifndef KSYM_SHARD_PARTITIONER_H_
 #define KSYM_SHARD_PARTITIONER_H_
@@ -84,9 +84,10 @@ class Partitioner {
                                      const std::string& prefix);
 };
 
-/// Reassembles the whole graph (and labels) from a manifest, validating the
-/// manifest ladder, every shard's checksums, and the slice structure on the
-/// way. The result is bit-identical to the graph that was split.
+/// Reassembles the whole graph (and labels) from a manifest. Opens it
+/// through ShardedGraph::Open, so the manifest ladder, every shard's
+/// checksums and the slice structure are validated on the way. The result
+/// is bit-identical to the graph that was split.
 Result<LoadedGraph> MergeShards(const std::string& manifest_path);
 
 }  // namespace ksym

@@ -1,6 +1,5 @@
 #include "shard/sharded_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/str.h"
@@ -8,90 +7,39 @@
 namespace ksym {
 
 Result<ShardedGraph> ShardedGraph::Open(const std::string& manifest_path,
-                                        const ShardedGraphOptions& options) {
+                                        const ShardedGraphOptions&) {
   KSYM_ASSIGN_OR_RETURN(ShardManifest manifest,
                         ShardManifest::ReadFile(manifest_path));
   KSYM_RETURN_IF_ERROR(VerifyShardFiles(manifest, manifest_path));
   ShardedGraph graph;
-  graph.manifest_path_ = manifest_path;
-  graph.manifest_ = std::move(manifest);
-  graph.options_ = options;
-  graph.resident_.resize(graph.manifest_.NumShards());
-  return graph;
-}
-
-Result<std::shared_ptr<const ResidentShard>> ShardedGraph::Ensure(uint32_t s) {
-  KSYM_DCHECK(s < resident_.size());
-  if (resident_[s] != nullptr) {
-    ++stats_.hits;
-    if (lru_.front() != s) {
-      lru_.remove(s);  // O(resident shards); shard counts are small.
-      lru_.push_front(s);
+  graph.shards_.reserve(manifest.NumShards());
+  for (const ShardInfo& info : manifest.shards) {
+    const std::string path = ResolveShardPath(manifest_path, info);
+    CsrReadOptions read_options;
+    read_options.shard_global_vertices = manifest.num_vertices;
+    read_options.shard_base = info.begin;
+    Result<MappedCsrSections> mapped = MapCsrSections(path, read_options);
+    if (!mapped.ok()) {
+      return Status(mapped.status().code(),
+                    StrFormat("shard %s: %s", path.c_str(),
+                              mapped.status().message().c_str()));
     }
-    return resident_[s];
+    MappedCsrSections sections = std::move(mapped).value();
+    if (sections.labels.size() != info.NumVertices() ||
+        sections.neighbors.size() != info.neighbor_entries) {
+      // VerifyShardFiles checked this header a moment ago, so the file
+      // was replaced in between.
+      return Status::IoError(StrFormat(
+          "shard count mismatch: %s changed on disk during open",
+          path.c_str()));
+    }
+    graph.stats_.resident_bytes += sections.mapping.size();
+    graph.shards_.emplace_back(std::move(sections), info.begin, info.end);
   }
-
-  const ShardInfo& info = manifest_.shards[s];
-  CsrReadOptions read_options;
-  read_options.validate = options_.validate;
-  read_options.shard_global_vertices = manifest_.num_vertices;
-  read_options.shard_base = info.begin;
-  KSYM_ASSIGN_OR_RETURN(
-      MappedCsrSections sections,
-      MapCsrSections(ResolveShardPath(manifest_path_, info), read_options));
-  if (sections.labels.size() != info.NumVertices() ||
-      sections.neighbors.size() != info.neighbor_entries) {
-    // Open() verified the header, so a disagreement here means the file
-    // changed on disk underneath us.
-    return Status::IoError(StrFormat(
-        "shard count mismatch: %s changed on disk after open",
-        ResolveShardPath(manifest_path_, info).c_str()));
-  }
-  auto shard = std::make_shared<const ResidentShard>(std::move(sections),
-                                                     info.begin, info.end);
-  ++stats_.loads;
-  stats_.resident_bytes += shard->bytes();
-  stats_.peak_resident_bytes =
-      std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
-  resident_[s] = shard;
-  lru_.push_front(s);
-
-  // Evict past the cap, least recently used first. The just-loaded shard
-  // sits at the LRU front, so it is never the victim: an over-cap single
-  // shard stays resident (progress beats the budget).
-  while (stats_.resident_bytes > options_.max_resident_bytes &&
-         lru_.size() > 1) {
-    const uint32_t victim = lru_.back();
-    lru_.pop_back();
-    stats_.resident_bytes -= resident_[victim]->bytes();
-    resident_[victim] = nullptr;  // Views still pinning it keep it alive.
-    ++stats_.evictions;
-  }
-  return shard;
-}
-
-Result<ShardView> ShardedGraph::Shard(uint32_t s) {
-  KSYM_ASSIGN_OR_RETURN(std::shared_ptr<const ResidentShard> shard,
-                        Ensure(s));
-  return ShardView(std::move(shard));
-}
-
-const ResidentShard* ShardedGraph::Touch(VertexId v) {
-  KSYM_DCHECK(v < NumVertices());
-  if (current_ == nullptr || v < current_->begin() || v >= current_->end()) {
-    Result<std::shared_ptr<const ResidentShard>> shard = Ensure(ShardOf(v));
-    KSYM_CHECK(shard.ok());
-    current_ = std::move(*shard);
-  } else {
-    ++stats_.hits;
-  }
-  return current_.get();
-}
-
-size_t ShardedGraph::Degree(VertexId v) { return Touch(v)->Degree(v); }
-
-std::span<const VertexId> ShardedGraph::Neighbors(VertexId v) {
-  return Touch(v)->Neighbors(v);
+  graph.stats_.loads = graph.shards_.size();
+  graph.stats_.peak_resident_bytes = graph.stats_.resident_bytes;
+  graph.manifest_ = std::move(manifest);
+  return graph;
 }
 
 }  // namespace ksym

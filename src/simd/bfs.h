@@ -1,7 +1,6 @@
 // Batched BFS frontier expansion (DESIGN.md §13): the inner loop of
-// BfsDistancesInto (graph/algorithms.cc) and the sequential branch of
-// ShardedBfsDistancesInto (shard/kernels.cc), feeding the stats/ path
-// samplers and diameter summaries.
+// BfsDistancesInto (graph/algorithms.cc), feeding the stats/ path samplers
+// and diameter summaries.
 //
 // The scalar loop tests dist[w] < 0 per neighbor and branches; once a BFS
 // is a few levels in, almost every neighbor is already visited, so the

@@ -1,6 +1,6 @@
 // Sorted-u32 set intersection — the inner loop of triangle counting and
-// clustering (graph/algorithms.cc, shard/kernels.cc), the dominant cost of
-// the paper's §5 utility evaluation.
+// clustering (graph/algorithms.cc), the dominant cost of the paper's §5
+// utility evaluation.
 //
 // Inputs are strictly increasing uint32 ranges (CSR neighbor lists are
 // sorted and duplicate-free). Every variant writes the common values, in

@@ -3,14 +3,19 @@
 // mix of valid work, garbage frames, truncated lines, and abrupt
 // disconnects (before and after writing). The server must never crash,
 // hang, or wedge — after the storm it still answers, and its counters
-// reconcile: every accepted job was answered exactly once.
+// reconcile: every accepted job was answered exactly once. A soak of 10^4
+// connect/close cycles checks that finished connections give back their
+// threads, descriptors and thread stacks while the server runs.
 //
 // Deterministic per-thread xorshift streams drive the fault mix, so a
 // failure replays. The whole file is TSan-clean by construction (CI runs it
 // under ThreadSanitizer).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -215,6 +220,72 @@ TEST(ServeStressTest, ConcurrentClientsWithFaultInjectionStayHealthy) {
   EXPECT_EQ(stats.running_threads, 0u);
   // The survivor audit above definitely completed.
   EXPECT_GE(stats.completed, 1u);
+}
+
+/// Number of entries in a /proc/self directory (threads or open fds).
+size_t CountEntries(const char* dir) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+/// Number of memory mappings; a thread that exits without being joined
+/// keeps its stack mapped.
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  size_t count = 0;
+  for (std::string line; std::getline(maps, line);) ++count;
+  return count;
+}
+
+TEST(ServeStressTest, ConnectCloseSoakKeepsThreadsAndFdsFlat) {
+  ServerOptions options;
+  options.socket_path = TempPath("soak.sock");
+  options.thread_budget = 2;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const size_t tasks_before = CountEntries("/proc/self/task");
+  const size_t fds_before = CountEntries("/proc/self/fd");
+  const size_t mappings_before = CountMappings();
+
+  constexpr int kCycles = 10000;
+  int connected = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    TestClient client(options.socket_path);
+    if (client.connected()) ++connected;
+  }
+  EXPECT_EQ(connected, kCycles);
+
+  // Every connection thread exits on EOF, and the accept loop joins it
+  // within one poll interval; give the tail a few seconds to drain.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (CountEntries("/proc/self/task") > tasks_before ||
+          CountEntries("/proc/self/fd") > fds_before)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  // One more poll interval, so the last connection threads are joined too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(CountEntries("/proc/self/task"), tasks_before);
+  EXPECT_EQ(CountEntries("/proc/self/fd"), fds_before);
+  // Unjoined threads would keep 10^4 stacks (two mappings each) mapped;
+  // joined ones leave at most the allocator's cached stacks and arenas.
+  EXPECT_LT(CountMappings(), mappings_before + 1000);
+
+  // Still serving, and every connection was counted.
+  TestClient survivor(options.socket_path);
+  ASSERT_TRUE(survivor.connected());
+  const auto stats_line =
+      ParseWireLine(survivor.RoundTrip("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(stats_line.ok()) << stats_line.status().ToString();
+  EXPECT_EQ(stats_line->GetString("status"), "ok");
+  server.Stop();
+  EXPECT_EQ(server.stats().connections, uint64_t{kCycles} + 1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the ksym_serve stack (DESIGN.md §12): wire framing (round
 // trips, malformed input, a deterministic fuzz pass), the checksum-keyed
 // GraphCache (hits, eviction, pinning), the request-level API (CLI/daemon
-// equivalence, batched-vs-solo bit-equality), the ArgParser the tools share,
+// equivalence, batched-vs-solo bit-equality, concurrent sharded requests on
+// one cached shard set), the ArgParser the tools share,
 // and the Server end to end over a real unix socket — including admission
 // rejection, queued-deadline expiry, server-side sample batching, and the
 // request-line cap.
@@ -14,12 +15,14 @@
 
 #include "gtest/gtest.h"
 
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "serve/api.h"
 #include "serve/cache.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "shard/partitioner.h"
 #include "serve_test_util.h"
 #include "tool_common.h"
 
@@ -416,6 +419,57 @@ TEST(ApiTest, BatchedSamplingBitIdenticalToSolo) {
     EXPECT_EQ(ReadFileBytes(TempPath("solo1") + suffix),
               ReadFileBytes(TempPath("batch1") + suffix))
         << "request 1 sample " << i;
+  }
+}
+
+TEST(ApiTest, ConcurrentShardedRequestsShareOneCachedSet) {
+  Rng rng(17);
+  const Graph graph = BarabasiAlbert(300, 3, rng);
+  PartitionOptions split;
+  split.num_shards = 3;
+  const std::string prefix = TempPath("api_sharded_in");
+  ASSERT_TRUE(Partitioner::Split(graph, {}, split, prefix).ok());
+
+  // The in-memory --binary release both sharded runs must reproduce.
+  AnonymizeRequest reference;
+  reference.input = WriteTestCsr("api_sharded.ksymcsr", graph);
+  reference.output = TempPath("api_sharded_ref.ksymcsr");
+  reference.k = 3;
+  reference.tdv = true;
+  reference.binary = true;
+  const auto reference_response = RunAnonymize(reference);
+  ASSERT_TRUE(reference_response.ok())
+      << reference_response.status().ToString();
+  const std::string expected = ReadFileBytes(reference.output);
+
+  // Two requests on one manifest through one cache, at the same time: the
+  // cached set is immutable, so neither waits for the other.
+  GraphCache cache(size_t{1} << 30);
+  const std::string outputs[2] = {TempPath("api_sharded_out0"),
+                                  TempPath("api_sharded_out1")};
+  Status statuses[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      AnonymizeRequest request = reference;
+      request.input = prefix + ".manifest";
+      request.output = outputs[i];
+      request.threads = 2;
+      statuses[i] = RunAnonymize(request, &cache).status();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits + stats.misses, 2u);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+    const auto merged = MergeShards(outputs[i] + ".manifest");
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    const std::string merged_path = outputs[i] + ".merged.ksymcsr";
+    ASSERT_TRUE(WriteCsrFile(*merged, merged_path).ok());
+    EXPECT_EQ(ReadFileBytes(merged_path), expected) << "request " << i;
   }
 }
 

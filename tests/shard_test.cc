@@ -1,9 +1,7 @@
 // Tests for the shard subsystem (DESIGN.md §10): manifest round trips and
 // the negative validation ladder (one rung per corruption mode, mirroring
 // csr_io_test's style), partition planning, split -> merge byte identity,
-// ShardedGraph accessor equivalence under forced eviction, and the
-// bit-identical contract of every shard-streaming kernel at 1/2/4 shards
-// x 1/2/4 threads against the whole-graph in-memory path.
+// and ShardedGraph accessor equivalence with the whole graph.
 
 #include <gtest/gtest.h>
 
@@ -15,16 +13,13 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "shard/kernels.h"
 #include "shard/manifest.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_graph.h"
-#include "stats/distributions.h"
 
 namespace ksym {
 namespace {
@@ -47,8 +42,8 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// A small graph with degree skew plus an isolated-ish tail component, so
-/// shard boundaries cut through hubs and BFS has unreachable vertices.
+/// A small graph with degree skew plus a disjoint tail component, so shard
+/// boundaries cut through hubs.
 Graph MakeTestGraph() {
   Rng rng(42);
   const Graph dense = ErdosRenyiGnm(60, 180, rng);
@@ -342,25 +337,26 @@ TEST(ShardManifestLadderTest, CorruptShardBodyRejectedOnLoad) {
   const auto manifest = ShardManifest::ReadFile(manifest_path);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
 
-  // Flip a byte deep in shard 0's neighbors section: the header (and so
-  // Open's header verification) stays intact, the mapped-load checksum
-  // validation must catch it.
+  // Flip a byte in shard 1's body: its header, and so VerifyShardFiles,
+  // stays intact.
   const std::string shard_path =
-      ResolveShardPath(manifest_path, manifest->shards[0]);
+      ResolveShardPath(manifest_path, manifest->shards[1]);
   std::string bytes = ReadFileBytes(shard_path);
   ASSERT_GT(bytes.size(), 80u);
   bytes[bytes.size() - 5] ^= 0x40;
   WriteFileBytes(shard_path, bytes);
+  EXPECT_TRUE(VerifyShardFiles(*manifest, manifest_path).ok());
 
-  // Open's ladder stops at headers, which are untouched — the corruption
-  // must surface at first load, as a section-checksum rejection, not UB.
-  auto opened = ShardedGraph::Open(manifest_path);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  const auto view = opened->Shard(0);
-  ASSERT_FALSE(view.ok());
-  EXPECT_NE(view.status().message().find("checksum mismatch"),
+  // Open maps every shard with full validation, so the corruption is a
+  // section-checksum rejection naming the shard, before any data is read.
+  const auto opened = ShardedGraph::Open(manifest_path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kIoError);
+  EXPECT_NE(opened.status().message().find("checksum mismatch"),
             std::string::npos)
-      << view.status();
+      << opened.status();
+  EXPECT_NE(opened.status().message().find(shard_path), std::string::npos)
+      << opened.status();
 }
 
 // ---------------------------------------------------------------------------
@@ -473,19 +469,15 @@ TEST(PartitionerTest, SplitMergeByteIdenticalInEntryBudgetMode) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedGraph: accessor equivalence, residency accounting, eviction.
+// ShardedGraph: accessor equivalence and mapping accounting.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedGraphTest, AccessorsMatchGraphUnderForcedEviction) {
+TEST(ShardedGraphTest, AccessorsMatchGraph) {
   const Graph graph = MakeTestGraph();
   const std::vector<uint64_t> labels = MakeLabels(graph.NumVertices());
   const std::string manifest_path = SplitToTemp(graph, labels, 4, "access");
 
-  // A 1-byte budget can never hold two shards: every cross-shard access
-  // evicts, exercising reload paths on every boundary crossing.
-  ShardedGraphOptions options;
-  options.max_resident_bytes = 1;
-  auto sharded = ShardedGraph::Open(manifest_path, options);
+  const auto sharded = ShardedGraph::Open(manifest_path);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
   EXPECT_EQ(sharded->NumVertices(), graph.NumVertices());
   EXPECT_EQ(sharded->NumEdges(), graph.NumEdges());
@@ -500,133 +492,29 @@ TEST(ShardedGraphTest, AccessorsMatchGraphUnderForcedEviction) {
         << v;
   }
 
-  std::vector<std::pair<VertexId, VertexId>> expected_edges;
-  graph.ForEachEdge([&](VertexId u, VertexId v) {
-    expected_edges.emplace_back(u, v);
-  });
-  std::vector<std::pair<VertexId, VertexId>> actual_edges;
-  sharded->ForEachEdge([&](VertexId u, VertexId v) {
-    actual_edges.emplace_back(u, v);
-  });
-  EXPECT_EQ(actual_edges, expected_edges);  // Same edges, same order.
-
-  const ShardResidencyStats& stats = sharded->stats();
-  EXPECT_GT(stats.loads, 4u);  // Forced reloads, not just 4 cold loads.
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GT(stats.hits, 0u);  // Consecutive vertices share a shard.
-  EXPECT_GT(stats.peak_resident_bytes, 0u);
-
-  // Labels ride along per shard.
+  // Every shard was mapped once, at Open, and stays mapped.
+  size_t file_bytes = 0;
   for (uint32_t s = 0; s < sharded->NumShards(); ++s) {
-    auto view = sharded->Shard(s);
-    ASSERT_TRUE(view.ok()) << view.status();
-    const auto slice = view->labels();
-    ASSERT_EQ(slice.size(), view->NumVertices());
+    const ResidentShard& shard = sharded->Shard(s);
+    EXPECT_EQ(shard.begin(), sharded->manifest().shards[s].begin);
+    EXPECT_EQ(shard.end(), sharded->manifest().shards[s].end);
+    file_bytes += ReadFileBytes(ResolveShardPath(
+                                    manifest_path,
+                                    sharded->manifest().shards[s]))
+                      .size();
+    // Labels ride along per shard.
+    const auto slice = shard.labels();
+    ASSERT_EQ(slice.size(), shard.end() - shard.begin());
     for (size_t i = 0; i < slice.size(); ++i) {
-      EXPECT_EQ(slice[i], labels[view->begin() + i]);
+      EXPECT_EQ(slice[i], labels[shard.begin() + i]);
     }
   }
-}
-
-TEST(ShardedGraphTest, GenerousBudgetLoadsEachShardOnce) {
-  const Graph graph = MakeTestGraph();
-  const std::string manifest_path = SplitToTemp(graph, {}, 4, "warm");
-  auto sharded = ShardedGraph::Open(manifest_path);
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-
-  for (int pass = 0; pass < 2; ++pass) {
-    for (VertexId v = 0; v < graph.NumVertices(); ++v) sharded->Degree(v);
-  }
-  EXPECT_EQ(sharded->stats().loads, 4u);
-  EXPECT_EQ(sharded->stats().evictions, 0u);
-  EXPECT_EQ(sharded->stats().resident_bytes,
-            sharded->stats().peak_resident_bytes);
-}
-
-TEST(ShardedGraphTest, ViewPinsShardAcrossEviction) {
-  const Graph graph = MakeTestGraph();
-  const std::string manifest_path = SplitToTemp(graph, {}, 4, "pin");
-  ShardedGraphOptions options;
-  options.max_resident_bytes = 1;
-  auto sharded = ShardedGraph::Open(manifest_path, options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-
-  auto pinned = sharded->Shard(0);
-  ASSERT_TRUE(pinned.ok()) << pinned.status();
-  const std::span<const VertexId> before = pinned->Neighbors(0);
-
-  // Touch every other shard: shard 0 is evicted from the cache, but the
-  // view's reference keeps its mapping alive and its spans stable.
-  for (uint32_t s = 1; s < sharded->NumShards(); ++s) {
-    ASSERT_TRUE(sharded->Shard(s).ok());
-  }
-  EXPECT_GT(sharded->stats().evictions, 0u);
-  const std::span<const VertexId> after = pinned->Neighbors(0);
-  EXPECT_EQ(before.data(), after.data());
-  EXPECT_TRUE(std::equal(after.begin(), after.end(),
-                         graph.Neighbors(0).begin()));
-}
-
-// ---------------------------------------------------------------------------
-// Kernel bit-identity: 1/2/4 shards x 1/2/4 threads, tight residency.
-// ---------------------------------------------------------------------------
-
-class ShardKernelsTest : public testing::TestWithParam<
-                             std::tuple<uint32_t, uint32_t, size_t>> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    ShardsThreads, ShardKernelsTest,
-    testing::Combine(testing::Values(1u, 2u, 4u),   // shards
-                     testing::Values(1u, 2u, 4u),   // threads
-                     testing::Values(size_t{256} << 20,  // generous budget
-                                     size_t{1})));       // evict constantly
-
-TEST_P(ShardKernelsTest, BitIdenticalToWholeGraphKernels) {
-  const auto [num_shards, num_threads, budget] = GetParam();
-  const Graph graph = MakeTestGraph();
-
-  const std::string manifest_path = SplitToTemp(
-      graph, {}, num_shards,
-      "kernels_" + std::to_string(num_shards) + "_" +
-          std::to_string(num_threads) + "_" + std::to_string(budget & 1));
-  ShardedGraphOptions options;
-  options.max_resident_bytes = budget;
-  auto sharded = ShardedGraph::Open(manifest_path, options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-
-  const ExecutionContext context(num_threads);
-
-  // Degrees: slot-disjoint writes.
-  EXPECT_EQ(ShardedDegreeValues(*sharded, &context), DegreeValues(graph));
-
-  // Triangles: commutative integer corner credits.
-  EXPECT_EQ(ShardedTriangleCounts(*sharded, &context), TriangleCounts(graph));
-  EXPECT_EQ(ShardedTotalTriangles(*sharded, &context), TotalTriangles(graph));
-
-  // Clustering: identical integers through the identical expression, so the
-  // doubles compare bit-equal.
-  EXPECT_EQ(ShardedClusteringValues(*sharded, &context),
-            ClusteringValues(graph));
-
-  // BFS levels, including sources whose component excludes the tail cycle
-  // (dense component is vertices [0, 60), cycle is [60, 69)).
-  for (const VertexId source : {VertexId{0}, VertexId{31}, VertexId{62}}) {
-    std::vector<int64_t> dist;
-    ShardedBfsDistancesInto(*sharded, source, dist, &context);
-    EXPECT_EQ(dist, BfsDistances(graph, source)) << "source " << source;
-  }
-
-  // Sampled path lengths: same seed, same Rng stream, same accepted
-  // lengths in the same order.
-  Rng rng_whole(321);
-  Rng rng_sharded(321);
-  const std::vector<double> expected =
-      SampledPathLengths(graph, 40, rng_whole);
-  const std::vector<double> actual =
-      ShardedSampledPathLengths(*sharded, 40, rng_sharded, &context);
-  EXPECT_EQ(actual, expected);
-  // Identical stream consumption: the generators are in the same state.
-  EXPECT_EQ(rng_sharded.Next(), rng_whole.Next());
+  const ShardResidencyStats& stats = sharded->stats();
+  EXPECT_EQ(stats.loads, 4u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.resident_bytes, file_bytes);
+  EXPECT_EQ(stats.peak_resident_bytes, file_bytes);
 }
 
 }  // namespace

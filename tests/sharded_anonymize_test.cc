@@ -1,8 +1,8 @@
 // The tentpole acceptance test (DESIGN.md §11): AnonymizeSharded, chained
 // manifest-in → anonymized shard set out, must produce a release that is
 // *byte-identical* after `merge` to WriteReleaseCsrFile of the in-memory
-// Anonymize run — across shard counts, thread counts, and residency
-// budgets — with matching refinement trace hash and cost counters.
+// Anonymize run — across shard counts and thread counts — with matching
+// refinement trace hash and cost counters.
 
 #include <gtest/gtest.h>
 
@@ -58,17 +58,14 @@ Reference MakeReference(const Graph& graph, const AnonymizationOptions& options,
 /// re-emit as one .ksymcsr — and byte-compares against the reference.
 void CheckShardedMatches(const Graph& graph, const Reference& ref,
                          const ShardedAnonymizationOptions& options,
-                         uint32_t shards, size_t budget,
-                         const std::string& tag) {
+                         uint32_t shards, const std::string& tag) {
   const std::string prefix = TempPath("sa_in_" + tag);
   PartitionOptions split;
   split.num_shards = shards;
   const auto manifest = Partitioner::Split(graph, {}, split, prefix);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
 
-  ShardedGraphOptions open_options;
-  open_options.max_resident_bytes = budget;
-  auto sharded = ShardedGraph::Open(prefix + ".manifest", open_options);
+  const auto sharded = ShardedGraph::Open(prefix + ".manifest");
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
   const std::string out_prefix = TempPath("sa_out_" + tag);
@@ -86,7 +83,7 @@ void CheckShardedMatches(const Graph& graph, const Reference& ref,
   EXPECT_EQ(result->orbits_satisfied, ref.result.orbits_satisfied);
   EXPECT_EQ(result->released_vertices, ref.result.graph.NumVertices());
   EXPECT_EQ(result->released_edges, ref.result.graph.NumEdges());
-  EXPECT_GT(result->residency.loads, 0u);
+  EXPECT_EQ(result->residency.loads, manifest->NumShards());
 
   // Merge the anonymized shard set and re-emit: byte-identical to the
   // in-memory release file.
@@ -98,7 +95,7 @@ void CheckShardedMatches(const Graph& graph, const Reference& ref,
       << "merged sharded release differs from in-memory bytes";
 }
 
-TEST(ShardedAnonymizeTest, ByteIdenticalAcrossShardsThreadsAndBudgets) {
+TEST(ShardedAnonymizeTest, ByteIdenticalAcrossShardsAndThreads) {
   Rng rng(77);
   const Graph graph = ErdosRenyiGnm(90, 260, rng);
 
@@ -109,18 +106,15 @@ TEST(ShardedAnonymizeTest, ByteIdenticalAcrossShardsThreadsAndBudgets) {
 
   for (uint32_t shards : {1u, 2u, 4u}) {
     for (uint32_t threads : {1u, 2u, 4u}) {
-      for (size_t budget : {size_t{256} << 20, size_t{1}}) {
-        SCOPED_TRACE(testing::Message() << "shards=" << shards << " threads="
-                                        << threads << " budget=" << budget);
-        const ExecutionContext context(threads);
-        ShardedAnonymizationOptions options;
-        options.k = 3;
-        options.context = &context;
-        CheckShardedMatches(graph, ref, options, shards, budget,
-                            "er_s" + std::to_string(shards) + "_t" +
-                                std::to_string(threads) + "_b" +
-                                std::to_string(budget == 1));
-      }
+      SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                      << " threads=" << threads);
+      const ExecutionContext context(threads);
+      ShardedAnonymizationOptions options;
+      options.k = 3;
+      options.context = &context;
+      CheckShardedMatches(graph, ref, options, shards,
+                          "er_s" + std::to_string(shards) + "_t" +
+                              std::to_string(threads));
     }
   }
 }
@@ -136,7 +130,7 @@ TEST(ShardedAnonymizeTest, ByteIdenticalOnBarabasiAlbert) {
 
   ShardedAnonymizationOptions options;
   options.k = 2;
-  CheckShardedMatches(graph, ref, options, /*shards=*/3, /*budget=*/1, "ba");
+  CheckShardedMatches(graph, ref, options, /*shards=*/3, "ba");
 }
 
 TEST(ShardedAnonymizeTest, HubExclusionMatchesInMemoryRequirement) {
@@ -155,8 +149,7 @@ TEST(ShardedAnonymizeTest, HubExclusionMatchesInMemoryRequirement) {
   ShardedAnonymizationOptions options;
   options.k = 2;
   options.exclude_hubs_fraction = fraction;
-  CheckShardedMatches(graph, ref, options, /*shards=*/2,
-                      /*budget=*/size_t{256} << 20, "hub");
+  CheckShardedMatches(graph, ref, options, /*shards=*/2, "hub");
 }
 
 TEST(ShardedAnonymizeTest, OutputShardCountOverrideStillMerges) {
@@ -171,7 +164,7 @@ TEST(ShardedAnonymizeTest, OutputShardCountOverrideStillMerges) {
   ShardedAnonymizationOptions options;
   options.k = 2;
   options.output_shards = 5;
-  CheckShardedMatches(graph, ref, options, /*shards=*/2, /*budget=*/1, "osc");
+  CheckShardedMatches(graph, ref, options, /*shards=*/2, "osc");
 }
 
 TEST(ShardedAnonymizeTest, BinaryReleaseRoundTrips) {

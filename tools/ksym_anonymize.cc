@@ -10,15 +10,15 @@
 //                  [--binary]
 //
 // With a manifest input the whole pipeline runs out-of-core (DESIGN.md
-// §11): the shard set streams through the refinement and copy phases under
-// --resident-bytes, --output names the output shard-set *prefix*, and the
+// §11): the refinement and copy phases read the edges from the mapped
+// shards, --output names the output shard-set *prefix*, and the
 // release is written as `<prefix>.<i>.ksymcsr` shards plus
 // `<prefix>.manifest` — byte-identical after `ksym_shard merge` to the
 // in-memory run's --binary release. Sharded mode requires --tdv (the exact
 // orbit search needs random access) and rejects --minimal.
 //
 //   ksym_anonymize --input graph.manifest --output PREFIX --k 5 --tdv
-//                  [--threads N] [--resident-bytes B] [--output-shards S]
+//                  [--threads N] [--output-shards S]
 //
 // The tool is a thin adapter over serve/api.h: it parses flags into an
 // AnonymizeRequest and executes exactly what the ksym_serve daemon would —
@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
       "                      [--tdv] [--threads N] [--binary]\n"
       "       ksym_anonymize --input graph.manifest --output PREFIX\n"
       "                      --k K --tdv [--exclude-hubs FRACTION]\n"
-      "                      [--threads N] [--resident-bytes B]\n"
-      "                      [--output-shards S]");
+      "                      [--threads N] [--output-shards S]");
   parser.String("--input", &request.input,
                 "graph: text edge list, .ksymcsr, or shard manifest");
   parser.String("--output", &request.output,
@@ -53,8 +52,6 @@ int main(int argc, char** argv) {
   parser.Flag("--binary", &request.binary,
               "write the release in binary CSR form");
   parser.U32("--threads", &request.threads, "refinement worker threads");
-  parser.Size("--resident-bytes", &request.resident_bytes,
-              "sharded input: residency cap in bytes");
   parser.U32("--output-shards", &request.output_shards,
              "sharded input: output shard count (0 = same as input)");
   parser.ParseOrExit(argc, argv);

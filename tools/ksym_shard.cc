@@ -2,20 +2,20 @@
 //
 //   ksym_shard split  --input G --output-prefix P (--shards N | --max-entries M)
 //                     [--no-validate]
-//   ksym_shard info   --manifest P.manifest [--resident-bytes B]
-//   ksym_shard verify --manifest P.manifest [--resident-bytes B]
+//   ksym_shard info   --manifest P.manifest
+//   ksym_shard verify --manifest P.manifest
 //   ksym_shard merge  --manifest P.manifest --output OUT.ksymcsr
 //
 // `split` cuts a graph (text or .ksymcsr, detected by magic) into balanced
 // vertex-range shard files `P.<i>.ksymcsr` plus the checksummed manifest
-// `P.manifest`. `info` prints the manifest, then streams the shard set once
-// (degree stats) and reports how the residency cache behaved under
-// --resident-bytes. `verify` runs the full validation ladder — manifest
-// magic / syntax / body checksum / range coverage via ShardedGraph::Open
-// (which also header-verifies every file), then loads every shard with full
-// section-checksum + slice-structure validation. `merge` reassembles the
-// original graph; splitting a .ksymcsr and merging it back reproduces the
-// input byte for byte (CI round-trips this).
+// `P.manifest`. `info` prints the manifest and the shard set's degree
+// stats. `verify` runs the full validation ladder through
+// ShardedGraph::Open — manifest magic / syntax / body checksum / range
+// coverage, every shard header against its manifest row, then every
+// shard's section checksums and slice structure — and exits 1 on the first
+// failing rung. `merge` reassembles the original graph; splitting a
+// .ksymcsr and merging it back reproduces the input byte for byte (CI
+// round-trips this).
 
 #include <cstdio>
 #include <cstdlib>
@@ -36,8 +36,8 @@ using ksym_tools::Fail;
 constexpr const char kUsage[] =
     "usage: ksym_shard split  --input G --output-prefix P\n"
     "                         (--shards N | --max-entries M) [--no-validate]\n"
-    "       ksym_shard info   --manifest M [--resident-bytes B]\n"
-    "       ksym_shard verify --manifest M [--resident-bytes B]\n"
+    "       ksym_shard info   --manifest M\n"
+    "       ksym_shard verify --manifest M\n"
     "       ksym_shard merge  --manifest M --output OUT";
 
 void PrintManifest(const ksym::ShardManifest& manifest) {
@@ -56,12 +56,6 @@ void PrintManifest(const ksym::ShardManifest& manifest) {
                  static_cast<unsigned long long>(s.header_checksum),
                  s.file.c_str());
   }
-}
-
-ksym::ShardedGraphOptions OpenOptions(size_t resident_bytes) {
-  ksym::ShardedGraphOptions options;
-  if (resident_bytes > 0) options.max_resident_bytes = resident_bytes;
-  return options;
 }
 
 int RunSplit(const std::string& input, const std::string& prefix,
@@ -84,24 +78,17 @@ int RunSplit(const std::string& input, const std::string& prefix,
   return 0;
 }
 
-int RunInfo(const std::string& manifest_path, size_t resident_bytes) {
-  auto graph = ksym::ShardedGraph::Open(manifest_path,
-                                        OpenOptions(resident_bytes));
+int RunInfo(const std::string& manifest_path) {
+  const auto graph = ksym::ShardedGraph::Open(manifest_path);
   if (!graph.ok()) return Fail(graph.status());
   PrintManifest(graph->manifest());
 
-  // One streaming pass over the shard set: global degree stats, and a
-  // residency-cache profile at this byte budget.
   size_t min_degree = graph->NumVertices() > 0 ? SIZE_MAX : 0;
   size_t max_degree = 0;
-  for (uint32_t s = 0; s < graph->NumShards(); ++s) {
-    const auto view = graph->Shard(s);
-    if (!view.ok()) return Fail(view.status());
-    for (ksym::VertexId v = view->begin(); v < view->end(); ++v) {
-      const size_t d = view->Degree(v);
-      if (d < min_degree) min_degree = d;
-      if (d > max_degree) max_degree = d;
-    }
+  for (ksym::VertexId v = 0; v < graph->NumVertices(); ++v) {
+    const size_t d = graph->Degree(v);
+    if (d < min_degree) min_degree = d;
+    if (d > max_degree) max_degree = d;
   }
   std::fprintf(stderr, "degrees: min %zu, max %zu, avg %.2f\n", min_degree,
                max_degree,
@@ -109,24 +96,17 @@ int RunInfo(const std::string& manifest_path, size_t resident_bytes) {
                    ? 2.0 * static_cast<double>(graph->NumEdges()) /
                          static_cast<double>(graph->NumVertices())
                    : 0.0);
-  ksym_tools::PrintResidencyStats(graph->stats());
   return 0;
 }
 
-int RunVerify(const std::string& manifest_path, size_t resident_bytes) {
-  // Ladder: manifest magic/syntax/checksum/ranges plus every shard's header
-  // vs. its manifest row (ShardedGraph::Open), then each shard's full
-  // section checksums + slice structure (the validating Shard() loads).
-  auto graph = ksym::ShardedGraph::Open(manifest_path,
-                                        OpenOptions(resident_bytes));
+int RunVerify(const std::string& manifest_path) {
+  const auto graph = ksym::ShardedGraph::Open(manifest_path);
   if (!graph.ok()) return Fail(graph.status());
-  for (uint32_t s = 0; s < graph->NumShards(); ++s) {
-    const auto view = graph->Shard(s);
-    if (!view.ok()) return Fail(view.status());
-  }
-  std::fprintf(stderr, "OK: %u shards, %zu vertices, %zu edges verified\n",
-               graph->NumShards(), graph->NumVertices(), graph->NumEdges());
-  ksym_tools::PrintResidencyStats(graph->stats());
+  std::fprintf(stderr,
+               "OK: %u shards, %zu vertices, %zu edges verified "
+               "(%zu bytes mapped)\n",
+               graph->NumShards(), graph->NumVertices(), graph->NumEdges(),
+               graph->stats().resident_bytes);
   return 0;
 }
 
@@ -151,7 +131,6 @@ int main(int argc, char** argv) {
   std::string manifest;
   ksym::PartitionOptions options;
   bool no_validate = false;
-  size_t resident_bytes = 0;
 
   // Subcommand first, then the shared flag set (each subcommand validates
   // the flags it actually needs).
@@ -166,8 +145,6 @@ int main(int argc, char** argv) {
              "split by neighbor-entry budget per shard");
   parser.Flag("--no-validate", &no_validate,
               "skip checksum/structure validation of the split input");
-  parser.Size("--resident-bytes", &resident_bytes,
-              "residency cap for info/verify streaming");
   if (argc < 2) parser.FailUsage();
   const std::string command = argv[1];
   parser.ParseOrExit(argc, argv, 2);
@@ -178,11 +155,11 @@ int main(int argc, char** argv) {
   }
   if (command == "info") {
     if (manifest.empty()) parser.FailUsage();
-    return RunInfo(manifest, resident_bytes);
+    return RunInfo(manifest);
   }
   if (command == "verify") {
     if (manifest.empty()) parser.FailUsage();
-    return RunVerify(manifest, resident_bytes);
+    return RunVerify(manifest);
   }
   if (command == "merge") {
     if (manifest.empty() || output.empty()) parser.FailUsage();

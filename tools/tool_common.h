@@ -19,7 +19,6 @@
 
 #include "common/status.h"
 #include "common/str.h"
-#include "shard/sharded_graph.h"
 
 namespace ksym_tools {
 
@@ -28,18 +27,6 @@ namespace ksym_tools {
 inline int Fail(const ksym::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// One-line residency summary of a sharded run — how the streaming behaved
-/// under the byte budget.
-inline void PrintResidencyStats(const ksym::ShardResidencyStats& stats) {
-  std::fprintf(stderr,
-               "residency: %llu loads, %llu hits, %llu evictions, "
-               "peak resident %zu bytes\n",
-               static_cast<unsigned long long>(stats.loads),
-               static_cast<unsigned long long>(stats.hits),
-               static_cast<unsigned long long>(stats.evictions),
-               stats.peak_resident_bytes);
 }
 
 /// Declarative flag parser shared by every ksym_* tool.
