@@ -24,15 +24,9 @@
 // BM_ShardedAnonymize runs the out-of-core publish over an 8-shard split
 // of the 200k graph, against its in-memory baseline.
 //
-// The PR 8 SIMD family (BM_Simd*, registered per supported level in main)
-// measures the dispatched kernels — block/galloping sorted intersection,
-// batched BFS expansion — with rdtsc cycle stamps, and attaches each
-// row's analytical prediction from the simd/cost_model.h registry as
-// predicted_cycles / measured_cycles / predicted_over_measured counters.
-// CI's bench smoke step fails when any ratio leaves a generous band: the
-// models police the kernels and vice versa. The JSON context records the probed/active SIMD levels and the
-// honest build types of both the repo code and the linked google-benchmark
-// (the distro's library is a debug build; see bench/benchmarks.cmake).
+// The JSON context records the honest build types of both the repo code
+// and the linked google-benchmark (the distro's library is a debug build;
+// see bench/benchmarks.cmake).
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
@@ -65,16 +59,8 @@
 #include "ksym/sharded_anonymizer.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_graph.h"
-#include "simd/bfs.h"
-#include "simd/cost_model.h"
-#include "simd/intersect.h"
-#include "simd/simd.h"
 #include "stats/distributions.h"
 #include "stats/resilience.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#endif
 
 namespace ksym {
 namespace {
@@ -865,160 +851,7 @@ void BM_FullRecomputeAfterEdits(benchmark::State& state) {
 }
 BENCHMARK(BM_FullRecomputeAfterEdits)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// The SIMD kernel family (DESIGN.md §13): one row per (kernel, supported
-// level), registered dynamically from main so the JSON only contains rows
-// this machine actually executed. Each row times the raw kernel with rdtsc
-// stamps around the call alone (setup/reset excluded) and attaches the
-// cost-model prediction, so the artifact carries the predicted-vs-measured
-// ratio CI's band check consumes.
-
-/// TSC read; 0 on architectures without one (counters then report ratio 0,
-/// which the CI band check skips).
-inline uint64_t CycleStamp() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __rdtsc();
-#else
-  return 0;
-#endif
-}
-
-std::vector<uint32_t> RandomSortedUnique(Rng& rng, size_t target,
-                                         uint32_t universe) {
-  std::vector<uint32_t> values;
-  values.reserve(target);
-  for (size_t i = 0; i < target; ++i) {
-    values.push_back(static_cast<uint32_t>(rng.NextBounded(universe)));
-  }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  return values;
-}
-
-/// Attaches the family's contract counters to one finished row.
-void AttachCycleCounters(benchmark::State& state, const char* kernel,
-                         simd::SimdLevel level, const simd::CostParams& params,
-                         uint64_t total_cycles) {
-  const double predicted = simd::PredictCycles(kernel, level, params).cycles;
-  const double measured =
-      state.iterations() == 0
-          ? 0.0
-          : static_cast<double>(total_cycles) /
-                static_cast<double>(state.iterations());
-  state.counters["predicted_cycles"] = benchmark::Counter(predicted);
-  state.counters["measured_cycles"] = benchmark::Counter(measured);
-  state.counters["predicted_over_measured"] =
-      benchmark::Counter(measured > 0.0 ? predicted / measured : 0.0);
-}
-
-void BM_SimdIntersect(benchmark::State& state, simd::SimdLevel level) {
-  Rng rng(8080);
-  // Balanced dense pair: ~50% overlap, lengths past any block tail.
-  const std::vector<uint32_t> a = RandomSortedUnique(rng, 4096, 8192);
-  const std::vector<uint32_t> b = RandomSortedUnique(rng, 4096, 8192);
-  std::vector<uint32_t> out(std::min(a.size(), b.size()) +
-                            simd::kIntersectOutPadding);
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    const uint64_t t0 = CycleStamp();
-    const size_t got = simd::IntersectSortedBlock(
-        level, a.data(), a.size(), b.data(), b.size(), out.data());
-    cycles += CycleStamp() - t0;
-    benchmark::DoNotOptimize(got);
-    benchmark::DoNotOptimize(out.data());
-  }
-  simd::CostParams params;
-  params.na = a.size();
-  params.nb = b.size();
-  AttachCycleCounters(state, "intersect", level, params, cycles);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size() + b.size()));
-}
-
-void BM_SimdIntersectGallop(benchmark::State& state, simd::SimdLevel level) {
-  Rng rng(8081);
-  // Skewed pair well past PreferGallop's ratio: 64 probes into 64k.
-  const std::vector<uint32_t> a = RandomSortedUnique(rng, 64, 1u << 20);
-  const std::vector<uint32_t> b = RandomSortedUnique(rng, 65536, 1u << 20);
-  std::vector<uint32_t> out(std::min(a.size(), b.size()) +
-                            simd::kIntersectOutPadding);
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    const uint64_t t0 = CycleStamp();
-    const size_t got = simd::IntersectSortedGallop(
-        a.data(), a.size(), b.data(), b.size(), out.data());
-    cycles += CycleStamp() - t0;
-    benchmark::DoNotOptimize(got);
-  }
-  simd::CostParams params;
-  params.na = a.size();
-  params.nb = b.size();
-  AttachCycleCounters(state, "intersect_gallop", level, params, cycles);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size()));
-}
-
-void BM_SimdBfsExpand(benchmark::State& state, simd::SimdLevel level) {
-  Rng rng(8083);
-  const size_t n = 1u << 16;
-  // Mid-BFS shape: most neighbors already visited, ~1/16 still unvisited.
-  std::vector<int64_t> base(n);
-  size_t unvisited = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool hit = rng.NextBounded(16) == 0;
-    base[i] = hit ? -1 : static_cast<int64_t>(3);
-    unvisited += hit;
-  }
-  const std::vector<uint32_t> nbrs =
-      RandomSortedUnique(rng, 8192, static_cast<uint32_t>(n));
-  size_t hits_per_call = 0;
-  for (uint32_t w : nbrs) hits_per_call += base[w] < 0;
-  std::vector<int64_t> dist = base;
-  std::vector<uint32_t> out;
-  out.reserve(n);
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    // Reset outside the stamps: the counters time the kernel alone.
-    dist = base;
-    out.clear();
-    const uint64_t t0 = CycleStamp();
-    simd::ExpandNeighbors(level, nbrs.data(), nbrs.size(), 4, dist.data(),
-                          out);
-    cycles += CycleStamp() - t0;
-    benchmark::DoNotOptimize(dist.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  simd::CostParams params;
-  params.arcs = nbrs.size();
-  params.hit_fraction = static_cast<double>(hits_per_call) /
-                        static_cast<double>(nbrs.size());
-  AttachCycleCounters(state, "bfs_expand", level, params, cycles);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nbrs.size()));
-}
-
 }  // namespace
-
-// Registers one row per (kernel, level this machine can execute). Called
-// from main between Initialize and RunSpecifiedBenchmarks.
-void RegisterSimdBenches() {
-  std::vector<simd::SimdLevel> levels{simd::SimdLevel::kScalar};
-  for (simd::SimdLevel level :
-       {simd::SimdLevel::kSse42, simd::SimdLevel::kAvx2,
-        simd::SimdLevel::kNeon}) {
-    if (simd::SimdLevelSupported(level)) levels.push_back(level);
-  }
-  for (simd::SimdLevel level : levels) {
-    const std::string suffix = simd::SimdLevelName(level);
-    benchmark::RegisterBenchmark(("BM_SimdIntersect/" + suffix).c_str(),
-                                 BM_SimdIntersect, level);
-    benchmark::RegisterBenchmark(("BM_SimdIntersectGallop/" + suffix).c_str(),
-                                 BM_SimdIntersectGallop, level);
-    benchmark::RegisterBenchmark(("BM_SimdBfsExpand/" + suffix).c_str(),
-                                 BM_SimdBfsExpand, level);
-  }
-}
-
 }  // namespace ksym
 
 #ifndef KSYM_BENCH_BUILD_TYPE
@@ -1043,7 +876,6 @@ int main(int argc, char** argv) {
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ksym::RegisterSimdBenches();
   // Whether the thread sweeps ran on real cores: on a single-core container
   // the 2/4/8-thread rows measure scheduling overhead, not scaling.
   const unsigned hw = std::thread::hardware_concurrency();
@@ -1066,15 +898,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "WARNING: linked google-benchmark library_build_type=%s — "
                  "harness overheads are debug-sized; absolute times are "
-                 "pessimistic (kernel cycle counters are unaffected)\n",
+                 "pessimistic\n",
                  KSYM_BENCHMARK_LIB_BUILD_TYPE);
   }
-  benchmark::AddCustomContext(
-      "simd_level",
-      ksym::simd::SimdLevelName(ksym::simd::ActiveSimdLevel()));
-  benchmark::AddCustomContext(
-      "simd_max_supported_level",
-      ksym::simd::SimdLevelName(ksym::simd::MaxSupportedSimdLevel()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

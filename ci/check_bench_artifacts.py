@@ -9,11 +9,12 @@ was lost before this check existed) must say so in its CHANGES.md line
 with the literal marker "no bench artifact" or "bench artifact lost", so
 the absence is a recorded decision instead of a silent drop.
 
-Presence is the hard gate. Artifacts are additionally parsed, but a parse
-failure only warns: some historical artifacts (BENCH_pr2.json) were
-truncated by the interrupted runs that produced them, and rewriting
-history is worse than recording the defect. An empty (0-byte) artifact
-still fails — that is a fresh placeholder, not a legacy truncation.
+Every artifact present is parsed. An artifact that does not parse fails
+the check when its PR number is FIRST_PARSED_PR or higher; an older one
+only warns: BENCH_pr2.json was truncated by the interrupted run that
+produced it, and rewriting history is worse than recording the defect.
+An empty (0-byte) artifact always fails — that is a fresh placeholder,
+not a legacy truncation.
 
 Usage: check_bench_artifacts.py [REPO_ROOT]
 """
@@ -24,6 +25,9 @@ import re
 import sys
 
 MARKERS = ("no bench artifact", "bench artifact lost")
+
+# Artifacts from this PR on must parse; older truncations only warn.
+FIRST_PARSED_PR = 11
 
 
 def main() -> int:
@@ -63,11 +67,16 @@ def main() -> int:
             with open(artifact, encoding="utf-8") as f:
                 data = json.load(f)
         except (OSError, json.JSONDecodeError) as error:
-            print(
-                f"WARN: PR {number}: BENCH_pr{number}.json does not parse "
-                f"({error}) — legacy truncation, kept as-is",
-                file=sys.stderr,
-            )
+            if number >= FIRST_PARSED_PR:
+                failures.append(
+                    f"PR {number}: BENCH_pr{number}.json does not parse ({error})"
+                )
+            else:
+                print(
+                    f"WARN: PR {number}: BENCH_pr{number}.json does not parse "
+                    f"({error}) — legacy truncation, kept as-is",
+                    file=sys.stderr,
+                )
             continue
         if not data.get("benchmarks"):
             failures.append(f"PR {number}: BENCH_pr{number}.json has no benchmark rows")

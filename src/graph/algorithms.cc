@@ -4,8 +4,6 @@
 #include <atomic>
 #include <numeric>
 
-#include "simd/bfs.h"
-#include "simd/intersect.h"
 #include "simd/simd.h"
 
 namespace ksym {
@@ -59,19 +57,16 @@ void BfsDistancesInto(const Graph& graph, VertexId source,
   queue.reserve(n);  // Never reallocates below: at most n vertices enqueue.
   dist[source] = 0;
   queue.push_back(source);
-  // Frontier expansion goes through the dispatched batch kernel
-  // (simd/bfs.h): per popped vertex it settles the whole sorted neighbor
-  // array, appending discoveries in array order — exactly the scalar
-  // loop's order — so dist and the queue are byte-identical at every
-  // SIMD level.
-  const simd::SimdLevel simd_level = simd::ActiveSimdLevel();
   size_t head = 0;
   while (head < queue.size()) {
     const VertexId u = queue[head++];
-    const int64_t du = dist[u];
-    const auto nu = graph.Neighbors(u);
-    simd::ExpandNeighbors(simd_level, nu.data(), nu.size(), du + 1,
-                          dist.data(), queue);
+    const int64_t next = dist[u] + 1;
+    for (VertexId w : graph.Neighbors(u)) {
+      if (dist[w] < 0) {
+        dist[w] = next;
+        queue.push_back(w);
+      }
+    }
   }
   simd::AddSimdCalls(simd::SimdKernel::kBfsExpand, 1);
 }
@@ -93,62 +88,42 @@ namespace {
 // the intersection suffix (> v) contiguous: one binary search per vertex,
 // and the > v suffix of u's range starts right after v's own slot.
 //
-// The suffix intersection runs through the dispatched SIMD kernel
-// (simd/intersect.h) into `scratch` (capacity: max degree + padding);
-// skewed pairs route to the galloping variant. u and v are credited with
-// the pair's whole count and each common w with 1 — the same multiset of
-// integer corner credits the old per-triangle add(u)/add(v)/add(w) loop
-// produced, so the commutative sums (plain or relaxed-atomic) are
-// bit-identical at every SIMD level and thread count.
+// The two suffixes meet in a two-pointer merge that credits each common w
+// with 1 as it is found, and u and v with the pair's count afterwards. The
+// credits are integers and their sums (plain or relaxed-atomic) commute,
+// so the counts are the same at every thread count.
 template <typename AddFn>
 void CountTrianglesRange(const Graph& graph, VertexId begin, VertexId end,
-                         std::vector<VertexId>& scratch, const AddFn& add) {
-  const simd::SimdLevel simd_level = simd::ActiveSimdLevel();
-  uint64_t merges = 0;
-  uint64_t gallops = 0;
+                         const AddFn& add) {
+  uint64_t pairs = 0;
   for (VertexId u = begin; u < end; ++u) {
     const auto nu = graph.Neighbors(u);
     for (auto itv = std::upper_bound(nu.begin(), nu.end(), u);
          itv != nu.end(); ++itv) {
       const VertexId v = *itv;
       const auto nv = graph.Neighbors(v);
-      const auto iv = std::upper_bound(nv.begin(), nv.end(), v);
-      // Suffix of nu past v, and suffix of nv past v, as raw ranges.
-      const uint32_t* pa = nu.data() + (itv - nu.begin()) + 1;
-      const size_t la = static_cast<size_t>(nu.end() - (itv + 1));
-      const uint32_t* pb = nv.data() + (iv - nv.begin());
-      const size_t lb = static_cast<size_t>(nv.end() - iv);
-      size_t common;
-      if (simd_level != simd::SimdLevel::kScalar &&
-          simd::PreferGallop(la, lb)) {
-        common = simd::IntersectSortedGallop(pa, la, pb, lb, scratch.data());
-        ++gallops;
-      } else {
-        common =
-            simd::IntersectSortedBlock(simd_level, pa, la, pb, lb,
-                                       scratch.data());
-        ++merges;
+      auto a = itv + 1;
+      auto b = std::upper_bound(nv.begin(), nv.end(), v);
+      uint64_t common = 0;
+      while (a != nu.end() && b != nv.end()) {
+        if (*a < *b) {
+          ++a;
+        } else if (*b < *a) {
+          ++b;
+        } else {
+          add(*a, 1);
+          ++common;
+          ++a;
+          ++b;
+        }
       }
+      ++pairs;
       if (common == 0) continue;
       add(u, common);
       add(v, common);
-      for (size_t t = 0; t < common; ++t) add(scratch[t], 1);
     }
   }
-  simd::AddSimdCalls(simd::SimdKernel::kIntersect, merges);
-  simd::AddSimdCalls(simd::SimdKernel::kIntersectGallop, gallops);
-}
-
-/// Scratch an intersection consumer needs for any vertex pair of `graph`:
-/// a common-neighbor run is at most the max degree, plus the block-store
-/// padding.
-std::vector<VertexId> MakeIntersectScratch(const Graph& graph) {
-  size_t max_degree = 0;
-  const size_t n = graph.NumVertices();
-  for (VertexId v = 0; v < n; ++v) {
-    max_degree = std::max(max_degree, graph.Degree(v));
-  }
-  return std::vector<VertexId>(max_degree + simd::kIntersectOutPadding);
+  simd::AddSimdCalls(simd::SimdKernel::kIntersect, pairs);
 }
 
 }  // namespace
@@ -159,20 +134,16 @@ std::vector<uint64_t> TriangleCounts(const Graph& graph,
   std::vector<uint64_t> tri(n, 0);
   ThreadPool* pool = context == nullptr ? nullptr : context->pool();
   if (pool == nullptr) {
-    std::vector<VertexId> scratch = MakeIntersectScratch(graph);
-    CountTrianglesRange(graph, 0, static_cast<VertexId>(n), scratch,
+    CountTrianglesRange(graph, 0, static_cast<VertexId>(n),
                         [&tri](VertexId v, uint64_t c) { tri[v] += c; });
     return tri;
   }
   // Sharded by owning vertex u; corner credits cross shard boundaries, so
   // they go through relaxed atomic adds. Sums of per-triangle contributions
   // commute, hence the totals equal the sequential counts exactly.
-  const size_t scratch_size = MakeIntersectScratch(graph).size();
-  ParallelFor(pool, n, [&graph, &tri, scratch_size](size_t begin, size_t end,
-                                                    uint32_t) {
-    std::vector<VertexId> scratch(scratch_size);
+  ParallelFor(pool, n, [&graph, &tri](size_t begin, size_t end, uint32_t) {
     CountTrianglesRange(graph, static_cast<VertexId>(begin),
-                        static_cast<VertexId>(end), scratch,
+                        static_cast<VertexId>(end),
                         [&tri](VertexId v, uint64_t c) {
                           std::atomic_ref<uint64_t> count(tri[v]);
                           count.fetch_add(c, std::memory_order_relaxed);

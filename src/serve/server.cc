@@ -50,6 +50,14 @@ WireObject ErrorResponse(const Status& status) {
   return object;
 }
 
+WireObject BusyResponse(uint32_t retry_after_ms, const std::string& reason) {
+  WireObject object;
+  object.Set("status", WireValue::String("busy"));
+  object.Set("retry_after_ms", WireValue::Uint(retry_after_ms));
+  object.Set("error", WireValue::String(reason));
+  return object;
+}
+
 }  // namespace
 
 struct Server::Job {
@@ -178,16 +186,37 @@ void Server::AcceptLoop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    bool admitted = false;
     {
       // The new thread can only clear conn.fd under conn_mu_, so it never
       // races this assignment of conn.thread.
       std::lock_guard<std::mutex> conn_lock(conn_mu_);
-      Connection& conn = conns_.emplace_back();
-      conn.fd = fd;
-      conn.thread = std::thread(&Server::ServeConnection, this, &conn);
+      const auto live = std::count_if(
+          conns_.begin(), conns_.end(),
+          [](const Connection& conn) { return conn.fd >= 0; });
+      if (static_cast<size_t>(live) < kMaxConnections) {
+        Connection& conn = conns_.emplace_back();
+        conn.fd = fd;
+        conn.thread = std::thread(&Server::ServeConnection, this, &conn);
+        admitted = true;
+      }
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.connections;
+    {
+      // Counted before the busy line goes out, so a client that has read
+      // it sees the rejection in the stats.
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.connections;
+      if (!admitted) ++stats_.rejected_connections;
+    }
+    if (!admitted) {
+      SendAll(fd, SerializeWireLine(BusyResponse(
+                      options_.retry_after_ms,
+                      StrFormat("connection limit (%zu live) reached; retry "
+                                "later",
+                                kMaxConnections))) +
+                      "\n");
+      ::close(fd);
+    }
   }
 }
 
@@ -392,13 +421,9 @@ std::string Server::HandleLine(const std::string& line) {
     }
     if (queue_.size() >= options_.max_queue) {
       ++stats_.rejected_busy;
-      WireObject busy;
-      busy.Set("status", WireValue::String("busy"));
-      busy.Set("retry_after_ms", WireValue::Uint(options_.retry_after_ms));
-      busy.Set("error",
-               WireValue::String(StrFormat(
-                   "queue full (%zu jobs); retry later", queue_.size())));
-      return finish(std::move(busy));
+      return finish(BusyResponse(
+          options_.retry_after_ms,
+          StrFormat("queue full (%zu jobs); retry later", queue_.size())));
     }
     ++stats_.accepted;
     queue_.push_back(std::move(job));
@@ -595,6 +620,7 @@ std::string Server::StatsReport() const {
   line("batches", snapshot.batches);
   line("batched_requests", snapshot.batched_requests);
   line("connections", snapshot.connections);
+  line("rejected_connections", snapshot.rejected_connections);
   line("queue_depth", snapshot.queue_depth);
   line("running_threads", snapshot.running_threads);
   line("thread_budget", options_.thread_budget);
@@ -618,14 +644,10 @@ std::string Server::StatsReport() const {
   line("plan_cache_entries", plan.entries);
   line("plan_cache_max_bytes", dynamic_->registry.plan_cache().max_bytes());
   line("dynamic_sessions", dynamic_->registry.num_sessions());
-  // Which SIMD tier the daemon dispatched to, and how often each kernel
-  // family has actually run — so a live instance's hot paths are auditable
-  // without a debugger (DESIGN.md §13).
+  // How often each kernel family has actually run — so a live instance's
+  // hot paths are auditable without a debugger (DESIGN.md §13).
   const simd::SimdCallCounts simd_calls = simd::SimdCallCountsSnapshot();
-  report += StrFormat("simd_level: %s\n",
-                      simd::SimdLevelName(simd::ActiveSimdLevel()));
   line("simd_intersect_calls", simd_calls.intersect);
-  line("simd_intersect_gallop_calls", simd_calls.intersect_gallop);
   line("simd_splitter_scalar_calls", simd_calls.splitter_scalar);
   line("simd_bfs_expand_calls", simd_calls.bfs_expand);
   report += StrFormat("phase_anonymize_seconds: %.3f\n",

@@ -28,6 +28,11 @@
 //
 // "stats" is answered inline on the connection thread — it can always be
 // served, even (especially) when the queue is rejecting work.
+//
+// Connections: each live connection holds one thread. A connection that
+// arrives while kMaxConnections are live gets one "busy" line and is
+// closed without a thread, so clients that connect and never close cannot
+// pin an unbounded number of threads.
 
 #ifndef KSYM_SERVE_SERVER_H_
 #define KSYM_SERVE_SERVER_H_
@@ -51,6 +56,10 @@
 
 namespace ksym {
 namespace serve {
+
+/// Live connections (one thread each) the daemon serves at once; an
+/// arrival past it is answered "busy" and closed.
+inline constexpr size_t kMaxConnections = 128;
 
 struct ServerOptions {
   std::string socket_path;
@@ -86,6 +95,7 @@ struct ServerStats {
   uint64_t batches = 0;          // Sample batches executed.
   uint64_t batched_requests = 0;  // Sample requests inside those batches.
   uint64_t connections = 0;      // Connections accepted over the lifetime.
+  uint64_t rejected_connections = 0;  // Of those, closed at kMaxConnections.
   size_t queue_depth = 0;        // Live.
   size_t running_threads = 0;    // Live tokens held against the budget.
   double anonymize_seconds = 0.0;  // Per-phase execution timers.

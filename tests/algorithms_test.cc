@@ -1,10 +1,19 @@
 // Tests for graph algorithms: components, BFS, triangles, clustering,
-// induced subgraphs, degree statistics.
+// induced subgraphs, degree statistics. The triangle and BFS kernels are
+// also checked against brute-force oracles on seeded random graphs.
 
 #include "graph/algorithms.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
+#include <iterator>
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 
 namespace ksym {
@@ -106,6 +115,92 @@ TEST(ClusteringTest, HalfClosedNeighborhood) {
   b.AddEdge(0, 3);
   b.AddEdge(1, 2);
   EXPECT_NEAR(ClusteringCoefficients(b.Build())[0], 1.0 / 3.0, 1e-12);
+}
+
+/// Dense, sparse and skewed-degree graphs for the kernel oracles.
+std::vector<Graph> OracleGraphs() {
+  std::vector<Graph> graphs;
+  Rng rng(4242);
+  graphs.push_back(ErdosRenyiGnm(500, 3000, rng));
+  graphs.push_back(ErdosRenyiGnm(300, 450, rng));
+  graphs.push_back(BarabasiAlbert(400, 5, rng));
+  return graphs;
+}
+
+/// For each edge u < v, the common neighbours w > v, found by
+/// std::set_intersection and credited to u, v and w.
+std::vector<uint64_t> BruteForceTriangleCounts(const Graph& graph) {
+  std::vector<uint64_t> tri(graph.NumVertices(), 0);
+  std::vector<VertexId> common;
+  graph.ForEachEdge([&](VertexId u, VertexId v) {  // u < v.
+    std::vector<VertexId> above_u, above_v;
+    for (VertexId w : graph.Neighbors(u)) {
+      if (w > v) above_u.push_back(w);
+    }
+    for (VertexId w : graph.Neighbors(v)) {
+      if (w > v) above_v.push_back(w);
+    }
+    common.clear();
+    std::set_intersection(above_u.begin(), above_u.end(), above_v.begin(),
+                          above_v.end(), std::back_inserter(common));
+    for (VertexId w : common) {
+      ++tri[u];
+      ++tri[v];
+      ++tri[w];
+    }
+  });
+  return tri;
+}
+
+TEST(TriangleTest, MatchesBruteForceAtEveryThreadCount) {
+  for (const Graph& graph : OracleGraphs()) {
+    const std::vector<uint64_t> expected = BruteForceTriangleCounts(graph);
+    EXPECT_EQ(TriangleCounts(graph), expected);
+    for (const uint32_t threads : {1u, 2u, 4u}) {
+      const ExecutionContext context(threads);
+      EXPECT_EQ(TriangleCounts(graph, &context), expected) << threads;
+    }
+  }
+}
+
+TEST(ClusteringTest, BitIdenticalAcrossThreadCounts) {
+  for (const Graph& graph : OracleGraphs()) {
+    const std::vector<double> base = ClusteringCoefficients(graph);
+    for (const uint32_t threads : {1u, 2u, 4u}) {
+      const ExecutionContext context(threads);
+      const std::vector<double> cc = ClusteringCoefficients(graph, &context);
+      ASSERT_EQ(cc.size(), base.size());
+      EXPECT_EQ(0, std::memcmp(cc.data(), base.data(),
+                               cc.size() * sizeof(double)))
+          << threads;
+    }
+  }
+}
+
+TEST(BfsTest, DistAndQueueMatchNaiveDequeBfs) {
+  for (const Graph& graph : OracleGraphs()) {
+    for (const VertexId source : {VertexId{0}, VertexId{17}}) {
+      std::vector<int64_t> naive_dist(graph.NumVertices(), -1);
+      std::vector<VertexId> naive_order{source};
+      std::deque<VertexId> pending{source};
+      naive_dist[source] = 0;
+      while (!pending.empty()) {
+        const VertexId u = pending.front();
+        pending.pop_front();
+        for (VertexId w : graph.Neighbors(u)) {
+          if (naive_dist[w] != -1) continue;
+          naive_dist[w] = naive_dist[u] + 1;
+          naive_order.push_back(w);
+          pending.push_back(w);
+        }
+      }
+      std::vector<int64_t> dist;
+      std::vector<VertexId> queue;
+      BfsDistancesInto(graph, source, dist, queue);
+      EXPECT_EQ(dist, naive_dist) << source;
+      EXPECT_EQ(queue, naive_order) << source;
+    }
+  }
 }
 
 TEST(InducedSubgraphTest, ExtractsTriangle) {

@@ -5,7 +5,8 @@
 // hang, or wedge — after the storm it still answers, and its counters
 // reconcile: every accepted job was answered exactly once. A soak of 10^4
 // connect/close cycles checks that finished connections give back their
-// threads, descriptors and thread stacks while the server runs.
+// threads, descriptors and thread stacks while the server runs, and
+// clients that hold kMaxConnections open cannot make it spawn more.
 //
 // Deterministic per-thread xorshift streams drive the fault mix, so a
 // failure replays. The whole file is TSan-clean by construction (CI runs it
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -286,6 +288,62 @@ TEST(ServeStressTest, ConnectCloseSoakKeepsThreadsAndFdsFlat) {
   EXPECT_EQ(stats_line->GetString("status"), "ok");
   server.Stop();
   EXPECT_EQ(server.stats().connections, uint64_t{kCycles} + 1);
+}
+
+TEST(ServeStressTest, ConnectionCapAnswersBusyWithoutAThread) {
+  ServerOptions options;
+  options.socket_path = TempPath("cap.sock");
+  options.thread_budget = 1;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const size_t tasks_before = CountEntries("/proc/self/task");
+
+  // Hold the cap: every held connection is served (it has its thread).
+  std::vector<std::unique_ptr<TestClient>> held;
+  for (size_t i = 0; i < kMaxConnections; ++i) {
+    held.push_back(std::make_unique<TestClient>(options.socket_path));
+    ASSERT_TRUE(held.back()->connected());
+    const auto reply =
+        ParseWireLine(held.back()->RoundTrip("{\"op\":\"stats\"}"));
+    ASSERT_TRUE(reply.ok()) << "held connection " << i;
+    ASSERT_EQ(reply->GetString("status"), "ok") << "held connection " << i;
+  }
+
+  // One past the cap: one busy line, then EOF (a served connection would
+  // send nothing, so the read times out instead of hanging).
+  TestClient extra(options.socket_path);
+  ASSERT_TRUE(extra.connected());
+  extra.SetRecvTimeout(5000);
+  const auto busy = ParseWireLine(extra.RecvLine());
+  ASSERT_TRUE(busy.ok()) << busy.status().ToString();
+  EXPECT_EQ(busy->GetString("status"), "busy");
+  EXPECT_EQ(busy->GetUint("retry_after_ms"), options.retry_after_ms);
+  EXPECT_EQ(extra.RecvLine(), "");
+  EXPECT_LE(CountEntries("/proc/self/task"), tasks_before + kMaxConnections);
+  EXPECT_EQ(server.stats().rejected_connections, 1u);
+
+  // Once a held connection closes, its slot serves a new client. The
+  // slot frees when that connection's thread has seen EOF, so a retry may
+  // still meet the cap.
+  held.front()->Close();
+  bool served = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!served && std::chrono::steady_clock::now() < deadline) {
+    TestClient next(options.socket_path);
+    const auto reply = ParseWireLine(next.RoundTrip("{\"op\":\"stats\"}"));
+    if (reply.ok() && reply->GetString("status") == "ok") {
+      served = true;
+      EXPECT_NE(reply->GetString("report").find("rejected_connections: "),
+                std::string::npos);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(served);
+  held.clear();
+  server.Stop();
+  EXPECT_GE(server.stats().rejected_connections, 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #define KSYM_TESTS_SERVE_TEST_UTIL_H_
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -84,6 +85,14 @@ class TestClient {
       if (n <= 0) return "";
       buffer_.append(chunk, static_cast<size_t>(n));
     }
+  }
+
+  /// Makes RecvLine give up (and return "") after `ms` without data.
+  void SetRecvTimeout(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
 
   /// Sends one request line and reads its response line.
