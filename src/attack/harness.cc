@@ -90,13 +90,12 @@ std::string FormatSybilSection(const char* label, const SybilPlan& plan,
       report.truncated ? " [truncated]" : "",
       report.found_planted_embedding ? "found" : "NOT found");
 
-  size_t min_size = 0;
+  size_t min_size =
+      report.candidate_sets.empty() ? 0 : report.candidate_sets[0].size();
   size_t max_size = 0;
   size_t size_sum = 0;
   for (const auto& candidates : report.candidate_sets) {
-    if (min_size == 0 || candidates.size() < min_size) {
-      min_size = candidates.size();
-    }
+    min_size = std::min(min_size, candidates.size());
     max_size = std::max(max_size, candidates.size());
     size_sum += candidates.size();
   }

@@ -1,6 +1,7 @@
 #include "attack/sybil.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <numeric>
 #include <utility>
@@ -22,50 +23,143 @@ std::vector<uint32_t> PatternMasks(const Graph& pattern) {
   return masks;
 }
 
-// State of one anchor's backtracking search, kept on one struct so the
-// recursion reads naturally. Positions are assigned in pattern-id order;
-// the path spine guarantees position i > 0 is adjacent to position i - 1,
-// so candidates always come from an assigned vertex's neighbour list.
-struct EmbeddingSearch {
-  const Graph& release;
-  const std::vector<uint32_t>& pattern_masks;
-  const std::vector<size_t>& planted_degrees;
-  uint64_t budget;  // Remaining candidate attempts for this anchor.
-  std::vector<VertexId> mapping;
-  std::vector<std::vector<VertexId>>& embeddings;
+// Per-shard recovery results, merged in shard order after the sweep.
+struct ShardResult {
+  size_t embeddings = 0;
+  bool found_planted_embedding = false;
+  bool truncated = false;
+  std::vector<std::vector<VertexId>> candidates;  // Per target.
+};
 
+// One shard's streaming embedding search. Positions are assigned in
+// pattern-id order; the path spine guarantees position i > 0 is adjacent to
+// position i - 1, so candidates always come from an assigned vertex's
+// neighbour list. mask_of_[u] holds bit j exactly when u is adjacent to the
+// vertex at assigned position j: the bit is set when the position is
+// assigned and cleared when it is released. So the induced-adjacency test
+// of a candidate for position p is one compare with the pattern's bits
+// below p, and at a leaf mask_of_[u] is u's adjacency set to the embedding.
+// Embeddings are counted and fingerprinted at the leaf, never stored.
+class EmbeddingSearch {
+ public:
+  EmbeddingSearch(const Graph& release, const SybilPlan& plan,
+                  ShardResult& result)
+      : release_(release),
+        plan_(plan),
+        result_(result),
+        pattern_masks_(PatternMasks(plan.pattern)),
+        mapping_(plan.pattern.NumVertices()),
+        mask_of_(release.NumVertices(), 0),
+        last_mask_(release.NumVertices(), 0) {
+    result_.candidates.resize(plan.targets.size());
+    // Every candidate of a target is adjacent to the position of its
+    // fingerprint's lowest bit; a fingerprint with no bit below s matches
+    // no vertex.
+    for (uint32_t fingerprint : plan.fingerprints) {
+      const auto lowest = static_cast<uint32_t>(std::countr_zero(fingerprint));
+      if (lowest < mapping_.size()) scan_positions_.push_back(lowest);
+    }
+    std::sort(scan_positions_.begin(), scan_positions_.end());
+    scan_positions_.erase(
+        std::unique(scan_positions_.begin(), scan_positions_.end()),
+        scan_positions_.end());
+  }
+
+  void SearchAnchor(VertexId anchor, uint64_t max_nodes) {
+    budget_ = max_nodes;
+    Assign(0, anchor);
+    if (!Extend(1)) result_.truncated = true;
+    Unassign(0);
+  }
+
+ private:
+  void Assign(uint32_t position, VertexId v) {
+    mapping_[position] = v;
+    for (VertexId u : release_.Neighbors(v)) {
+      mask_of_[u] |= uint32_t{1} << position;
+    }
+  }
+
+  void Unassign(uint32_t position) {
+    for (VertexId u : release_.Neighbors(mapping_[position])) {
+      mask_of_[u] &= ~(uint32_t{1} << position);
+    }
+  }
+
+  bool IsAssigned(VertexId v, uint32_t positions) const {
+    return std::find(mapping_.begin(), mapping_.begin() + positions, v) !=
+           mapping_.begin() + positions;
+  }
+
+  bool IsFingerprint(uint32_t mask) const {
+    return std::find(plan_.fingerprints.begin(), plan_.fingerprints.end(),
+                     mask) != plan_.fingerprints.end();
+  }
+
+  // Returns false when the budget ran out; the caller then unwinds without
+  // trying further candidates.
   bool Extend(uint32_t position) {
-    const uint32_t s = static_cast<uint32_t>(pattern_masks.size());
+    const auto s = static_cast<uint32_t>(mapping_.size());
     if (position == s) {
-      embeddings.push_back(mapping);
+      RecordLeaf();
       return true;
     }
-    const uint32_t mask = pattern_masks[position];
-    for (VertexId v : release.Neighbors(mapping[position - 1])) {
-      if (budget == 0) return false;
-      --budget;
-      if (release.Degree(v) < planted_degrees[position]) continue;
-      bool ok = true;
-      for (uint32_t j = 0; j < position && ok; ++j) {
-        if (mapping[j] == v) {
-          ok = false;
-        } else if (((mask >> j) & 1) != uint32_t{release.HasEdge(v, mapping[j])}) {
-          ok = false;
-        }
+    const uint32_t want =
+        pattern_masks_[position] & ((uint32_t{1} << position) - 1);
+    for (VertexId v : release_.Neighbors(mapping_[position - 1])) {
+      if (budget_ == 0) return false;
+      --budget_;
+      if (mask_of_[v] != want ||
+          release_.Degree(v) < plan_.planted_degrees[position] ||
+          IsAssigned(v, position)) {
+        continue;
       }
-      if (!ok) continue;
-      mapping[position] = v;
-      if (!Extend(position + 1)) return false;
+      Assign(position, v);
+      const bool complete = Extend(position + 1);
+      Unassign(position);
+      if (!complete) return false;
     }
     return true;
   }
-};
 
-// Per-shard recovery state, merged in shard order after the sweep.
-struct ShardResult {
-  std::vector<std::vector<VertexId>> embeddings;
-  std::vector<std::vector<VertexId>> candidates;  // Per target.
-  bool truncated = false;
+  // Scans the neighbour lists of the scan positions only, and reads each
+  // vertex at its own lowest bit only.
+  void RecordLeaf() {
+    ++result_.embeddings;
+    if (std::equal(mapping_.begin(), mapping_.end(), plan_.sybils.begin(),
+                   plan_.sybils.end())) {
+      result_.found_planted_embedding = true;
+    }
+    const auto s = static_cast<uint32_t>(mapping_.size());
+    for (uint32_t position : scan_positions_) {
+      for (VertexId u : release_.Neighbors(mapping_[position])) {
+        const uint32_t mask = mask_of_[u];
+        if (static_cast<uint32_t>(std::countr_zero(mask)) != position ||
+            mask == last_mask_[u] || !IsFingerprint(mask) ||
+            IsAssigned(u, s)) {
+          continue;
+        }
+        for (size_t t = 0; t < result_.candidates.size(); ++t) {
+          if (mask == plan_.fingerprints[t]) {
+            result_.candidates[t].push_back(u);
+          }
+        }
+        // u is already in this shard's lists for this mask; skip it until
+        // it turns up under another one.
+        last_mask_[u] = mask;
+      }
+    }
+  }
+
+  const Graph& release_;
+  const SybilPlan& plan_;
+  ShardResult& result_;
+  const std::vector<uint32_t> pattern_masks_;
+  std::vector<uint32_t> scan_positions_;  // Ascending, distinct.
+  uint64_t budget_ = 0;  // Remaining candidate attempts for this anchor.
+  std::vector<VertexId> mapping_;
+  std::vector<uint32_t> mask_of_;
+  std::vector<uint32_t> last_mask_;
 };
 
 }  // namespace
@@ -152,9 +246,7 @@ Result<SybilPlant> PlantSybils(const Graph& graph,
 
 SybilAttackReport RecoverSybils(const Graph& release, const SybilPlan& plan,
                                 const SybilRecoveryOptions& options) {
-  const uint32_t s = static_cast<uint32_t>(plan.pattern.NumVertices());
   const size_t num_targets = plan.targets.size();
-  const std::vector<uint32_t> pattern_masks = PatternMasks(plan.pattern);
 
   ThreadPool* pool = options.context == nullptr ? nullptr
                                                 : options.context->pool();
@@ -163,61 +255,21 @@ SybilAttackReport RecoverSybils(const Graph& release, const SybilPlan& plan,
 
   ParallelFor(pool, release.NumVertices(), [&](size_t begin, size_t end,
                                                uint32_t shard) {
-    ShardResult& result = shards[shard];
-    result.candidates.resize(num_targets);
-    // Scratch for fingerprint extraction: adjacency-to-embedding bitmask
-    // per vertex, reset via the touched list (never a full clear).
-    std::vector<uint32_t> mask_of(release.NumVertices(), 0);
-    std::vector<VertexId> touched;
-
+    EmbeddingSearch search(release, plan, shards[shard]);
     for (VertexId anchor = static_cast<VertexId>(begin); anchor < end;
          ++anchor) {
       if (release.Degree(anchor) < plan.planted_degrees[0]) continue;
-      const size_t first_embedding = result.embeddings.size();
-      EmbeddingSearch search{release,
-                             pattern_masks,
-                             plan.planted_degrees,
-                             options.max_nodes_per_anchor,
-                             std::vector<VertexId>(s),
-                             result.embeddings};
-      search.mapping[0] = anchor;
-      if (!search.Extend(1)) result.truncated = true;
-
-      // Read each new embedding's fingerprints off the release adjacency.
-      for (size_t e = first_embedding; e < result.embeddings.size(); ++e) {
-        const std::vector<VertexId>& embedding = result.embeddings[e];
-        touched.clear();
-        for (uint32_t i = 0; i < s; ++i) {
-          for (VertexId u : release.Neighbors(embedding[i])) {
-            if (mask_of[u] == 0) touched.push_back(u);
-            mask_of[u] |= uint32_t{1} << i;
-          }
-        }
-        for (uint32_t i = 0; i < s; ++i) mask_of[embedding[i]] = 0;
-        for (VertexId u : touched) {
-          if (mask_of[u] == 0) continue;  // An embedded sybil, cleared above.
-          for (size_t t = 0; t < num_targets; ++t) {
-            if (mask_of[u] == plan.fingerprints[t]) {
-              result.candidates[t].push_back(u);
-            }
-          }
-        }
-        for (VertexId u : touched) mask_of[u] = 0;
-      }
+      search.SearchAnchor(anchor, options.max_nodes_per_anchor);
     }
   });
 
   SybilAttackReport report;
   report.candidate_sets.resize(num_targets);
   for (const ShardResult& shard : shards) {
-    report.embeddings_found += shard.embeddings.size();
+    report.embeddings_found += shard.embeddings;
     report.truncated = report.truncated || shard.truncated;
-    for (const auto& embedding : shard.embeddings) {
-      if (std::equal(embedding.begin(), embedding.end(), plan.sybils.begin(),
-                     plan.sybils.end())) {
-        report.found_planted_embedding = true;
-      }
-    }
+    report.found_planted_embedding =
+        report.found_planted_embedding || shard.found_planted_embedding;
     for (size_t t = 0; t < shard.candidates.size(); ++t) {
       report.candidate_sets[t].insert(report.candidate_sets[t].end(),
                                       shard.candidates[t].begin(),

@@ -18,11 +18,21 @@
 // Against a naive release, fingerprint uniqueness typically pins every
 // target exactly; the harness reports both regimes' success rates.
 //
-// Determinism: planting is a pure function of (graph, options). Recovery
-// enumerates embeddings anchored on pattern vertex 0; with a parallel
-// context the anchor range is sharded by ParallelFor (static chunks) and
-// per-shard results are merged in shard order, and the search budget is
-// per-anchor, so reports are bit-identical for any thread count.
+// Recovery is one depth-first search per anchor (the release vertex placed
+// at pattern position 0). Each search keeps, per release vertex, a bitmask
+// of its adjacency to the vertices assigned so far, so the induced-adjacency
+// test of a candidate is one compare and, at a leaf, each vertex's mask is
+// its fingerprint against the embedding; only the neighbour lists of the
+// fingerprints' lowest-bit positions are scanned for candidates. Embeddings
+// are counted, never stored: each worker's scratch is O(|V|) however many
+// embeddings the release holds.
+//
+// Determinism: planting is a pure function of (graph, options). With a
+// parallel context the anchor range is sharded by ParallelFor (static
+// chunks); each anchor's budget is spent in the same neighbour order at any
+// thread count; per-shard counts and candidate lists are merged in shard
+// order, and the lists are sorted and deduplicated. So reports are
+// bit-identical for any thread count.
 
 #ifndef KSYM_ATTACK_SYBIL_H_
 #define KSYM_ATTACK_SYBIL_H_
@@ -69,11 +79,14 @@ Result<SybilPlant> PlantSybils(const Graph& graph,
                                const SybilPlantOptions& options);
 
 struct SybilRecoveryOptions {
-  /// Backtracking budget per anchor vertex (assignment attempts). The
-  /// budget is per-anchor so truncation is schedule-independent; a
+  /// Backtracking budget per anchor vertex: every neighbour tried as the
+  /// vertex of the next pattern position costs one. Each anchor spends its
+  /// own budget in a fixed order, so truncation is schedule-independent; a
   /// truncated report says so instead of silently under-counting.
   uint64_t max_nodes_per_anchor = uint64_t{1} << 20;
-  /// Parallel anchor sweep; results are bit-identical to sequential.
+  /// Parallel anchor sweep: one search per worker over a contiguous chunk
+  /// of anchors, each with its own O(|V|) scratch. Results are
+  /// bit-identical to sequential.
   const ExecutionContext* context = nullptr;
 };
 

@@ -1,8 +1,10 @@
 // Tests for the ksym_attack adversary stack (DESIGN.md §14): per-model unit
 // tests on hand-built graphs with known candidate sets, the naive-release
-// baseline where the sybil attack must fully succeed, 1/2/4-thread
-// bit-identity of every report surface, the pinned golden report on the
-// checked-in graph, and the descriptive-error contract for manifest inputs.
+// baseline where the sybil attack must fully succeed, a pinned
+// budget-truncated recovery, sybil recovery against a brute-force oracle,
+// 1/2/4-thread bit-identity of every report surface, the pinned golden
+// report on the checked-in graph, and the descriptive-error contract for
+// manifest inputs.
 
 #include <algorithm>
 #include <cstdint>
@@ -285,6 +287,165 @@ TEST(SybilRecoveryTest, PerAnchorBudgetReportsTruncation) {
   const SybilAttackReport report =
       RecoverSybils(plant->graph, plant->plan, recovery);
   EXPECT_TRUE(report.truncated);
+}
+
+TEST(SybilRecoveryTest, TruncatedBudgetIsPinnedAtEveryThreadCount) {
+  // A budget that cuts the search part-way through: the figures pin which
+  // assignment attempt each anchor stops at, so a kernel that scans
+  // candidates in another order or charges the budget elsewhere moves them.
+  SybilPlantOptions options;
+  options.num_sybils = 6;
+  options.num_targets = 3;
+  options.seed = 7;
+  const auto plant = PlantSybils(GoldenHostGraph(), options);
+  ASSERT_TRUE(plant.ok());
+  AnonymizationOptions anon;
+  anon.k = 3;
+  const auto release = Anonymize(plant->graph, anon);
+  ASSERT_TRUE(release.ok());
+
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    ExecutionContext context(threads);
+    SybilRecoveryOptions recovery;
+    recovery.max_nodes_per_anchor = 1000;
+    recovery.context = &context;
+    const SybilAttackReport report =
+        RecoverSybils(release->graph, plant->plan, recovery);
+    EXPECT_EQ(report.embeddings_found, 189u) << threads << " threads";
+    EXPECT_TRUE(report.truncated) << threads << " threads";
+    EXPECT_FALSE(report.found_planted_embedding) << threads << " threads";
+    EXPECT_EQ(report.candidate_sets,
+              (std::vector<std::vector<VertexId>>{{}, {}, {35, 106, 107}}))
+        << threads << " threads";
+    // The section's minimum counts the empty sets.
+    const std::string section =
+        FormatSybilSection("anonymized release", plant->plan, report);
+    EXPECT_NE(section.find("min 0, mean 1.00, max 3"), std::string::npos)
+        << section;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Brute-force recovery oracle
+// ---------------------------------------------------------------------------
+
+// What recovery must report, computed from the definitions alone: an
+// embedding is an injective s-tuple whose induced adjacency equals the
+// pattern and whose degrees meet planted_degrees; a target's candidates are
+// the vertices outside some embedding whose adjacency set to it equals the
+// target's fingerprint. Tuples are extended one position at a time over
+// every vertex id; a prefix is dropped as soon as it fails a test that every
+// tuple extending it would fail too, so the kept tuples are exactly those of
+// a full enumeration.
+struct OracleRecovery {
+  size_t embeddings = 0;
+  bool found_planted = false;
+  std::vector<std::vector<VertexId>> candidate_sets;
+};
+
+void OracleExtend(const Graph& graph, const SybilPlan& plan,
+                  std::vector<VertexId>& tuple, OracleRecovery& out) {
+  const auto in_tuple = [&tuple](VertexId v) {
+    return std::find(tuple.begin(), tuple.end(), v) != tuple.end();
+  };
+  const size_t position = tuple.size();
+  if (position == plan.sybils.size()) {
+    ++out.embeddings;
+    if (tuple == plan.sybils) out.found_planted = true;
+    for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+      if (in_tuple(u)) continue;
+      uint32_t adjacency = 0;
+      for (size_t i = 0; i < tuple.size(); ++i) {
+        if (graph.HasEdge(u, tuple[i])) adjacency |= uint32_t{1} << i;
+      }
+      for (size_t t = 0; t < plan.fingerprints.size(); ++t) {
+        if (adjacency == plan.fingerprints[t]) {
+          out.candidate_sets[t].push_back(u);
+        }
+      }
+    }
+    return;
+  }
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    if (in_tuple(v) || graph.Degree(v) < plan.planted_degrees[position]) {
+      continue;
+    }
+    bool induced = true;
+    for (size_t j = 0; j < position && induced; ++j) {
+      induced = graph.HasEdge(v, tuple[j]) ==
+                plan.pattern.HasEdge(static_cast<VertexId>(position),
+                                     static_cast<VertexId>(j));
+    }
+    if (!induced) continue;
+    tuple.push_back(v);
+    OracleExtend(graph, plan, tuple, out);
+    tuple.pop_back();
+  }
+}
+
+OracleRecovery BruteForceRecovery(const Graph& graph, const SybilPlan& plan) {
+  OracleRecovery out;
+  out.candidate_sets.resize(plan.targets.size());
+  std::vector<VertexId> tuple;
+  OracleExtend(graph, plan, tuple, out);
+  for (auto& candidates : out.candidate_sets) {
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+  }
+  return out;
+}
+
+TEST(SybilOracleTest, RecoveryMatchesBruteForceOnRandomHosts) {
+  size_t total_embeddings = 0;
+  size_t multi_embedding_graphs = 0;
+  size_t total_candidates = 0;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(1000 + seed);
+    const size_t n = 6 + seed % 5;
+    const Graph host = ErdosRenyiGnp(n, 0.25 + 0.05 * (seed % 4), rng);
+    SybilPlantOptions options;
+    options.num_sybils = 3 + static_cast<uint32_t>(seed % 2);
+    options.num_targets = 1 + static_cast<uint32_t>(seed % 3);
+    options.seed = seed;
+    const auto plant = PlantSybils(host, options);
+    ASSERT_TRUE(plant.ok()) << plant.status().ToString();
+    AnonymizationOptions anon;
+    anon.k = 2;
+    const auto release = Anonymize(plant->graph, anon);
+    ASSERT_TRUE(release.ok()) << release.status().ToString();
+    ASSERT_LE(release->graph.NumVertices(), 28u);
+
+    for (const Graph* graph : {&plant->graph, &release->graph}) {
+      const OracleRecovery expected = BruteForceRecovery(*graph, plant->plan);
+      total_embeddings += expected.embeddings;
+      if (expected.embeddings > 1) ++multi_embedding_graphs;
+      for (const auto& candidates : expected.candidate_sets) {
+        total_candidates += candidates.size();
+      }
+      for (const uint32_t threads : {1u, 2u, 4u}) {
+        ExecutionContext context(threads);
+        SybilRecoveryOptions recovery;
+        recovery.context = &context;
+        const SybilAttackReport report =
+            RecoverSybils(*graph, plant->plan, recovery);
+        const std::string where =
+            "seed " + std::to_string(seed) +
+            (graph == &plant->graph ? " planted" : " release") + ", " +
+            std::to_string(threads) + " threads";
+        EXPECT_FALSE(report.truncated) << where;
+        EXPECT_EQ(report.embeddings_found, expected.embeddings) << where;
+        EXPECT_EQ(report.found_planted_embedding, expected.found_planted)
+            << where;
+        EXPECT_EQ(report.candidate_sets, expected.candidate_sets) << where;
+      }
+    }
+  }
+  // The sweep is not vacuous: most graphs embed the pattern more than once,
+  // so candidate sets merge across embeddings.
+  EXPECT_GT(multi_embedding_graphs, 50u);
+  EXPECT_GT(total_embeddings, 1000u);
+  EXPECT_GT(total_candidates, 500u);
 }
 
 // ---------------------------------------------------------------------------
