@@ -9,9 +9,10 @@
 // it the binary prints a usage line and exits 2. Graph memory footprints
 // (Graph::MemoryBytes) and process peak RSS are attached as counters, so
 // the bench trajectory tracks space as well as time; the thread-scaling
-// sweeps record how the parallel evaluation engine — clustering,
-// path-length sampling, batch sampling, ego-net measures — scales at
-// 1/2/4/8 threads, and the end-to-end anonymize bench attaches the
+// sweeps record how the parallel evaluation engine — clustering, batch
+// sampling, ego-net measures — scales at 1/2/4/8 threads (path-length
+// sampling ignores its context, so its /N rows all time the same
+// sequential pair searches), and the end-to-end anonymize bench attaches the
 // pipeline's RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
 // show real speedup) are identifiable from the artifact alone.

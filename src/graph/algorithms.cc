@@ -78,6 +78,49 @@ std::vector<int64_t> BfsDistances(const Graph& graph, VertexId source) {
   return dist;
 }
 
+PairDistance::PairDistance(const Graph& graph)
+    : graph_(graph), mark_(graph.NumVertices(), 0) {}
+
+int64_t PairDistance::operator()(VertexId s, VertexId t) {
+  KSYM_DCHECK(s < graph_.NumVertices() && t < graph_.NumVertices());
+  if (s == t) return 0;
+  simd::AddSimdCalls(simd::SimdKernel::kBfsExpand, 1);
+  if (epoch_ == UINT32_MAX / 2) {  // 2 * epoch_ + 1 would wrap.
+    std::fill(mark_.begin(), mark_.end(), 0);
+    epoch_ = 0;
+  }
+  ++epoch_;
+  mark_[s] = 2 * epoch_;
+  mark_[t] = 2 * epoch_ + 1;
+  frontier_[0].assign(1, s);
+  frontier_[1].assign(1, t);
+  uint64_t volume[2] = {graph_.Degree(s), graph_.Degree(t)};
+  int64_t depth[2] = {0, 0};
+  while (true) {
+    const uint32_t side = volume[1] < volume[0] ? 1 : 0;
+    const uint32_t own = 2 * epoch_ + side;
+    const uint32_t other = own ^ 1;
+    next_.clear();
+    uint64_t next_volume = 0;
+    for (VertexId u : frontier_[side]) {
+      for (VertexId w : graph_.Neighbors(u)) {
+        // No vertex carries both marks, so a hit on the other side's mark
+        // is its current frontier, and this level is the first to meet.
+        if (mark_[w] == other) return depth[0] + depth[1] + 1;
+        if (mark_[w] != own) {
+          mark_[w] = own;
+          next_.push_back(w);
+          next_volume += graph_.Degree(w);
+        }
+      }
+    }
+    if (next_.empty()) return -1;  // This side's component is exhausted.
+    frontier_[side].swap(next_);
+    volume[side] = next_volume;
+    ++depth[side];
+  }
+}
+
 namespace {
 
 // Core of TriangleCounts over the vertex range [begin, end): for each edge

@@ -42,6 +42,29 @@ std::vector<int64_t> BfsDistances(const Graph& graph, VertexId source);
 void BfsDistancesInto(const Graph& graph, VertexId source,
                       std::vector<int64_t>& dist, std::vector<VertexId>& queue);
 
+/// Exact s-t distances by level-synchronous bidirectional BFS (Pohl 1971),
+/// with reusable O(n) scratch. Each step expands the whole frontier of the
+/// side with the smaller adjacency volume (sum of degrees); the first
+/// neighbour already reached by the other side ends the search. A pair
+/// costs O(touched): visited marks carry an epoch, so a new pair resets
+/// nothing. Each search with s != t adds one `kBfsExpand` call count.
+class PairDistance {
+ public:
+  explicit PairDistance(const Graph& graph);
+
+  /// dist(s, t): 0 when s == t, -1 when t is unreachable from s.
+  int64_t operator()(VertexId s, VertexId t);
+
+ private:
+  const Graph& graph_;
+  // mark_[v] is 2 * epoch_ when side s reached v in this search and
+  // 2 * epoch_ + 1 when side t did; anything smaller is unvisited.
+  std::vector<uint32_t> mark_;
+  uint32_t epoch_ = 0;
+  std::vector<VertexId> frontier_[2];
+  std::vector<VertexId> next_;
+};
+
 /// Per-vertex triangle counts: tri(v) = number of triangles through v.
 /// Runs in O(sum_over_edges min(deg)) using sorted-adjacency merge. With a
 /// parallel `context` the edge scan is sharded by vertex range and corner

@@ -33,7 +33,7 @@ struct SimdCallCounts {
   uint64_t intersect_gallop = 0;  // Always 0: kept for the benchmark.
   uint64_t splitter_dense = 0;    // Always 0: kept for the benchmark.
   uint64_t splitter_scalar = 0;   // Refinement splitter counting passes.
-  uint64_t bfs_expand = 0;        // BFS runs.
+  uint64_t bfs_expand = 0;        // BFS runs and PairDistance searches.
 };
 
 enum class SimdKernel : uint8_t {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <utility>
 
 #include "graph/algorithms.h"
 
@@ -29,79 +27,20 @@ std::vector<double> ClusteringValues(const Graph& graph,
 
 std::vector<double> SampledPathLengths(const Graph& graph, size_t num_pairs,
                                        Rng& rng,
-                                       const ExecutionContext* context) {
+                                       const ExecutionContext* /*context*/) {
   std::vector<double> lengths;
   const size_t n = graph.NumVertices();
   if (n < 2 || num_pairs == 0) return lengths;
   lengths.reserve(num_pairs);
-  ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-
-  // Pairs are drawn in batches sized to the outstanding need, then grouped
-  // by source so each distinct source costs exactly one BFS — the old
-  // last-source-only cache re-ran the BFS on nearly every draw. The batch
-  // boundary is a deterministic function of the accepted count, and every
-  // pair's distance lands in a slot indexed by its draw position, so the
-  // accepted prefix is independent of grouping and thread count.
-  size_t attempts = 0;
+  PairDistance distance(graph);
   const size_t max_attempts = num_pairs * 20;
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  std::vector<uint32_t> by_source;              // Pair indices, grouped.
-  std::vector<std::pair<uint32_t, uint32_t>> groups;  // [begin, end) runs.
-  std::vector<int64_t> result;                  // Distance per pair; -1 skip.
-  while (lengths.size() < num_pairs && attempts < max_attempts) {
-    const size_t batch =
-        std::min(num_pairs - lengths.size(), max_attempts - attempts);
-    attempts += batch;
-    pairs.clear();
-    for (size_t i = 0; i < batch; ++i) {
-      const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
-      const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
-      pairs.emplace_back(u, v);
-    }
-
-    // Group pair indices into runs sharing a source.
-    by_source.resize(batch);
-    std::iota(by_source.begin(), by_source.end(), 0u);
-    std::sort(by_source.begin(), by_source.end(),
-              [&pairs](uint32_t a, uint32_t b) {
-                return pairs[a].first != pairs[b].first
-                           ? pairs[a].first < pairs[b].first
-                           : a < b;
-              });
-    groups.clear();
-    for (uint32_t i = 0; i < batch;) {
-      uint32_t j = i + 1;
-      while (j < batch &&
-             pairs[by_source[j]].first == pairs[by_source[i]].first) {
-        ++j;
-      }
-      groups.emplace_back(i, j);
-      i = j;
-    }
-
-    // One BFS per distinct source; groups are sharded across the pool and
-    // write disjoint result slots, so the fill is scheduling-independent.
-    result.assign(batch, -1);
-    ParallelFor(pool, groups.size(),
-                [&graph, &pairs, &by_source, &groups, &result](
-                    size_t gbegin, size_t gend, uint32_t) {
-                  std::vector<int64_t> dist;       // Per-shard BFS scratch.
-                  std::vector<VertexId> bfs_queue;
-                  for (size_t g = gbegin; g < gend; ++g) {
-                    const auto [run_begin, run_end] = groups[g];
-                    const VertexId source = pairs[by_source[run_begin]].first;
-                    BfsDistancesInto(graph, source, dist, bfs_queue);
-                    for (uint32_t r = run_begin; r < run_end; ++r) {
-                      const auto [u, v] = pairs[by_source[r]];
-                      if (u != v) result[by_source[r]] = dist[v];
-                    }
-                  }
-                });
-
-    // Accept in draw order: self-pairs and cross-component pairs stay -1.
-    for (size_t i = 0; i < batch && lengths.size() < num_pairs; ++i) {
-      if (result[i] >= 0) lengths.push_back(static_cast<double>(result[i]));
-    }
+  for (size_t attempt = 0;
+       attempt < max_attempts && lengths.size() < num_pairs; ++attempt) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+    const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
+    if (u == v) continue;
+    const int64_t d = distance(u, v);
+    if (d >= 0) lengths.push_back(static_cast<double>(d));
   }
   return lengths;
 }

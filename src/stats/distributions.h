@@ -5,7 +5,8 @@
 //
 // Every measure takes an optional ExecutionContext; the parallel path is
 // bit-identical to the sequential one for any thread count (see DESIGN.md
-// §8 on the deterministic parallel evaluation engine).
+// §8 on the deterministic parallel evaluation engine). Path-length
+// sampling has no parallel path.
 
 #ifndef KSYM_STATS_DISTRIBUTIONS_H_
 #define KSYM_STATS_DISTRIBUTIONS_H_
@@ -29,15 +30,15 @@ std::vector<double> ClusteringValues(const Graph& graph,
                                      const ExecutionContext* context = nullptr);
 
 /// Shortest-path lengths between `num_pairs` uniformly sampled distinct
-/// vertex pairs, following the paper's protocol (500 pairs). Pairs in
-/// different components are skipped; sampling stops early if connected
+/// vertex pairs, following the paper's protocol (500 pairs). Each attempt
+/// draws an ordered pair with two Rng draws; self-pairs and pairs in
+/// different components are skipped, and sampling stops early if connected
 /// pairs are too rare (after 20x oversampling attempts).
 ///
-/// Pairs are pre-drawn in batches and grouped by source, so each distinct
-/// source costs one BFS regardless of how many pairs share it; under a
-/// parallel `context` the per-source BFS sweeps run concurrently with
-/// per-thread distance scratch. The accepted lengths depend only on the
-/// Rng stream, never on the thread count.
+/// Each drawn pair costs one exact bidirectional search (PairDistance), so
+/// a pair touches only the two balls around its ends, not the whole graph.
+/// The search runs sequentially at any thread count; `context` is accepted
+/// and ignored. The accepted lengths depend only on the Rng stream.
 std::vector<double> SampledPathLengths(const Graph& graph, size_t num_pairs,
                                        Rng& rng,
                                        const ExecutionContext* context = nullptr);

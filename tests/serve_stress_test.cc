@@ -234,6 +234,24 @@ size_t CountEntries(const char* dir) {
   return count;
 }
 
+/// CountEntries("/proc/self/task") once it holds steady: five equal reads
+/// 20 ms apart, or whatever it reads after 10 s. pthread_join returns
+/// before the kernel unlists the joined task, so a thread an earlier test
+/// joined can still be counted for a moment.
+size_t SteadyTaskCount() {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  size_t count = CountEntries("/proc/self/task");
+  int equal_reads = 1;
+  while (equal_reads < 5 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const size_t next = CountEntries("/proc/self/task");
+    equal_reads = next == count ? equal_reads + 1 : 1;
+    count = next;
+  }
+  return count;
+}
+
 /// Number of memory mappings; a thread that exits without being joined
 /// keeps its stack mapped.
 size_t CountMappings() {
@@ -250,7 +268,7 @@ TEST(ServeStressTest, ConnectCloseSoakKeepsThreadsAndFdsFlat) {
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  const size_t tasks_before = CountEntries("/proc/self/task");
+  const size_t tasks_before = SteadyTaskCount();
   const size_t fds_before = CountEntries("/proc/self/fd");
   const size_t mappings_before = CountMappings();
 
