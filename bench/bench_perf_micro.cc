@@ -76,6 +76,22 @@ const Graph& HepthGraph() {
   return *graph;
 }
 
+const Graph& NetTraceGraph() {
+  static const Graph* graph = new Graph(MakeNetTraceLike());
+  return *graph;
+}
+
+/// The Hepth stand-in's exact k = 5 release (9,215 vertices): orbit copies
+/// make it twin-rich, the case the twin quotient targets.
+const Graph& HepthReleaseGraph() {
+  static const Graph* graph = [] {
+    AnonymizationOptions options;
+    options.k = 5;
+    return new Graph(Anonymize(HepthGraph(), options).value().graph);
+  }();
+  return *graph;
+}
+
 const VertexPartition& HepthOrbits() {
   static const VertexPartition* orbits =
       new VertexPartition(ComputeAutomorphismPartition(HepthGraph(), {}, nullptr));
@@ -412,6 +428,27 @@ void BM_AutomorphismSearchHepth(benchmark::State& state) {
 }
 BENCHMARK(BM_AutomorphismSearchHepth);
 
+// One iteration: the search without the twin quotient took about 2 min.
+void BM_AutomorphismSearchHepthRelease(benchmark::State& state) {
+  const Graph& graph = HepthReleaseGraph();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeAutomorphismPartition(graph, {}, nullptr));
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_AutomorphismSearchHepthRelease)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AutomorphismSearchNetTrace(benchmark::State& state) {
+  const Graph& graph = NetTraceGraph();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeAutomorphismPartition(graph, {}, nullptr));
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_AutomorphismSearchNetTrace)->Unit(benchmark::kMillisecond);
+
 void BM_AutomorphismSearchRandom(benchmark::State& state) {
   Rng rng(1);
   const Graph graph =
@@ -668,6 +705,18 @@ void BM_NeighborhoodMeasureThreads(benchmark::State& state) {
 BENCHMARK(BM_NeighborhoodMeasureThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// The ego-net canonical forms of Fig. 2's neighborhood measure on the
+// Net_trace stand-in, whose hub ego nets are mostly twin leaves.
+void BM_NeighborhoodMeasureNetTrace(benchmark::State& state) {
+  const Graph& graph = NetTraceGraph();
+  const StructuralMeasure measure = NeighborhoodMeasure(nullptr);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(measure.eval(graph));
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_NeighborhoodMeasureNetTrace)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The PR 9 adversary family (DESIGN.md §14): sybil-pattern recovery, the

@@ -71,6 +71,26 @@ MUTATIONS = [
              "    const uint32_t side = volume[1] < volume[0] ? 1 : 0;"),
         test="stats_test",
     ),
+    Mutation(
+        name="twin key ignores colour",
+        path="src/aut/twins.cc",
+        old="      candidates.push_back({colors[v], hash, v});",
+        new="      candidates.push_back({0, hash, v});",
+        test="automorphism_oracle_test",
+    ),
+    Mutation(
+        name="direct leaf test checks degrees only",
+        path="src/aut/search.cc",
+        old=("    for (const auto& [x, image] : moves_) {\n"
+             "      for (VertexId y : graph_.Neighbors(x)) {\n"
+             "        if (!graph_.HasEdge(image, first_leaf_[p.PositionOf(y)])) {\n"
+             "          return Outcome::kContinue;\n"
+             "        }\n"
+             "      }\n"
+             "    }\n"),
+        new="",
+        test="search_test",
+    ),
 ]
 
 

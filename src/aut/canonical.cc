@@ -1,22 +1,26 @@
 #include "aut/canonical.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "aut/refinement.h"
+#include "aut/twins.h"
 #include "perm/union_find.h"
 
 namespace ksym {
 namespace {
 
-// Writes the relabelled, normalized, sorted edge list of `graph` under
-// labelling `lab` into `edges` (reused across leaves).
-void RelabeledEdgesInto(const Graph& graph, const Permutation& lab,
+// Writes the relabelled, normalized, sorted edge list of `graph` under the
+// labelling `label_of` (vertex -> position) into `edges` (reused across
+// leaves).
+template <typename LabelOf>
+void RelabeledEdgesInto(const Graph& graph, const LabelOf& label_of,
                         std::vector<std::pair<VertexId, VertexId>>& edges) {
   edges.clear();
   edges.reserve(graph.NumEdges());
-  graph.ForEachEdge([&lab, &edges](VertexId u, VertexId v) {
-    const VertexId lu = lab.Image(u);
-    const VertexId lv = lab.Image(v);
+  graph.ForEachEdge([&label_of, &edges](VertexId u, VertexId v) {
+    const VertexId lu = label_of(u);
+    const VertexId lv = label_of(v);
     edges.emplace_back(std::min(lu, lv), std::max(lu, lv));
   });
   std::sort(edges.begin(), edges.end());
@@ -25,33 +29,22 @@ void RelabeledEdgesInto(const Graph& graph, const Permutation& lab,
 // Explores the full individualization-refinement tree keeping the leaf with
 // the lexicographically greatest (invariant trace, relabelled edge list).
 // Automorphisms discovered on the way (leaves equal to the first or best
-// leaf) drive sibling orbit pruning.
+// leaf) drive sibling orbit pruning. A leaf is kept as the vertex at each
+// position of its labelling.
 class CanonSearcher {
  public:
   CanonSearcher(const Graph& graph, const std::vector<uint32_t>& colors)
       : graph_(graph), n_(graph.NumVertices()), colors_(colors),
         refiner_(graph) {}
 
-  CanonicalForm Run() {
-    CanonicalForm form;
-    if (n_ == 0) {
-      form.labeling = Permutation::Identity(0);
-      return form;
-    }
+  // The canonical leaf: the vertex at each canonical position.
+  std::vector<VertexId> Run() {
+    if (n_ == 0) return {};
     OrderedPartition root(n_, colors_);
     refiner_.RefineAll(root);
     Explore(root, 0);
     KSYM_CHECK(have_best_);
-    form.labeling = best_labeling_;
-    form.edges = std::move(best_edges_);
-    if (!colors_.empty()) {
-      const Permutation inv = form.labeling.Inverse();
-      form.colors.resize(n_);
-      for (VertexId pos = 0; pos < n_; ++pos) {
-        form.colors[pos] = colors_[inv.Image(pos)];
-      }
-    }
-    return form;
+    return std::move(best_leaf_);
   }
 
  private:
@@ -82,9 +75,9 @@ class CanonSearcher {
 
     for (VertexId v : children) {
       for (; gens_applied < generators_.size(); ++gens_applied) {
-        const Permutation& g = generators_[gens_applied];
+        const SparsePermutation& g = generators_[gens_applied];
         if (!FixesPrefix(g, depth)) continue;
-        for (VertexId x = 0; x < n_; ++x) local.Union(x, g.Image(x));
+        for (const auto& [x, image] : g.Moves()) local.Union(x, image);
       }
       bool redundant = false;
       for (VertexId w : tried) {
@@ -128,17 +121,18 @@ class CanonSearcher {
   }
 
   void HandleLeaf(const OrderedPartition& p, size_t depth) {
-    Permutation lab = p.ToLabeling();
+    const std::span<const VertexId> leaf = p.Elements();
     std::vector<std::pair<VertexId, VertexId>>& edges = leaf_edges_;
-    RelabeledEdgesInto(graph_, lab, edges);
+    RelabeledEdgesInto(
+        graph_, [&p](VertexId v) { return p.PositionOf(v); }, edges);
 
     if (!have_first_) {
       have_first_ = true;
-      first_labeling_ = lab;
+      first_leaf_.assign(leaf.begin(), leaf.end());
       first_edges_ = edges;
     } else if (edges == first_edges_ &&
                TraceEquals(first_inv_, depth)) {
-      AddAutomorphism(lab, first_labeling_);
+      AddAutomorphism(leaf, first_leaf_);
     }
 
     // Canonical bookkeeping: lexicographic max of (trace, edges).
@@ -146,10 +140,10 @@ class CanonSearcher {
     if (cmp > 0) {
       have_best_ = true;
       best_inv_.assign(path_inv_.begin(), path_inv_.begin() + depth);
-      best_labeling_ = std::move(lab);
-      best_edges_ = std::move(edges);
+      best_leaf_.assign(leaf.begin(), leaf.end());
+      std::swap(best_edges_, edges);
     } else if (cmp == 0) {
-      AddAutomorphism(lab, best_labeling_);
+      AddAutomorphism(leaf, best_leaf_);
     }
   }
 
@@ -176,12 +170,18 @@ class CanonSearcher {
     return 0;
   }
 
-  void AddAutomorphism(const Permutation& lab, const Permutation& ref_lab) {
-    Permutation g = lab.Compose(ref_lab.Inverse());
-    if (!g.IsIdentity()) generators_.push_back(std::move(g));
+  // Stores g = lab ∘ ref⁻¹, which sends the vertex at each position of
+  // `leaf` to the vertex at the same position of `ref`, by its moved points.
+  void AddAutomorphism(std::span<const VertexId> leaf,
+                       const std::vector<VertexId>& ref) {
+    std::vector<std::pair<VertexId, VertexId>> moves;
+    for (uint32_t pos = 0; pos < n_; ++pos) {
+      if (leaf[pos] != ref[pos]) moves.emplace_back(leaf[pos], ref[pos]);
+    }
+    if (!moves.empty()) generators_.emplace_back(std::move(moves));
   }
 
-  bool FixesPrefix(const Permutation& g, size_t depth) const {
+  bool FixesPrefix(const SparsePermutation& g, size_t depth) const {
     for (size_t i = 0; i < depth; ++i) {
       if (g.Image(path_[i]) != path_[i]) return false;
     }
@@ -198,15 +198,15 @@ class CanonSearcher {
 
   bool have_first_ = false;
   std::vector<uint64_t> first_inv_;
-  Permutation first_labeling_;
+  std::vector<VertexId> first_leaf_;
   std::vector<std::pair<VertexId, VertexId>> first_edges_;
 
   bool have_best_ = false;
   std::vector<uint64_t> best_inv_;
-  Permutation best_labeling_;
+  std::vector<VertexId> best_leaf_;
   std::vector<std::pair<VertexId, VertexId>> best_edges_;
 
-  std::vector<Permutation> generators_;
+  std::vector<SparsePermutation> generators_;
   // Scratch: relabelled edge list of the current leaf, reused across leaves.
   std::vector<std::pair<VertexId, VertexId>> leaf_edges_;
 };
@@ -216,7 +216,31 @@ class CanonSearcher {
 CanonicalForm ComputeCanonicalForm(const Graph& graph,
                                    const std::vector<uint32_t>& colors) {
   KSYM_CHECK(colors.empty() || colors.size() == graph.NumVertices());
-  return CanonSearcher(graph, colors).Run();
+  std::vector<VertexId> position(graph.NumVertices());
+  uint32_t next = 0;
+  const std::optional<TwinQuotient> quotient = CollapseTwins(graph, colors);
+  if (!quotient) {
+    for (VertexId v : CanonSearcher(graph, colors).Run()) position[v] = next++;
+  } else {
+    // Lay the blocks out in the canonical order of their quotient vertices,
+    // each block in nested order: equal quotient colours mean position-wise
+    // isomorphic blocks, so the expanded labelling is canonical too.
+    for (VertexId q : CanonSearcher(quotient->graph, quotient->colors).Run()) {
+      for (VertexId v : quotient->Block(q)) position[v] = next++;
+    }
+  }
+  CanonicalForm form;
+  form.labeling = Permutation(std::move(position));
+  RelabeledEdgesInto(
+      graph, [&form](VertexId v) { return form.labeling.Image(v); },
+      form.edges);
+  if (!colors.empty()) {
+    form.colors.resize(graph.NumVertices());
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      form.colors[form.labeling.Image(v)] = colors[v];
+    }
+  }
+  return form;
 }
 
 }  // namespace ksym

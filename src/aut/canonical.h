@@ -2,9 +2,14 @@
 //
 // ComputeCanonicalForm returns a labelling such that two graphs have equal
 // canonical forms iff they are isomorphic (colour-preservingly, when colours
-// are supplied with consistent values across both graphs). It runs the same
-// individualization-refinement tree as the automorphism search but keeps the
+// are supplied with consistent values across both graphs). Like the
+// automorphism search it first collapses twins (aut/twins.h), then runs an
+// individualization-refinement tree on the coloured quotient and keeps the
 // lexicographically greatest (invariant-trace, relabelled-edge-list) leaf.
+// That leaf orders the quotient vertices; the labelling lays their blocks
+// out in that order, each block in nested order. Leaves equal to the first
+// or the best leaf give automorphisms, stored by their moved points, which
+// prune sibling branches in the same orbit.
 //
 // This is the engine behind graph-isomorphism testing in the backbone
 // detector (Algorithm 2 needs component isomorphism constrained by external

@@ -45,10 +45,10 @@ struct VertexPartition {
   }
 };
 
-/// Exact automorphism partition Orb(G) via the IR search, on `context`'s
-/// execution policy (refinement inside the search shards over the
-/// context's pool; stats/timers accumulate into the context). If `colors`
-/// is non-empty, orbits of the colour-preserving automorphism group.
+/// Exact automorphism partition Orb(G) via the IR search on the twin
+/// quotient (aut/search.h); the search's refinement stats and timers
+/// accumulate into `context` (may be null). If `colors` is non-empty,
+/// orbits of the colour-preserving automorphism group.
 VertexPartition ComputeAutomorphismPartition(const Graph& graph,
                                              const std::vector<uint32_t>& colors,
                                              const ExecutionContext* context);

@@ -80,12 +80,6 @@ std::vector<std::vector<VertexId>> OrderedPartition::Cells() const {
   return cells;
 }
 
-Permutation OrderedPartition::ToLabeling() const {
-  KSYM_CHECK(IsDiscrete());
-  std::vector<VertexId> images(position_.begin(), position_.end());
-  return Permutation(std::move(images));
-}
-
 void OrderedPartition::SplitCell(uint32_t start,
                                  std::span<const VertexId> tail,
                                  std::span<const uint32_t> tail_groups) {

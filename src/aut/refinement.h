@@ -24,7 +24,6 @@
 #include "aut/neighbor_source.h"
 #include "common/parallel.h"
 #include "graph/graph.h"
-#include "perm/permutation.h"
 
 namespace ksym {
 
@@ -64,8 +63,12 @@ class OrderedPartition {
   /// All cells in order, as vertex lists.
   std::vector<std::vector<VertexId>> Cells() const;
 
-  /// For a discrete partition: the labelling vertex -> position.
-  Permutation ToLabeling() const;
+  /// The vertices in partition order: on a discrete partition, the vertex
+  /// at each position of the labelling.
+  std::span<const VertexId> Elements() const { return elements_; }
+
+  /// Index of v in Elements(): its label on a discrete partition.
+  uint32_t PositionOf(VertexId v) const { return position_[v]; }
 
   /// Splits the cell starting at `start`: the members in `tail` (distinct,
   /// a subset of the cell) move to the end of the cell in the given order

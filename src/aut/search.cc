@@ -1,28 +1,15 @@
 #include "aut/search.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "aut/refinement.h"
+#include "aut/twins.h"
 #include "perm/union_find.h"
 
 namespace ksym {
 namespace {
-
-// Relabelled, normalized, sorted edge list of `graph` under labelling
-// `lab` (vertex -> position), written into `edges` (reused across leaves).
-// Two leaves are automorphic images of each other iff these lists are equal.
-void RelabeledEdgesInto(const Graph& graph, const Permutation& lab,
-                        std::vector<std::pair<VertexId, VertexId>>& edges) {
-  edges.clear();
-  edges.reserve(graph.NumEdges());
-  graph.ForEachEdge([&lab, &edges](VertexId u, VertexId v) {
-    const VertexId lu = lab.Image(u);
-    const VertexId lv = lab.Image(v);
-    edges.emplace_back(std::min(lu, lv), std::max(lu, lv));
-  });
-  std::sort(edges.begin(), edges.end());
-}
 
 class AutSearcher {
  public:
@@ -149,27 +136,42 @@ class AutSearcher {
     return Outcome::kContinue;
   }
 
+  // A leaf is a discrete partition, i.e. a labelling. With lab and first
+  // the labellings (vertex -> position) of this leaf and the first one,
+  // g = lab ∘ first⁻¹ sends the vertex at each position of this leaf to the
+  // vertex at the same position of the first leaf, and the two leaves give
+  // the same labelled graph iff g is an automorphism. g is tested on the
+  // graph itself: arcs between fixed points map to themselves, so it is an
+  // automorphism iff every arc at a moved point maps to an arc (a bijection
+  // that maps E into E maps it onto E). Degrees are compared first, as a
+  // cheap filter.
   Outcome HandleLeaf(const OrderedPartition& p) {
-    Permutation lab = p.ToLabeling();
-    std::vector<std::pair<VertexId, VertexId>>& edges = leaf_edges_;
-    RelabeledEdgesInto(graph_, lab, edges);
+    const std::span<const VertexId> leaf = p.Elements();
     if (!have_first_) {
       have_first_ = true;
-      first_labeling_ = std::move(lab);
-      first_edges_ = std::move(edges);
+      first_leaf_.assign(leaf.begin(), leaf.end());
       return Outcome::kContinue;
     }
-    if (edges == first_edges_) {
-      // lab and first_labeling_ produce the same labelled graph, so
-      // g = lab ∘ first_labeling_^{-1} is an automorphism.
-      Permutation g = lab.Compose(first_labeling_.Inverse());
-      if (!g.IsIdentity()) {
-        for (VertexId x = 0; x < n_; ++x) global_orbits_.Union(x, g.Image(x));
-        generators_.push_back(std::move(g));
-        return Outcome::kAutFound;
+    moves_.clear();
+    for (uint32_t pos = 0; pos < n_; ++pos) {
+      if (leaf[pos] != first_leaf_[pos]) {
+        moves_.emplace_back(leaf[pos], first_leaf_[pos]);
       }
     }
-    return Outcome::kContinue;
+    if (moves_.empty()) return Outcome::kContinue;
+    for (const auto& [x, image] : moves_) {
+      if (graph_.Degree(x) != graph_.Degree(image)) return Outcome::kContinue;
+    }
+    for (const auto& [x, image] : moves_) {
+      for (VertexId y : graph_.Neighbors(x)) {
+        if (!graph_.HasEdge(image, first_leaf_[p.PositionOf(y)])) {
+          return Outcome::kContinue;
+        }
+      }
+    }
+    for (const auto& [x, image] : moves_) global_orbits_.Union(x, image);
+    generators_.emplace_back(moves_);
+    return Outcome::kAutFound;
   }
 
   const Graph& graph_;
@@ -179,15 +181,55 @@ class AutSearcher {
 
   bool have_first_ = false;
   std::vector<uint64_t> first_inv_;  // Invariant trace of the leftmost path.
-  Permutation first_labeling_;
-  std::vector<std::pair<VertexId, VertexId>> first_edges_;
-  // Scratch: relabelled edge list of the current leaf, reused across leaves.
-  std::vector<std::pair<VertexId, VertexId>> leaf_edges_;
+  std::vector<VertexId> first_leaf_;  // Vertex at each position.
+  // Scratch: the (point, image) pairs of the current leaf's g.
+  std::vector<std::pair<VertexId, VertexId>> moves_;
 
-  std::vector<Permutation> generators_;
+  std::vector<SparsePermutation> generators_;
   UnionFind global_orbits_;
   uint64_t nodes_ = 0;
 };
+
+// Lifts the quotient's automorphisms to the input: the twin block swaps,
+// then each quotient generator mapped block to block, position by position;
+// every input orbit is the union of the blocks of one quotient orbit.
+AutomorphismResult LiftToBlocks(const TwinQuotient& quotient,
+                                AutomorphismResult found) {
+  AutomorphismResult result;
+  result.nodes = found.nodes;
+  result.generators.reserve(quotient.swaps.size() + found.generators.size());
+  std::vector<std::pair<VertexId, VertexId>> moves;
+  for (const TwinQuotient::BlockSwap& swap : quotient.swaps) {
+    moves.clear();
+    for (uint32_t j = 0; j < swap.length; ++j) {
+      const VertexId a = quotient.order[swap.start + j];
+      const VertexId b = quotient.order[swap.start + swap.length + j];
+      moves.emplace_back(a, b);
+      moves.emplace_back(b, a);
+    }
+    result.generators.emplace_back(moves);
+  }
+  for (const SparsePermutation& g : found.generators) {
+    moves.clear();
+    for (const auto& [q, image] : g.Moves()) {
+      const auto from = quotient.Block(q);
+      const auto to = quotient.Block(image);
+      for (size_t j = 0; j < from.size(); ++j) {
+        moves.emplace_back(from[j], to[j]);
+      }
+    }
+    result.generators.emplace_back(moves);
+  }
+  // A block starts with its minimum (members are concatenated in id order)
+  // and quotient ids ascend with block minima, so the block of the quotient
+  // orbit's representative starts with the input orbit's minimum.
+  result.orbit_rep.resize(quotient.order.size());
+  for (VertexId q = 0; q < quotient.NumBlocks(); ++q) {
+    const VertexId rep = quotient.Block(found.orbit_rep[q]).front();
+    for (VertexId v : quotient.Block(q)) result.orbit_rep[v] = rep;
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -195,7 +237,11 @@ AutomorphismResult ComputeAutomorphisms(const Graph& graph,
                                         const std::vector<uint32_t>& colors,
                                         const ExecutionContext* context) {
   KSYM_CHECK(colors.empty() || colors.size() == graph.NumVertices());
-  return AutSearcher(graph, colors, context).Run();
+  const std::optional<TwinQuotient> quotient = CollapseTwins(graph, colors);
+  if (!quotient) return AutSearcher(graph, colors, context).Run();
+  return LiftToBlocks(
+      *quotient,
+      AutSearcher(quotient->graph, quotient->colors, context).Run());
 }
 
 }  // namespace ksym

@@ -1,11 +1,16 @@
 // Automorphism group computation by individualization-refinement.
 //
-// ComputeAutomorphisms runs a McKay-style backtracking search over ordered
-// partitions: refine to an equitable partition, pick an (invariant) target
-// cell, individualize each of its vertices in turn, recurse. Every leaf is a
-// discrete partition, i.e. a labelling of the graph; a leaf whose relabelled
-// edge set equals the first leaf's yields an automorphism (this is exactly
-// how nauty, which the paper uses, discovers generators).
+// ComputeAutomorphisms first collapses twins (aut/twins.h): every
+// equal-coloured class of vertices with equal open or closed
+// neighbourhoods becomes one coloured quotient vertex, round after round.
+// It then runs a McKay-style backtracking search over ordered partitions of
+// the quotient: refine to an equitable partition, pick an (invariant)
+// target cell, individualize each of its vertices in turn, recurse. Every
+// leaf is a discrete partition, i.e. a labelling; a leaf whose labelling g
+// relative to the first leaf is an automorphism yields a generator (this is
+// how nauty, which the paper uses, discovers generators). g is tested on
+// the graph directly: equal degrees, and one HasEdge per arc at g's moved
+// points.
 //
 // Pruning, without which k-symmetric graphs (enormous groups) would be
 // intractable:
@@ -19,8 +24,12 @@
 //     automorphism, its remaining siblings inside that subtree are
 //     redundant.
 //
-// The returned generators generate Aut(G) (respecting `colors` if given);
-// orbit_rep is the automorphism partition Orb(G) in representative form.
+// The quotient's results are lifted to the input: its orbits become unions
+// of blocks, and its generators are mapped block to block, after one block
+// swap per pair of consecutive twin-class members. The returned generators
+// generate Aut(G) (respecting `colors` if given), with
+// |Aut(G)| = Π(class size)! · |Aut(quotient)|; orbit_rep is the
+// automorphism partition Orb(G) in representative form.
 
 #ifndef KSYM_AUT_SEARCH_H_
 #define KSYM_AUT_SEARCH_H_
@@ -35,20 +44,20 @@
 namespace ksym {
 
 struct AutomorphismResult {
-  /// Generators of Aut(G) (colour-preserving if colours were supplied).
-  std::vector<Permutation> generators;
+  /// Generators of Aut(G) (colour-preserving if colours were supplied),
+  /// each stored by its moved points only.
+  std::vector<SparsePermutation> generators;
   /// orbit_rep[v] = minimum vertex of v's orbit under <generators>.
   std::vector<VertexId> orbit_rep;
-  /// Search-tree nodes visited (diagnostics).
+  /// Search-tree nodes visited in the twin quotient (diagnostics).
   uint64_t nodes = 0;
 };
 
-/// Computes Aut(G) on `context`'s execution policy: the search itself is
-/// sequential (it is a depth-first backtrack over one shared partition),
-/// but every refinement step inside it runs through the context — sharded
-/// for large splitters, and accounted in the context's RefinementStats. If
-/// `colors` is non-empty (size n), only colour-preserving automorphisms are
-/// considered.
+/// Computes Aut(G). The search is sequential (a depth-first backtrack over
+/// one shared partition); its refinement steps report their counters and
+/// timers into `context`'s RefinementStats (may be null), and those count
+/// work on the twin quotient. If `colors` is non-empty (size n), only
+/// colour-preserving automorphisms are considered.
 AutomorphismResult ComputeAutomorphisms(const Graph& graph,
                                         const std::vector<uint32_t>& colors,
                                         const ExecutionContext* context);

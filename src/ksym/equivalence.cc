@@ -8,10 +8,17 @@
 namespace ksym {
 namespace {
 
+// t followed by g: x -> g(t(x)).
+Permutation Then(const Permutation& t, const SparsePermutation& g) {
+  std::vector<VertexId> images = t.ImageTable();
+  for (VertexId& image : images) image = g.Image(image);
+  return Permutation(std::move(images));
+}
+
 // Orbit transversal rooted at `v`: for every w in v's orbit, a group
 // element mapping v to w, built by BFS over the generator action.
 std::unordered_map<VertexId, Permutation> OrbitTransversal(
-    size_t n, const std::vector<Permutation>& generators, VertexId v) {
+    size_t n, const std::vector<SparsePermutation>& generators, VertexId v) {
   std::unordered_map<VertexId, Permutation> transversal;
   transversal.emplace(v, Permutation::Identity(n));
   std::vector<VertexId> frontier = {v};
@@ -19,10 +26,10 @@ std::unordered_map<VertexId, Permutation> OrbitTransversal(
   while (head < frontier.size()) {
     const VertexId x = frontier[head++];
     const Permutation tx = transversal.at(x);
-    for (const Permutation& g : generators) {
+    for (const SparsePermutation& g : generators) {
       const VertexId y = g.Image(x);
       if (!transversal.count(y)) {
-        transversal.emplace(y, tx.Compose(g));
+        transversal.emplace(y, Then(tx, g));
         frontier.push_back(y);
       }
     }

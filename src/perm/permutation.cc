@@ -75,6 +75,51 @@ std::string Permutation::ToCycleString() const {
   return out;
 }
 
+SparsePermutation::SparsePermutation(
+    std::vector<std::pair<VertexId, VertexId>> moves)
+    : moves_(std::move(moves)) {
+  std::sort(moves_.begin(), moves_.end());
+#ifndef NDEBUG
+  std::vector<VertexId> images;
+  for (const auto& [x, image] : moves_) {
+    KSYM_DCHECK(x != image);
+    images.push_back(image);
+  }
+  std::sort(images.begin(), images.end());
+  for (size_t i = 0; i < images.size(); ++i) {
+    KSYM_DCHECK(images[i] == moves_[i].first);
+  }
+#endif
+}
+
+VertexId SparsePermutation::Image(VertexId x) const {
+  const auto it = std::lower_bound(
+      moves_.begin(), moves_.end(), x,
+      [](const std::pair<VertexId, VertexId>& move, VertexId point) {
+        return move.first < point;
+      });
+  return it != moves_.end() && it->first == x ? it->second : x;
+}
+
+Permutation SparsePermutation::ToDense(size_t n) const {
+  std::vector<VertexId> images(n);
+  std::iota(images.begin(), images.end(), 0u);
+  for (const auto& [x, image] : moves_) {
+    KSYM_CHECK(x < n && image < n);
+    images[x] = image;
+  }
+  KSYM_CHECK(IsValidPermutation(images));
+  return Permutation(std::move(images));
+}
+
+std::vector<Permutation> ToDense(
+    size_t n, const std::vector<SparsePermutation>& sparse) {
+  std::vector<Permutation> dense;
+  dense.reserve(sparse.size());
+  for (const SparsePermutation& g : sparse) dense.push_back(g.ToDense(n));
+  return dense;
+}
+
 bool IsValidPermutation(const std::vector<VertexId>& images) {
   std::vector<bool> seen(images.size(), false);
   for (VertexId image : images) {

@@ -153,9 +153,11 @@ TEST(IsomorphismTest, RookVsShrikhandeStronglyRegularPair) {
 TEST(IsomorphismTest, RookAndShrikhandeGroupOrders) {
   // |Aut(rook 4x4)| = 2 * (4!)^2 = 1152; |Aut(Shrikhande)| = 192.
   const AutomorphismResult rook_aut = ComputeAutomorphisms(MakeRook4x4(), {}, nullptr);
-  EXPECT_EQ(GroupOrderFromGenerators(16, rook_aut.generators), 1152.0);
+  EXPECT_EQ(GroupOrderFromGenerators(16, ToDense(16, rook_aut.generators)),
+            1152.0);
   const AutomorphismResult shr_aut = ComputeAutomorphisms(MakeShrikhande(), {}, nullptr);
-  EXPECT_EQ(GroupOrderFromGenerators(16, shr_aut.generators), 192.0);
+  EXPECT_EQ(GroupOrderFromGenerators(16, ToDense(16, shr_aut.generators)),
+            192.0);
 }
 
 TEST(IsomorphismTest, RegularNonIsomorphicPair) {

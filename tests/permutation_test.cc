@@ -89,6 +89,18 @@ TEST(PointOrbitsTest, NoGeneratorsAllSingletons) {
   for (VertexId x = 0; x < 4; ++x) EXPECT_EQ(orbits[x], x);
 }
 
+TEST(SparsePermutationTest, ImagesMatchTheDenseTable) {
+  // (1 4 6)(2 7) on 9 points, moves given out of order.
+  const SparsePermutation p({{6, 1}, {2, 7}, {4, 6}, {7, 2}, {1, 4}});
+  EXPECT_EQ(p.Moves().front(), (std::pair<VertexId, VertexId>{1, 4}));
+  const Permutation dense = p.ToDense(9);
+  EXPECT_EQ(dense.ToCycleString(), "(1 4 6)(2 7)");
+  for (VertexId x = 0; x < 12; ++x) {
+    EXPECT_EQ(p.Image(x), x < 9 ? dense.Image(x) : x) << x;
+  }
+  EXPECT_EQ(ToDense(9, {p, p})[1], dense);
+}
+
 TEST(PointOrbitsTest, RotationMakesOneOrbit) {
   const auto orbits = PointOrbits(4, {Permutation({1, 2, 3, 0})});
   for (VertexId x = 0; x < 4; ++x) EXPECT_EQ(orbits[x], 0u);

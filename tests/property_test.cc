@@ -206,7 +206,8 @@ TEST_P(KnowledgeProperty, TdvIsCoarserThanOrbits) {
 TEST_P(KnowledgeProperty, GeneratorsVerifyAndGroupActsWithinOrbits) {
   const NamedGraph input = MakeCorpusGraph(GetParam(), 53);
   const AutomorphismResult aut = ComputeAutomorphisms(input.graph, {}, nullptr);
-  for (const Permutation& g : aut.generators) {
+  for (const SparsePermutation& sparse : aut.generators) {
+    const Permutation g = sparse.ToDense(input.graph.NumVertices());
     EXPECT_TRUE(IsAutomorphism(input.graph, g)) << input.name;
     for (VertexId v = 0; v < input.graph.NumVertices(); ++v) {
       EXPECT_EQ(aut.orbit_rep[v], aut.orbit_rep[g.Image(v)]);
@@ -456,7 +457,9 @@ TEST_P(GroupOrderProperty, OrderInvariantUnderRelabeling) {
   rng.Shuffle(perm.begin(), perm.end());
   const Graph shuffled = RelabelGraph(graph, perm);
   const AutomorphismResult aut = ComputeAutomorphisms(shuffled, {}, nullptr);
-  EXPECT_EQ(GroupOrderFromGenerators(shuffled.NumVertices(), aut.generators),
+  EXPECT_EQ(GroupOrderFromGenerators(
+                shuffled.NumVertices(),
+                ToDense(shuffled.NumVertices(), aut.generators)),
             expected);
 }
 

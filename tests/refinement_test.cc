@@ -123,13 +123,15 @@ TEST(OrderedPartitionTest, TargetCellIsFirstNonSingleton) {
   EXPECT_EQ(discrete.TargetCell(), OrderedPartition::kNoCell);
 }
 
-TEST(OrderedPartitionTest, DiscreteToLabeling) {
+TEST(OrderedPartitionTest, DiscreteElementsAndPositions) {
   OrderedPartition p(3, {2, 0, 1});
   ASSERT_TRUE(p.IsDiscrete());
-  const Permutation lab = p.ToLabeling();
-  EXPECT_EQ(lab.Image(1), 0u);  // Color 0 first.
-  EXPECT_EQ(lab.Image(2), 1u);
-  EXPECT_EQ(lab.Image(0), 2u);
+  EXPECT_EQ(p.PositionOf(1), 0u);  // Color 0 first.
+  EXPECT_EQ(p.PositionOf(2), 1u);
+  EXPECT_EQ(p.PositionOf(0), 2u);
+  const std::vector<VertexId> elements(p.Elements().begin(),
+                                       p.Elements().end());
+  EXPECT_EQ(elements, (std::vector<VertexId>{1, 2, 0}));
 }
 
 TEST(RefinementTest, RegularGraphStaysUnit) {
