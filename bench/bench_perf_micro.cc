@@ -32,10 +32,13 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <filesystem>
@@ -50,7 +53,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "datasets/datasets.h"
-#include "dyn/delta_graph.h"
+#include "dyn/edits.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "ksym/anonymizer.h"
@@ -825,13 +828,13 @@ BENCHMARK(BM_AttackPassiveHarnessThreads)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// The dynamic-graph subsystem (DESIGN.md §15): edit-batch application cost
-// on the overlay, and the full TDV recompute a reanonymize epoch pays.
+// The dynamic-graph subsystem (DESIGN.md §15): the CSR rebuild a commit
+// pays, and the full TDV recompute the reanonymize after it pays.
 
 struct DynBenchData {
   Graph base;
   dyn::EditBatch batch;                 // One valid 8-edit batch.
-  Graph edited;                         // base + batch, compacted.
+  Graph edited;                         // base + batch.
 };
 
 const DynBenchData& DynBench() {
@@ -839,52 +842,38 @@ const DynBenchData& DynBench() {
     auto* d = new DynBenchData();
     Rng rng(0xD1);
     d->base = ErdosRenyiGnm(20000, 60000, rng);
-    dyn::DeltaGraph delta(d->base);
+    std::set<std::pair<VertexId, VertexId>> inserted;
     for (int i = 0; i < 8;) {
       const auto u = static_cast<VertexId>(rng.NextBounded(20000));
       const auto v = static_cast<VertexId>(rng.NextBounded(20000));
-      if (u == v || delta.HasEdge(u, v)) continue;
-      dyn::EditBatch single;
-      single.Insert(u, v);
-      if (!delta.Apply(single).ok()) continue;
+      if (u == v || d->base.HasEdge(u, v) ||
+          !inserted.insert({std::min(u, v), std::max(u, v)}).second) {
+        continue;
+      }
       d->batch.Insert(u, v);
       ++i;
     }
-    d->edited = delta.Compact();
+    d->edited = dyn::ApplyEdits(d->base, d->batch).value();
     return d;
   }();
   return *data;
 }
 
-void BM_DeltaApply(benchmark::State& state) {
+void BM_CommitRebuild(benchmark::State& state) {
   const DynBenchData& data = DynBench();
-  const size_t batches = static_cast<size_t>(state.range(0));
-  size_t overlay_entries = 0;
   for (auto _ : state) {
-    dyn::DeltaGraph delta(data.base);
-    for (size_t b = 0; b < batches; ++b) {
-      // Alternate apply/undo so every batch is valid however many times
-      // the pair is replayed.
-      dyn::EditBatch batch = data.batch;
-      if (b % 2 == 1) {
-        batch.clear();
-        for (const dyn::Edit& e : data.batch.edits()) {
-          batch.Delete(e.u, e.v);
-        }
-      }
-      const Status status = delta.Apply(batch);
-      if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+    Result<Graph> edited = dyn::ApplyEdits(data.base, data.batch);
+    if (!edited.ok()) {
+      state.SkipWithError(edited.status().ToString().c_str());
+      break;
     }
-    overlay_entries = delta.OverlayEntries();
-    benchmark::DoNotOptimize(delta);
+    benchmark::DoNotOptimize(edited);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batches * data.batch.size()));
-  state.counters["overlay_entries"] =
-      benchmark::Counter(static_cast<double>(overlay_entries));
-  AttachMemoryCounters(state, data.base);
+                          static_cast<int64_t>(data.base.NumVertices()));
+  AttachMemoryCounters(state, data.edited);
 }
-BENCHMARK(BM_DeltaApply)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_CommitRebuild)->Unit(benchmark::kMillisecond);
 
 // Refinement is sequential; the row keeps its historical /1 argument so it
 // can be followed across artifacts.

@@ -91,6 +91,16 @@ MUTATIONS = [
         new="",
         test="search_test",
     ),
+    Mutation(
+        name="edit rebuild ignores delete edits",
+        path="src/dyn/edits.cc",
+        old=("      if (ri < removed.size() && removed[ri] == Arc{v, w}) {\n"
+             "        ++ri;\n"
+             "        continue;\n"
+             "      }\n"),
+        new="",
+        test="dyn_test",
+    ),
 ]
 
 

@@ -1,13 +1,29 @@
 #include "dyn/edits.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace ksym {
 namespace dyn {
 
 namespace {
+
+std::string EditName(size_t index, const Edit& e) {
+  std::ostringstream os;
+  os << "edit " << index << " (" << (e.insert ? "add " : "del ") << e.u << " "
+     << e.v << ")";
+  return os.str();
+}
+
+// Canonical undirected key for duplicate detection within a batch.
+uint64_t EdgeKey(VertexId u, VertexId v) {
+  const VertexId lo = std::min(u, v);
+  const VertexId hi = std::max(u, v);
+  return (uint64_t{lo} << 32) | hi;
+}
 
 // Splits on whitespace; total (any bytes in, tokens out).
 std::vector<std::string_view> Tokenize(std::string_view line) {
@@ -66,6 +82,105 @@ Status ParseEditTokens(const std::vector<std::string_view>& tokens,
 }
 
 }  // namespace
+
+std::vector<VertexId> EditBatch::Endpoints() const {
+  std::vector<VertexId> out;
+  out.reserve(edits_.size() * 2);
+  for (const Edit& e : edits_) {
+    out.push_back(e.u);
+    out.push_back(e.v);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+Status ValidateEdits(const Graph& graph, const EditBatch& batch) {
+  const size_t n = graph.NumVertices();
+  std::vector<uint64_t> keys;
+  keys.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Edit& e = batch.edits()[i];
+    if (e.u == e.v) {
+      return Status::InvalidArgument(EditName(i, e) +
+                                     ": self-loops are not allowed");
+    }
+    if (e.u >= n || e.v >= n) {
+      return Status::OutOfRange(EditName(i, e) + ": endpoint out of range (n=" +
+                                std::to_string(n) + ")");
+    }
+    keys.push_back(EdgeKey(e.u, e.v));
+  }
+  std::vector<uint64_t> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  if (dup != sorted.end()) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (keys[i] == *dup) {
+        const Edit& e = batch.edits()[i];
+        return Status::InvalidArgument(
+            EditName(i, e) + ": edge {" + std::to_string(e.u) + "," +
+            std::to_string(e.v) + "} is edited twice in the batch");
+      }
+    }
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Edit& e = batch.edits()[i];
+    const bool present = graph.HasEdge(e.u, e.v);
+    if (!e.insert && !present) {
+      return Status::NotFound(EditName(i, e) +
+                              ": edge is absent from the graph");
+    }
+    if (e.insert && present) {
+      return Status::InvalidArgument(EditName(i, e) +
+                                     ": edge is already present");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<Graph> ApplyEdits(const Graph& graph, const EditBatch& batch) {
+  KSYM_RETURN_IF_ERROR(ValidateEdits(graph, batch));
+  // Both arcs of every edit, sorted by (tail, head): each vertex's inserted
+  // and deleted neighbours as ascending runs, consumed in step with its
+  // sorted CSR range. Validation guarantees every inserted head is absent
+  // from that range and every deleted head is in it.
+  using Arc = std::pair<VertexId, VertexId>;
+  std::vector<Arc> added;
+  std::vector<Arc> removed;
+  for (const Edit& e : batch.edits()) {
+    std::vector<Arc>& arcs = e.insert ? added : removed;
+    arcs.push_back({e.u, e.v});
+    arcs.push_back({e.v, e.u});
+  }
+  std::sort(added.begin(), added.end());
+  std::sort(removed.begin(), removed.end());
+
+  const size_t n = graph.NumVertices();
+  std::vector<EdgeIndex> offsets(n + 1, 0);
+  std::vector<VertexId> neighbors;
+  neighbors.reserve(2 * graph.NumEdges() + added.size() - removed.size());
+  size_t ai = 0;
+  size_t ri = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId w : graph.Neighbors(v)) {
+      while (ai < added.size() && added[ai].first == v &&
+             added[ai].second < w) {
+        neighbors.push_back(added[ai++].second);
+      }
+      if (ri < removed.size() && removed[ri] == Arc{v, w}) {
+        ++ri;
+        continue;
+      }
+      neighbors.push_back(w);
+    }
+    while (ai < added.size() && added[ai].first == v) {
+      neighbors.push_back(added[ai++].second);
+    }
+    offsets[v + 1] = neighbors.size();
+  }
+  return Graph::FromCsr(std::move(offsets), std::move(neighbors));
+}
 
 Result<std::vector<EditBatch>> ParseEditTrace(std::string_view text) {
   std::vector<EditBatch> epochs;

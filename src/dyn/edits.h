@@ -1,7 +1,15 @@
-// Text forms of edit batches (DESIGN.md §15).
+// Edit batches over a CSR graph (DESIGN.md §15): the edit types, their
+// validation ladder, the CSR rebuild a commit performs, and their text
+// forms.
 //
-// Two formats, both total parsers (malformed bytes return a Status naming
-// the offending line/token, never crash — fuzz-pinned in dyn_test):
+// EditBatch is the unit of mutation. ValidateEdits checks a batch against a
+// graph without mutating anything — self-loops, endpoints out of range,
+// duplicate edits, delete-of-absent (and insert-of-present) — and names the
+// first offending edit. ApplyEdits validates, then rebuilds the CSR once in
+// O(n + m + e log e), so a rejected batch never produces a graph.
+//
+// Two text formats, both total parsers (malformed bytes return a Status
+// naming the offending line/token, never crash — fuzz-pinned in dyn_test):
 //
 //  * The *trace* format, one directive per line, consumed by the
 //    `ksym_dynamic` replay CLI:
@@ -18,20 +26,62 @@
 //    one string.
 //
 // Parsing only builds EditBatch values; semantic validation (range,
-// presence, duplicates) happens at DeltaGraph::Apply.
+// presence, duplicates) is ValidateEdits.
 
 #ifndef KSYM_DYN_EDITS_H_
 #define KSYM_DYN_EDITS_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
-#include "dyn/delta_graph.h"
+#include "graph/graph.h"
 
 namespace ksym {
 namespace dyn {
+
+/// One edge edit. Undirected: {u, v} and {v, u} are the same edit.
+struct Edit {
+  VertexId u = 0;
+  VertexId v = 0;
+  bool insert = true;  // false = delete.
+
+  friend bool operator==(const Edit& a, const Edit& b) {
+    return a.u == b.u && a.v == b.v && a.insert == b.insert;
+  }
+};
+
+/// An ordered list of edits applied atomically by ApplyEdits.
+class EditBatch {
+ public:
+  void Insert(VertexId u, VertexId v) { edits_.push_back({u, v, true}); }
+  void Delete(VertexId u, VertexId v) { edits_.push_back({u, v, false}); }
+  void Add(const Edit& edit) { edits_.push_back(edit); }
+
+  bool empty() const { return edits_.empty(); }
+  size_t size() const { return edits_.size(); }
+  std::span<const Edit> edits() const { return edits_; }
+  void clear() { edits_.clear(); }
+
+  /// Sorted, duplicate-free endpoint set: the vertices this batch
+  /// touches.
+  std::vector<VertexId> Endpoints() const;
+
+ private:
+  std::vector<Edit> edits_;
+};
+
+/// Checks `batch` against `graph` without mutating: the full ladder, in
+/// order — self-loop, endpoint out of range, duplicate edit in the batch,
+/// delete-of-absent / insert-of-present. The first offending edit is named
+/// (index + endpoints) in the status.
+Status ValidateEdits(const Graph& graph, const EditBatch& batch);
+
+/// ValidateEdits, then a fresh owning CSR of `graph` with `batch` applied;
+/// vertex ids are unchanged.
+Result<Graph> ApplyEdits(const Graph& graph, const EditBatch& batch);
 
 /// Parses the trace format: one EditBatch per `epoch` directive, in order.
 Result<std::vector<EditBatch>> ParseEditTrace(std::string_view text);

@@ -2,18 +2,12 @@
 // mutate/commit/reanonymize ops and the ksym_dynamic replay CLI
 // (DESIGN.md §15).
 //
-// A DynamicSession is one named, long-lived mutable graph: a DeltaGraph
-// and a staged (validated but uncommitted) edit batch. Reanonymize
-// resolves in strictly cheapening order:
-//
-//   release cache hit (checksum, k)   -> no refinement, no orbit copy
-//   plan cache hit (checksum)         -> orbit copy only
-//   full refine                       -> TDV of the compacted graph
-//
-// whichever path ran, the result is inserted under the current checksum,
-// and every path yields bit-identical releases (the TDV is a canonical
-// VertexPartition; AnonymizeWithPartition is deterministic given the
-// partition).
+// A DynamicSession is one named, long-lived mutable graph: a committed CSR
+// Graph and a staged (validated but uncommitted) edit batch. Commit
+// rebuilds the CSR once with the staged batch applied (O(n + m)), and
+// Reanonymize refines the committed graph to its TDV and runs Algorithm 1
+// on it, so every release equals AnonymizeWithPartition on a from-scratch
+// graph with the same edge set.
 //
 // Sessions are not thread-safe; the daemon wraps each in a mutex
 // (serve/dynamic.h), the CLI is single-threaded.
@@ -25,60 +19,46 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/status.h"
-#include "dyn/delta_graph.h"
-#include "dyn/plan_cache.h"
+#include "dyn/edits.h"
+#include "graph/graph.h"
 #include "ksym/release_io.h"
 
 namespace ksym {
 namespace dyn {
 
-/// Per-session lifetime counters (reported by the daemon stats op and the
-/// ksym_dynamic stderr log).
+/// Per-session lifetime counters (reported by the ksym_dynamic stderr log).
 struct SessionStats {
-  size_t mutates = 0;          // Accepted mutate calls.
+  size_t mutates = 0;  // Accepted Stage calls.
   size_t commits = 0;
   size_t edits_committed = 0;
-  size_t compactions = 0;
   size_t reanonymizes = 0;
-  size_t release_cache_hits = 0;
-  size_t plan_cache_hits = 0;  // Plan found under the current checksum.
-  size_t full_refines = 0;     // Plans derived by refinement.
 };
 
 struct CommitOutcome {
   size_t edits = 0;
   size_t touched_vertices = 0;
-  bool compacted = false;
-  double overlay_ratio = 0.0;  // After the commit (0 when compacted).
   size_t num_edges = 0;
 };
 
 struct ReanonymizeOutcome {
-  std::shared_ptr<const ReleaseTriple> release;
-  uint64_t graph_checksum = 0;
-  uint64_t partition_checksum = 0;
-  bool release_cache_hit = false;
-  bool plan_cache_hit = false;
-  size_t vertices_added = 0;
-  size_t edges_added = 0;
+  ReleaseTriple release;
+  uint64_t graph_checksum = 0;      // GraphContentChecksum of the graph.
+  uint64_t partition_checksum = 0;  // PartitionChecksum of its TDV.
 };
 
 class DynamicSession {
  public:
-  /// `cache` must outlive the session. `compact_ratio` is the overlay /
-  /// base-arc threshold past which a commit compacts (<= 0 compacts on
-  /// every commit).
-  DynamicSession(std::string name, Graph base, double compact_ratio,
-                 PlanCache* cache);
+  explicit DynamicSession(Graph base) : graph_(std::move(base)) {}
 
   DynamicSession(const DynamicSession&) = delete;
   DynamicSession& operator=(const DynamicSession&) = delete;
 
-  const std::string& name() const { return name_; }
-  const DeltaGraph& graph() const { return graph_; }
+  /// The committed graph (staged edits excluded).
+  const Graph& graph() const { return graph_; }
   const SessionStats& stats() const { return stats_; }
   size_t staged_edits() const { return staged_.size(); }
 
@@ -87,57 +67,48 @@ class DynamicSession {
   /// mutate time and a failed call leaves the staged batch unchanged.
   Status Stage(const EditBatch& edits);
 
-  /// Applies the staged batch to the graph and compacts past the ratio
-  /// threshold. Committing an empty stage is an
-  /// error (FailedPrecondition).
+  /// Rebuilds the committed graph with the staged batch applied. Committing
+  /// an empty stage is an error (FailedPrecondition).
   Result<CommitOutcome> Commit();
 
-  /// Anonymizes the current committed graph (staged edits excluded) with
-  /// requirement k, through the cache ladder above. `context` supplies the
-  /// execution policy (and receives phase timers / refine counters).
+  /// Anonymizes the committed graph with requirement k: TDV, then
+  /// AnonymizeWithPartition. `context` supplies the execution policy (and
+  /// receives phase timers / refine counters).
   Result<ReanonymizeOutcome> Reanonymize(uint32_t k,
                                          const ExecutionContext* context);
 
  private:
-  std::string name_;
-  DeltaGraph graph_;
-  double compact_ratio_;
-  PlanCache* cache_;
+  Graph graph_;
   EditBatch staged_;
   SessionStats stats_;
 };
 
-/// The daemon's named-session table plus the shared PlanCache. Thread-safe
-/// for create/find; per-session work serializes on the entry's `mu`.
+/// The daemon's named-session table. Thread-safe for create/find;
+/// per-session work serializes on the entry's `mu`.
 class DynamicRegistry {
  public:
-  explicit DynamicRegistry(size_t plan_cache_bytes)
-      : plan_cache_(plan_cache_bytes) {}
-
   struct Entry {
+    explicit Entry(Graph base) : session(std::move(base)) {}
+
     std::mutex mu;
     DynamicSession session;
-
-    Entry(std::string name, Graph base, double compact_ratio,
-          PlanCache* cache)
-        : session(std::move(name), std::move(base), compact_ratio, cache) {}
   };
 
-  /// Creates a session; AlreadyExists-flavoured InvalidArgument if the
-  /// name is taken.
+  /// Creates a session on `base` with `edits` staged. The session is
+  /// registered only once the edits pass validation against `base` and the
+  /// name is free (InvalidArgument if taken), so a failed create leaves
+  /// nothing behind.
   Result<std::shared_ptr<Entry>> Create(const std::string& name, Graph base,
-                                        double compact_ratio);
+                                        const EditBatch& edits);
 
   /// NotFound when no such session.
   Result<std::shared_ptr<Entry>> Find(const std::string& name);
 
-  PlanCache& plan_cache() { return plan_cache_; }
   size_t num_sessions() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Entry>> sessions_;
-  PlanCache plan_cache_;
 };
 
 }  // namespace dyn

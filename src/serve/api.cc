@@ -270,18 +270,31 @@ Result<Response> RunAudit(const AuditRequest& request, GraphCache* cache) {
   return response;
 }
 
-namespace {
+Result<Response> RunSample(const SampleRequest& request, GraphCache* cache) {
+  if (request.release.empty() || request.output_prefix.empty()) {
+    return Status::InvalidArgument(
+        "--release and --output-prefix are required");
+  }
+  KSYM_ASSIGN_OR_RETURN(const ResolvedRelease resolved,
+                        ResolveRelease(request.release, cache));
+  const ReleaseTriple& release = resolved.release();
 
-/// Writes one drawn sample set to disk and assembles the per-request
-/// report — the tail shared by RunSample and RunSampleBatch.
-Result<Response> FinishSampleResponse(const SampleRequest& request,
-                                      const ReleaseTriple& release,
-                                      const std::vector<Graph>& samples,
-                                      const char* mode, double elapsed_ms,
-                                      uint32_t threads) {
+  const Rng rng(request.seed);
+  ExecutionContext context(request.threads);
+  Timer timer;
+  BatchSampleOptions batch;
+  batch.num_samples = static_cast<size_t>(request.samples);
+  batch.target_vertices = release.original_vertices;
+  batch.exact = request.exact;
+  batch.context = &context;
+  KSYM_ASSIGN_OR_RETURN(
+      const std::vector<Graph> samples,
+      DrawSamples(release.graph, release.partition, batch, rng));
+  const double elapsed_ms = timer.ElapsedMillis();
+
   Response response;
   response.log += StrFormat("release %s [%s]\n", request.release.c_str(),
-                            mode);
+                            resolved.mode);
   response.report += StrFormat(
       "release: %zu vertices, %zu edges, %zu cells, n=%zu\n",
       release.graph.NumVertices(), release.graph.NumEdges(),
@@ -302,138 +315,8 @@ Result<Response> FinishSampleResponse(const SampleRequest& request,
   response.report += StrFormat("wrote %zu %s samples\n", samples.size(),
                                request.exact ? "exact" : "approximate");
   response.log += StrFormat("sampling %.1f ms (threads=%u)\n", elapsed_ms,
-                            threads);
+                            context.threads());
   return response;
-}
-
-Status ValidateSampleRequest(const SampleRequest& request) {
-  if (request.release.empty() || request.output_prefix.empty()) {
-    return Status::InvalidArgument(
-        "--release and --output-prefix are required");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<Response> RunSample(const SampleRequest& request, GraphCache* cache) {
-  KSYM_RETURN_IF_ERROR(ValidateSampleRequest(request));
-  KSYM_ASSIGN_OR_RETURN(const ResolvedRelease resolved,
-                        ResolveRelease(request.release, cache));
-  const ReleaseTriple& release = resolved.release();
-
-  const Rng rng(request.seed);
-  ExecutionContext context(request.threads);
-  Timer timer;
-  BatchSampleOptions batch;
-  batch.num_samples = static_cast<size_t>(request.samples);
-  batch.target_vertices = release.original_vertices;
-  batch.exact = request.exact;
-  batch.context = &context;
-  KSYM_ASSIGN_OR_RETURN(
-      const std::vector<Graph> samples,
-      DrawSamples(release.graph, release.partition, batch, rng));
-  return FinishSampleResponse(request, release, samples, resolved.mode,
-                              timer.ElapsedMillis(), context.threads());
-}
-
-std::vector<Result<Response>> RunSampleBatch(
-    const std::vector<SampleRequest>& requests, GraphCache* cache,
-    uint32_t threads) {
-  // Every slot is overwritten below; the placeholder only exists because
-  // Result has no default constructor.
-  std::vector<Result<Response>> responses(
-      requests.size(), Status::Internal("batch slot not filled"));
-
-  // Resolve every request's release and default weights up front. Weights
-  // are per-release state: DrawSamples computes SizeAwareCellWeights once
-  // per call, so the flat sweep must share one vector per request too.
-  struct Prepared {
-    ResolvedRelease resolved;
-    std::vector<double> weights;
-    std::vector<Graph> samples;
-    Status failure = Status::Ok();
-    bool ok = false;
-  };
-  std::vector<Prepared> prepared(requests.size());
-  struct Job {
-    size_t request_index;
-    size_t sample_index;
-  };
-  std::vector<Job> jobs;
-  for (size_t r = 0; r < requests.size(); ++r) {
-    const Status valid = ValidateSampleRequest(requests[r]);
-    if (!valid.ok()) {
-      responses[r] = valid;
-      continue;
-    }
-    auto resolved = ResolveRelease(requests[r].release, cache);
-    if (!resolved.ok()) {
-      responses[r] = resolved.status();
-      continue;
-    }
-    prepared[r].resolved = std::move(resolved).value();
-    const ReleaseTriple& release = prepared[r].resolved.release();
-    prepared[r].weights =
-        SizeAwareCellWeights(release.graph, release.partition);
-    prepared[r].samples.resize(static_cast<size_t>(requests[r].samples));
-    prepared[r].ok = true;
-    for (uint64_t i = 0; i < requests[r].samples; ++i) {
-      jobs.push_back(Job{r, static_cast<size_t>(i)});
-    }
-  }
-
-  // One flat sweep over every (request, sample) pair. Pair (r, i) depends
-  // only on Rng(seed_r).Fork(i) — exactly the stream DrawSamples hands
-  // sample i — so the interleaving (and the batch's composition) cannot
-  // change any output.
-  ExecutionContext context(threads);
-  Timer timer;
-  std::vector<Status> job_status(jobs.size());
-  ParallelFor(context.pool(), jobs.size(),
-              [&](size_t begin, size_t end, uint32_t) {
-                for (size_t j = begin; j < end; ++j) {
-                  const Job& job = jobs[j];
-                  const SampleRequest& request = requests[job.request_index];
-                  Prepared& prep = prepared[job.request_index];
-                  const ReleaseTriple& release = prep.resolved.release();
-                  Rng sample_rng = Rng(request.seed).Fork(job.sample_index);
-                  auto sample =
-                      request.exact
-                          ? ExactBackboneSample(
-                                release.graph, release.partition,
-                                release.original_vertices, sample_rng,
-                                &prep.weights, nullptr)
-                          : ApproximateBackboneSample(
-                                release.graph, release.partition,
-                                release.original_vertices, sample_rng,
-                                &prep.weights, nullptr);
-                  if (sample.ok()) {
-                    prep.samples[job.sample_index] =
-                        std::move(sample).value();
-                  } else {
-                    job_status[j] = sample.status();
-                  }
-                }
-              });
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    if (!job_status[j].ok()) {
-      prepared[jobs[j].request_index].failure = job_status[j];
-    }
-  }
-  const double elapsed_ms = timer.ElapsedMillis();
-
-  for (size_t r = 0; r < requests.size(); ++r) {
-    if (!prepared[r].ok) continue;  // Already failed at resolve time.
-    if (!prepared[r].failure.ok()) {
-      responses[r] = prepared[r].failure;
-      continue;
-    }
-    responses[r] = FinishSampleResponse(
-        requests[r], prepared[r].resolved.release(), prepared[r].samples,
-        prepared[r].resolved.mode, elapsed_ms, context.threads());
-  }
-  return responses;
 }
 
 Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {

@@ -96,19 +96,6 @@ Result<Response> RunSample(const SampleRequest& request,
 Result<Response> RunAttack(const AttackRequest& request,
                            GraphCache* cache = nullptr);
 
-/// Executes several sample requests as one batch: per-request releases are
-/// resolved (through the cache when given), then every (request, sample)
-/// pair is drawn in one flat deterministic sweep. Sample i of request r
-/// depends only on Rng(r.seed).Fork(i) — the same stream split DrawSamples
-/// uses — so each response is bit-identical to RunSample of that request
-/// alone, whatever was batched alongside (pinned by serve_test).
-/// `threads` is the batch-wide worker count (the per-request `threads`
-/// fields are ignored; they cannot change the results). The returned vector
-/// is index-aligned with `requests`.
-std::vector<Result<Response>> RunSampleBatch(
-    const std::vector<SampleRequest>& requests, GraphCache* cache = nullptr,
-    uint32_t threads = 1);
-
 // ---------------------------------------------------------------------------
 // Wire decoding (daemon side). Unknown keys are rejected — a typo'd flag
 // must not silently become a default.

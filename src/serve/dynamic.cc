@@ -49,35 +49,40 @@ Result<Response> RunMutate(const MutateRequest& request, DynamicState* state,
   if (request.session.empty()) {
     return Status::InvalidArgument("--session is required");
   }
+  if (request.input.empty() && request.edits.empty()) {
+    return Status::InvalidArgument(
+        "mutate needs edits (or an input, to create the session)");
+  }
   Response response;
   Timer timer;
-  std::shared_ptr<dyn::DynamicRegistry::Entry> entry;
+  KSYM_ASSIGN_OR_RETURN(const dyn::EditBatch batch,
+                        dyn::ParseEditList(request.edits));
+  size_t staged = batch.size();
   if (!request.input.empty()) {
     std::string mode;
     KSYM_ASSIGN_OR_RETURN(Graph base,
                           LoadBaseGraph(request.input, cache, &mode));
-    KSYM_ASSIGN_OR_RETURN(
-        entry, state->registry.Create(request.session, std::move(base),
-                                      request.compact_ratio));
-    response.report += StrFormat(
-        "created session %s: %zu vertices, %zu edges\n",
-        request.session.c_str(), entry->session.graph().NumVertices(),
-        entry->session.graph().NumEdges());
+    const size_t vertices = base.NumVertices();
+    const size_t edges = base.NumEdges();
+    KSYM_RETURN_IF_ERROR(
+        state->registry.Create(request.session, std::move(base), batch)
+            .status());
+    response.report +=
+        StrFormat("created session %s: %zu vertices, %zu edges\n",
+                  request.session.c_str(), vertices, edges);
     response.log += StrFormat("input %s [%s]\n", request.input.c_str(),
                               mode.c_str());
   } else {
-    KSYM_ASSIGN_OR_RETURN(entry, state->registry.Find(request.session));
-  }
-  if (!request.edits.empty()) {
-    KSYM_ASSIGN_OR_RETURN(dyn::EditBatch batch,
-                          dyn::ParseEditList(request.edits));
+    KSYM_ASSIGN_OR_RETURN(
+        const std::shared_ptr<dyn::DynamicRegistry::Entry> entry,
+        state->registry.Find(request.session));
     std::lock_guard<std::mutex> lock(entry->mu);
     KSYM_RETURN_IF_ERROR(entry->session.Stage(batch));
+    staged = entry->session.staged_edits();
+  }
+  if (!batch.empty()) {
     response.report += StrFormat("staged %zu edits (total staged %zu)\n",
-                                 batch.size(), entry->session.staged_edits());
-  } else if (request.input.empty()) {
-    return Status::InvalidArgument(
-        "mutate needs edits (or an input, to create the session)");
+                                 batch.size(), staged);
   }
   response.log += StrFormat("mutate %.1f ms\n", timer.ElapsedMillis());
   return response;
@@ -97,11 +102,9 @@ Result<Response> RunCommit(const CommitRequest& request, DynamicState* state) {
     KSYM_ASSIGN_OR_RETURN(outcome, entry->session.Commit());
   }
   response.report += StrFormat(
-      "committed %zu edits (%zu touched vertices): %zu edges now%s\n",
-      outcome.edits, outcome.touched_vertices, outcome.num_edges,
-      outcome.compacted ? ", compacted" : "");
-  response.log += StrFormat("commit %.1f ms (overlay ratio %.3f)\n",
-                            timer.ElapsedMillis(), outcome.overlay_ratio);
+      "committed %zu edits (%zu touched vertices): %zu edges now\n",
+      outcome.edits, outcome.touched_vertices, outcome.num_edges);
+  response.log += StrFormat("commit %.1f ms\n", timer.ElapsedMillis());
   return response;
 }
 
@@ -124,16 +127,14 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
     KSYM_ASSIGN_OR_RETURN(outcome,
                           entry->session.Reanonymize(request.k, &context));
   }
-  const char* path = outcome.release_cache_hit ? "release-cache-hit"
-                     : outcome.plan_cache_hit  ? "plan-cache-hit"
-                                               : "full-refine";
-  response.report += StrFormat("reanonymize k=%u via %s\n", request.k, path);
+  response.report +=
+      StrFormat("reanonymize k=%u via full-refine\n", request.k);
   response.report += StrFormat("graph checksum: %s\n",
                                ChecksumHex(outcome.graph_checksum).c_str());
   response.report += StrFormat(
       "partition checksum: %s\n",
       ChecksumHex(outcome.partition_checksum).c_str());
-  const ReleaseTriple& release = *outcome.release;
+  const ReleaseTriple& release = outcome.release;
   response.report += StrFormat(
       "release: %zu vertices, %zu edges (%zu originals)\n",
       release.graph.NumVertices(), release.graph.NumEdges(),
@@ -154,14 +155,11 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
 }
 
 Result<MutateRequest> MutateRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(
-      object, {"session", "input", "edits", "compact_ratio"}));
+  KSYM_RETURN_IF_ERROR(CheckKeys(object, {"session", "input", "edits"}));
   MutateRequest request;
   request.session = object.GetString("session");
   request.input = object.GetString("input");
   request.edits = object.GetString("edits");
-  request.compact_ratio =
-      object.GetDouble("compact_ratio", request.compact_ratio);
   return request;
 }
 

@@ -3,20 +3,21 @@
 //
 // A dynamic session is server-side state — unlike every other op, these
 // are not stateless request→response pairs, so the three ops share a
-// DynamicState (the session registry + the PlanCache) owned by the Server
-// and threaded through the Run* functions the same way the GraphCache is.
-// ksym_client drives them as plain wire lines:
+// DynamicState (the session registry) owned by the Server and threaded
+// through the Run* functions the same way the GraphCache is. ksym_client
+// drives them as plain wire lines:
 //
 //   {"op":"mutate","session":"g","input":"base.ksymcsr",
 //    "edits":"add 1 3;del 0 2"}        <- first mutate names the base graph
 //   {"op":"mutate","session":"g","edits":"add 2 5"}   <- stages more
-//   {"op":"commit","session":"g"}
+//   {"op":"commit","session":"g"}                     <- rebuilds the CSR
 //   {"op":"reanonymize","session":"g","k":"3","output":"epoch1.ksymcsr"}
 //
-// Edits travel as one ';'-separated scalar string (dyn/edits.h) because
-// the wire format is flat scalars only. Responses follow the api.h
-// report/log split: deterministic facts (edit counts, checksums, cache
-// verdicts) in `report`, timings in `log`.
+// Every reanonymize refines the committed graph and runs Algorithm 1 on
+// it; nothing is cached between epochs. Edits travel as one ';'-separated
+// scalar string (dyn/edits.h) because the wire format is flat scalars
+// only. Responses follow the api.h report/log split: deterministic facts
+// (edit counts, checksums) in `report`, timings in `log`.
 
 #ifndef KSYM_SERVE_DYNAMIC_H_
 #define KSYM_SERVE_DYNAMIC_H_
@@ -34,11 +35,14 @@
 namespace ksym {
 namespace serve {
 
-/// Shared state behind the dynamic ops: the named-session registry (which
-/// owns the PlanCache). The Server holds one; the CLIs build their own.
+/// Shared state behind the dynamic ops: the named-session registry. The
+/// Server holds one; the CLIs build their own.
 struct DynamicState {
-  explicit DynamicState(size_t plan_cache_bytes)
-      : registry(plan_cache_bytes) {}
+  DynamicState() = default;
+  /// Ignores its argument (the byte cap of a removed plan cache). Kept only
+  /// because perfbench/tests/perfbench_test.cc still constructs one this
+  /// way; it goes with the next benchmark change.
+  explicit DynamicState(size_t /*unused*/) {}
 
   dyn::DynamicRegistry registry;
 };
@@ -50,7 +54,6 @@ struct MutateRequest {
   std::string input;          // Base graph path (creation only).
   std::string edits;          // ';'-separated add/del items; may be empty
                               // on the creating mutate.
-  double compact_ratio = 0.25;  // Creation only: overlay compact trigger.
 };
 
 struct CommitRequest {

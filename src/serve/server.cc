@@ -95,7 +95,7 @@ Server::Server(const ServerOptions& options) : options_(options) {
   if (options_.thread_budget == 0) options_.thread_budget = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
   cache_ = std::make_unique<GraphCache>(options_.cache_bytes);
-  dynamic_ = std::make_unique<DynamicState>(options_.plan_cache_bytes);
+  dynamic_ = std::make_unique<DynamicState>();
   paused_ = options_.start_paused;
 }
 
@@ -435,8 +435,7 @@ std::string Server::HandleLine(const std::string& line) {
 
 void Server::WorkerLoop() {
   for (;;) {
-    std::vector<std::unique_ptr<Job>> jobs;
-    uint32_t cost = 1;
+    std::unique_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [&] {
@@ -446,107 +445,43 @@ void Server::WorkerLoop() {
         if (stopping_) return;
         continue;
       }
-      jobs.push_back(std::move(queue_.front()));
+      job = std::move(queue_.front());
       queue_.pop_front();
-      // Batch: a sample job picks up every sample job behind it. Sample i
-      // of request r depends only on Rng(seed_r).Fork(i), so the merge is
-      // invisible in the responses (bit-identical to solo execution).
-      if (jobs.front()->kind == Job::Kind::kSample) {
-        for (auto it = queue_.begin(); it != queue_.end();) {
-          if ((*it)->kind == Job::Kind::kSample) {
-            jobs.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
       stats_.queue_depth = queue_.size();
-      for (const auto& job : jobs) cost = std::max(cost, job->cost);
       budget_cv_.wait(lock, [&] {
         return stopping_ ||
-               stats_.running_threads + cost <= options_.thread_budget;
+               stats_.running_threads + job->cost <= options_.thread_budget;
       });
-      stats_.running_threads += cost;
+      stats_.running_threads += job->cost;
     }
-    auto responses = Execute(std::move(jobs));
+    WireObject response = Execute(*job);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.running_threads -= cost;
+      stats_.running_threads -= job->cost;
     }
     budget_cv_.notify_all();
     // Fulfill only now: every counter this work touched — including the
     // budget tokens above — is settled, so a client that sees its response
     // and immediately asks for stats gets a report that reflects it.
-    for (auto& [job, response] : responses) {
-      job->promise.set_value(std::move(response));
-    }
+    job->promise.set_value(std::move(response));
   }
 }
 
-std::vector<std::pair<std::unique_ptr<Server::Job>, WireObject>>
-Server::Execute(std::vector<std::unique_ptr<Job>> jobs) {
-  std::vector<std::pair<std::unique_ptr<Job>, WireObject>> responses;
-  responses.reserve(jobs.size());
-
+WireObject Server::Execute(Job& job) {
   // Deadline gate: a job whose admission deadline passed while it sat in
   // the queue answers with an error instead of executing late.
-  std::vector<std::unique_ptr<Job>> live;
-  for (auto& job : jobs) {
-    if (job->has_deadline && SteadyClock::now() > job->deadline) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.deadline_expired;
-        ++stats_.failed;
-      }
-      responses.emplace_back(std::move(job),
-                             ErrorResponse(Status::FailedPrecondition(
-                                 "deadline expired while queued")));
-      continue;
-    }
-    live.push_back(std::move(job));
+  if (job.has_deadline && SteadyClock::now() > job.deadline) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.deadline_expired;
+    ++stats_.failed;
+    return ErrorResponse(
+        Status::FailedPrecondition("deadline expired while queued"));
   }
-  if (live.empty()) return responses;
 
-  const Job::Kind kind = live.front()->kind;
   Timer timer;
-  if (kind == Job::Kind::kSample) {
-    std::vector<SampleRequest> requests;
-    uint32_t threads = 1;
-    requests.reserve(live.size());
-    for (const auto& job : live) {
-      requests.push_back(job->sample);
-      threads = std::max(threads, job->sample.threads);
-    }
-    std::vector<Result<Response>> results =
-        RunSampleBatch(requests, cache_.get(), threads);
-    uint64_t ok_count = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const Result<Response>& result : results) {
-        if (result.ok()) ++ok_count;
-      }
-      stats_.completed += ok_count;
-      stats_.failed += live.size() - ok_count;
-      stats_.sample_seconds += timer.ElapsedSeconds();
-      if (live.size() > 1) {
-        ++stats_.batches;
-        stats_.batched_requests += live.size();
-      }
-    }
-    for (size_t i = 0; i < live.size(); ++i) {
-      responses.emplace_back(std::move(live[i]),
-                             results[i].ok()
-                                 ? OkResponse(results[i].value())
-                                 : ErrorResponse(results[i].status()));
-    }
-    return responses;
-  }
-
-  Job& job = *live.front();
   Result<Response> result = Status::Internal("unhandled op");
   double* phase_seconds = nullptr;
-  switch (kind) {
+  switch (job.kind) {
     case Job::Kind::kAnonymize:
       result = RunAnonymize(job.anonymize, cache_.get());
       phase_seconds = &stats_.anonymize_seconds;
@@ -554,6 +489,10 @@ Server::Execute(std::vector<std::unique_ptr<Job>> jobs) {
     case Job::Kind::kAudit:
       result = RunAudit(job.audit, cache_.get());
       phase_seconds = &stats_.audit_seconds;
+      break;
+    case Job::Kind::kSample:
+      result = RunSample(job.sample, cache_.get());
+      phase_seconds = &stats_.sample_seconds;
       break;
     case Job::Kind::kAttack:
       result = RunAttack(job.attack, cache_.get());
@@ -579,8 +518,6 @@ Server::Execute(std::vector<std::unique_ptr<Job>> jobs) {
       result = std::move(response);
       break;
     }
-    case Job::Kind::kSample:
-      break;  // Handled above.
   }
   const bool ok = result.ok();
   {
@@ -592,10 +529,7 @@ Server::Execute(std::vector<std::unique_ptr<Job>> jobs) {
     }
     if (phase_seconds != nullptr) *phase_seconds += timer.ElapsedSeconds();
   }
-  responses.emplace_back(std::move(live.front()),
-                         ok ? OkResponse(result.value())
-                            : ErrorResponse(result.status()));
-  return responses;
+  return ok ? OkResponse(result.value()) : ErrorResponse(result.status());
 }
 
 std::string Server::StatsReport() const {
@@ -617,16 +551,11 @@ std::string Server::StatsReport() const {
   line("failed", snapshot.failed);
   line("deadline_expired", snapshot.deadline_expired);
   line("parse_errors", snapshot.parse_errors);
-  line("batches", snapshot.batches);
-  line("batched_requests", snapshot.batched_requests);
   line("connections", snapshot.connections);
   line("rejected_connections", snapshot.rejected_connections);
   line("queue_depth", snapshot.queue_depth);
   line("running_threads", snapshot.running_threads);
   line("thread_budget", options_.thread_budget);
-  // The two caches report the same counter set under uniform prefixes
-  // (greppable: ^graph_cache_ / ^plan_cache_), so dashboards and the CI
-  // smoke treat them interchangeably.
   line("graph_cache_hits", cache.hits);
   line("graph_cache_misses", cache.misses);
   line("graph_cache_evictions", cache.evictions);
@@ -635,14 +564,6 @@ std::string Server::StatsReport() const {
   line("graph_cache_peak_resident_bytes", cache.peak_resident_bytes);
   line("graph_cache_entries", cache.entries);
   line("graph_cache_max_bytes", cache_->max_bytes());
-  const dyn::PlanCacheStats plan = dynamic_->registry.plan_cache().stats();
-  line("plan_cache_hits", plan.hits);
-  line("plan_cache_misses", plan.misses);
-  line("plan_cache_evictions", plan.evictions);
-  line("plan_cache_resident_bytes", plan.resident_bytes);
-  line("plan_cache_peak_resident_bytes", plan.peak_resident_bytes);
-  line("plan_cache_entries", plan.entries);
-  line("plan_cache_max_bytes", dynamic_->registry.plan_cache().max_bytes());
   line("dynamic_sessions", dynamic_->registry.num_sessions());
   // How often each kernel family has actually run — so a live instance's
   // hot paths are auditable without a debugger (DESIGN.md §13).

@@ -12,19 +12,14 @@
 //   {"status":"error","error":"InvalidArgument: ..."}
 //   {"status":"busy","retry_after_ms":100,"error":"..."}   (429 analogue)
 //
-// Scheduling: a bounded FIFO queue feeds `thread_budget` workers. A request
-// whose arrival finds the queue full is rejected immediately with "busy" —
-// the daemon never blocks a client on another client's work. Each request's
+// Scheduling: a bounded FIFO queue feeds `thread_budget` workers, and each
+// worker executes one dequeued request at a time. A request whose arrival
+// finds the queue full is rejected immediately with "busy" — the daemon
+// never blocks a client on another client's work. Each request's
 // ExecutionContext is clamped to the global thread budget, and workers
 // acquire that many tokens before executing, so total compute threads never
 // exceed the budget. A "deadline_ms" that expires while queued yields an
 // error at dequeue time instead of a late execution.
-//
-// Batching: a worker that dequeues a sample request drains every other
-// sample request waiting in the queue and executes them as one
-// RunSampleBatch. Sample i of a request depends only on Rng(seed).Fork(i)
-// (schedule independence), so batched responses are bit-identical to solo
-// runs — batching changes latency, never bytes.
 //
 // "stats" is answered inline on the connection thread — it can always be
 // served, even (especially) when the queue is rejecting work.
@@ -46,7 +41,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -67,9 +61,6 @@ struct ServerOptions {
   /// Graph-cache LRU cap (serve/cache.h).
   size_t cache_bytes = size_t{1} << 30;
 
-  /// Plan-cache LRU cap (dyn/plan_cache.h) for the dynamic-graph ops.
-  size_t plan_cache_bytes = size_t{256} << 20;
-
   /// Global compute-thread budget; also the worker count. Each request's
   /// `threads` is clamped to this.
   uint32_t thread_budget = 4;
@@ -80,8 +71,8 @@ struct ServerOptions {
   /// Hint returned with "busy" rejections.
   uint32_t retry_after_ms = 100;
 
-  /// Start with the workers parked until Resume() — lets tests enqueue a
-  /// full batch and observe one deterministic drain.
+  /// Start with the workers parked until Resume() — lets tests fill the
+  /// queue deterministically before any request runs.
   bool start_paused = false;
 };
 
@@ -92,8 +83,11 @@ struct ServerStats {
   uint64_t failed = 0;           // Jobs finished with an error response.
   uint64_t deadline_expired = 0;  // Jobs whose deadline passed while queued.
   uint64_t parse_errors = 0;     // Lines that failed wire/request decoding.
-  uint64_t batches = 0;          // Sample batches executed.
-  uint64_t batched_requests = 0;  // Sample requests inside those batches.
+  // Always 0: the daemon no longer batches requests. Kept only because
+  // perfbench/workloads.cc reads both fields; they go with the next
+  // benchmark change.
+  uint64_t batches = 0;
+  uint64_t batched_requests = 0;
   uint64_t connections = 0;      // Connections accepted over the lifetime.
   uint64_t rejected_connections = 0;  // Of those, closed at kMaxConnections.
   size_t queue_depth = 0;        // Live.
@@ -154,13 +148,12 @@ class Server {
   /// Joins every connection thread that has closed its descriptor.
   void ReapConnections();
 
-  /// Executes one dequeued job (or a sample batch seeded by it) and returns
-  /// the jobs paired with their rendered responses. Called with no locks
-  /// held. Responses are fulfilled by the caller only after every counter
-  /// (completed/failed, phase timers, budget tokens) has been updated, so a
-  /// stats request issued after observing a response always reflects it.
-  std::vector<std::pair<std::unique_ptr<Job>, WireObject>> Execute(
-      std::vector<std::unique_ptr<Job>> jobs);
+  /// Executes one dequeued job and returns its rendered response. Called
+  /// with no locks held. The caller fulfils the response only after every
+  /// counter (completed/failed, phase timers, budget tokens) has been
+  /// updated, so a stats request issued after observing a response always
+  /// reflects it.
+  WireObject Execute(Job& job);
 
   /// Handles one request line, blocking until its response is ready.
   std::string HandleLine(const std::string& line);

@@ -1,7 +1,7 @@
-// Tests for the dynamic-graph subsystem (DESIGN.md §15): the DeltaGraph
-// overlay and its validation ladder, the edit-trace parsers (including a
-// single-byte corruption fuzz), the PlanCache, and the DynamicSession
-// cache ladder.
+// Tests for the dynamic-graph subsystem (DESIGN.md §15): the edit
+// validation ladder, the CSR rebuild against a brute-force edge set, the
+// edit-trace parsers (including a single-byte corruption fuzz), and
+// DynamicSession / DynamicRegistry.
 
 #include <algorithm>
 #include <set>
@@ -14,9 +14,7 @@
 #include "aut/orbits.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "dyn/delta_graph.h"
 #include "dyn/edits.h"
-#include "dyn/plan_cache.h"
 #include "dyn/repair.h"
 #include "dyn/session.h"
 #include "graph/generators.h"
@@ -138,274 +136,206 @@ TEST(EditParseTest, SingleByteCorruptionFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// DeltaGraph
+// Validation and the CSR rebuild
 // ---------------------------------------------------------------------------
 
-TEST(DeltaGraphTest, ValidationLadderNamesTheOffendingEdit) {
-  DeltaGraph delta(TestGraph());
+TEST(ValidationTest, LadderNamesTheOffendingEdit) {
+  const Graph graph = TestGraph();
 
   EditBatch self_loop;
   self_loop.Insert(3, 3);
-  Status s = delta.Validate(self_loop);
+  Status s = ValidateEdits(graph, self_loop);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("edit 0 (add 3 3)"), std::string::npos);
   EXPECT_NE(s.message().find("self-loop"), std::string::npos);
 
   EditBatch out_of_range;
   out_of_range.Insert(1, 42);
-  s = delta.Validate(out_of_range);
+  s = ValidateEdits(graph, out_of_range);
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
 
   EditBatch duplicate;
   duplicate.Insert(1, 3);
   duplicate.Delete(3, 1);  // Same unordered pair.
-  s = delta.Validate(duplicate);
+  s = ValidateEdits(graph, duplicate);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 
   EditBatch absent;
+  absent.Insert(1, 3);
   absent.Delete(0, 8);
-  s = delta.Validate(absent);
+  s = ValidateEdits(graph, absent);
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_NE(s.message().find("edit 1 (del 0 8)"), std::string::npos);
 
   EditBatch present;
   present.Insert(0, 1);
-  s = delta.Validate(present);
+  s = ValidateEdits(graph, present);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(DeltaGraphTest, RejectedBatchLeavesTheGraphUntouched) {
-  DeltaGraph delta(TestGraph());
-  const uint64_t before = delta.ContentChecksum();
-
+TEST(ValidationTest, RejectedBatchLeavesTheSessionUntouched) {
   EditBatch batch;
-  batch.Insert(1, 3);      // Valid in isolation...
-  batch.Delete(0, 8);      // ...but this edge is absent.
-  EXPECT_EQ(delta.Apply(batch).code(), StatusCode::kNotFound);
-  EXPECT_FALSE(delta.HasOverlay());
-  EXPECT_EQ(delta.ContentChecksum(), before);
-  EXPECT_FALSE(delta.HasEdge(1, 3));
+  batch.Insert(1, 3);  // Valid in isolation...
+  batch.Delete(0, 8);  // ...but this edge is absent.
+  EXPECT_EQ(ApplyEdits(TestGraph(), batch).status().code(),
+            StatusCode::kNotFound);
+
+  DynamicSession session(TestGraph());
+  EXPECT_EQ(session.Stage(batch).code(), StatusCode::kNotFound);
+  EXPECT_EQ(session.staged_edits(), 0u);
+  EXPECT_EQ(session.stats().mutates, 0u);
+  EXPECT_EQ(session.Commit().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.graph(), TestGraph());
 }
 
-TEST(DeltaGraphTest, MergedViewMatchesBruteForce) {
-  DeltaGraph delta(TestGraph());
-  std::set<std::pair<VertexId, VertexId>> edges;
-  const Graph base = TestGraph();
-  for (VertexId v = 0; v < base.NumVertices(); ++v) {
-    for (VertexId w : base.Neighbors(v)) {
-      if (v < w) edges.insert({v, w});
+using Edge = std::pair<VertexId, VertexId>;
+
+Edge Canonical(VertexId u, VertexId v) {
+  return {std::min(u, v), std::max(u, v)};
+}
+
+std::set<Edge> EdgeSet(const Graph& graph) {
+  std::set<Edge> edges;
+  graph.ForEachEdge([&](VertexId u, VertexId v) { edges.insert({u, v}); });
+  return edges;
+}
+
+Graph FromEdgeSet(size_t n, const std::set<Edge>& edges) {
+  GraphBuilder builder(n);
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  return builder.Build();
+}
+
+TEST(ApplyEditsTest, MatchesBruteForceRebuild) {
+  Rng rng(0xED17);
+  size_t reinserted_base_edges = 0;
+  size_t deleted_inserted_edges = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = 8 + rng.NextBounded(24);
+    Graph graph = ErdosRenyiGnm(n, n + rng.NextBounded(n), rng);
+    const std::set<Edge> base_edges = EdgeSet(graph);
+    std::set<Edge> edges = base_edges;
+    std::set<Edge> deleted_base;  // Base edges deleted and still absent.
+    std::set<Edge> inserted;      // Non-base edges inserted and present.
+
+    for (int commit = 0; commit < 6; ++commit) {
+      EditBatch batch;
+      std::set<Edge> in_batch;
+      // From the second commit on, undo one earlier edit of each kind, with
+      // the endpoints swapped.
+      if (!deleted_base.empty()) {
+        const Edge e = *deleted_base.begin();
+        batch.Insert(e.second, e.first);
+        in_batch.insert(e);
+        ++reinserted_base_edges;
+      }
+      if (!inserted.empty()) {
+        const Edge e = *inserted.begin();
+        batch.Delete(e.second, e.first);
+        in_batch.insert(e);
+        ++deleted_inserted_edges;
+      }
+      // Then random edits: deletes of present edges and inserts of absent
+      // pairs, each pair edited at most once per batch.
+      for (int i = 0; i < 4; ++i) {
+        if (rng.NextBounded(2) == 0 && !edges.empty()) {
+          auto it = edges.begin();
+          std::advance(it, rng.NextBounded(edges.size()));
+          if (in_batch.insert(*it).second) batch.Delete(it->first, it->second);
+          continue;
+        }
+        const auto u = static_cast<VertexId>(rng.NextBounded(n));
+        const auto v = static_cast<VertexId>(rng.NextBounded(n));
+        if (u == v || edges.count(Canonical(u, v)) != 0) continue;
+        if (in_batch.insert(Canonical(u, v)).second) batch.Insert(u, v);
+      }
+      ASSERT_FALSE(batch.empty());
+
+      for (const Edit& edit : batch.edits()) {
+        const Edge e = Canonical(edit.u, edit.v);
+        const bool base = base_edges.count(e) != 0;
+        if (edit.insert) {
+          edges.insert(e);
+          if (base) {
+            deleted_base.erase(e);
+          } else {
+            inserted.insert(e);
+          }
+        } else {
+          edges.erase(e);
+          if (base) {
+            deleted_base.insert(e);
+          } else {
+            inserted.erase(e);
+          }
+        }
+      }
+
+      Result<Graph> applied = ApplyEdits(graph, batch);
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+      graph = std::move(applied).value();
+      const Graph expected = FromEdgeSet(n, edges);
+      ASSERT_EQ(graph, expected) << "trial " << trial << " commit " << commit;
+      EXPECT_EQ(GraphContentChecksum(graph), GraphContentChecksum(expected));
     }
   }
-
-  EditBatch batch;
-  batch.Insert(1, 3);
-  batch.Delete(0, 1);
-  batch.Insert(2, 8);
-  batch.Delete(5, 6);
-  ASSERT_TRUE(delta.Apply(batch).ok());
-  edges.insert({1, 3});
-  edges.erase({0, 1});
-  edges.insert({2, 8});
-  edges.erase({5, 6});
-
-  EXPECT_EQ(delta.NumEdges(), edges.size());
-  for (VertexId v = 0; v < delta.NumVertices(); ++v) {
-    std::vector<VertexId> expected;
-    for (const auto& [a, b] : edges) {
-      if (a == v) expected.push_back(b);
-      if (b == v) expected.push_back(a);
-    }
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(delta.NeighborsOf(v), expected) << "vertex " << v;
-    EXPECT_EQ(delta.DegreeOf(v), expected.size());
-    std::vector<VertexId> walked;
-    delta.ForEachNeighbor(v, [&](VertexId w) { walked.push_back(w); });
-    EXPECT_EQ(walked, expected);
-    for (VertexId w = 0; w < delta.NumVertices(); ++w) {
-      const bool present = edges.count({std::min(v, w), std::max(v, w)}) > 0;
-      EXPECT_EQ(delta.HasEdge(v, w), v != w && present);
-    }
-  }
-}
-
-TEST(DeltaGraphTest, CompactMaterializesTheMergedView) {
-  DeltaGraph delta(TestGraph());
-  EditBatch batch;
-  batch.Insert(1, 3);
-  batch.Delete(4, 6);
-  batch.Insert(0, 8);
-  ASSERT_TRUE(delta.Apply(batch).ok());
-
-  const Graph compacted = delta.Compact();
-  ASSERT_EQ(compacted.NumVertices(), delta.NumVertices());
-  EXPECT_EQ(compacted.NumEdges(), delta.NumEdges());
-  for (VertexId v = 0; v < delta.NumVertices(); ++v) {
-    const std::span<const VertexId> neighbors = compacted.Neighbors(v);
-    EXPECT_EQ(std::vector<VertexId>(neighbors.begin(), neighbors.end()),
-              delta.NeighborsOf(v));
-  }
-  EXPECT_EQ(delta.ContentChecksum(), GraphContentChecksum(compacted));
-
-  const uint64_t checksum = delta.ContentChecksum();
-  delta.CompactInPlace();
-  EXPECT_FALSE(delta.HasOverlay());
-  EXPECT_EQ(delta.ContentChecksum(), checksum);
-}
-
-TEST(DeltaGraphTest, ChecksumIgnoresBatching) {
-  DeltaGraph one_batch(TestGraph());
-  EditBatch all;
-  all.Insert(1, 3);
-  all.Delete(0, 1);
-  all.Insert(5, 7);
-  ASSERT_TRUE(one_batch.Apply(all).ok());
-
-  DeltaGraph three_batches(TestGraph());
-  for (const Edit& e : all.edits()) {
-    EditBatch single;
-    single.Add(e);
-    ASSERT_TRUE(three_batches.Apply(single).ok());
-  }
-  EXPECT_EQ(one_batch.ContentChecksum(), three_batches.ContentChecksum());
-
-  // Insert-then-delete cancels back to the base checksum.
-  DeltaGraph cancel(TestGraph());
-  EditBatch ins;
-  ins.Insert(1, 3);
-  ASSERT_TRUE(cancel.Apply(ins).ok());
-  EditBatch del;
-  del.Delete(1, 3);
-  ASSERT_TRUE(cancel.Apply(del).ok());
-  EXPECT_EQ(cancel.ContentChecksum(), GraphContentChecksum(TestGraph()));
+  EXPECT_GT(reinserted_base_edges, 0u);
+  EXPECT_GT(deleted_inserted_edges, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// PlanCache
+// DynamicSession and DynamicRegistry
 // ---------------------------------------------------------------------------
 
-CachedPlan MakePlan(const Graph& graph) {
-  ExecutionContext context(1);
-  CachedPlan plan;
-  plan.tdv = ComputeTotalDegreePartition(graph, &context);
-  plan.partition_checksum = PartitionChecksum(plan.tdv);
-  return plan;
-}
-
-TEST(PlanCacheTest, CountsHitsAndMisses) {
-  PlanCache cache(size_t{1} << 20);
-  EXPECT_EQ(cache.GetPlan(7), nullptr);
-  auto inserted = cache.PutPlan(7, MakePlan(TestGraph()));
-  ASSERT_NE(inserted, nullptr);
-  auto hit = cache.GetPlan(7);
-  EXPECT_EQ(hit.get(), inserted.get());
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.resident_bytes, 0u);
-}
-
-TEST(PlanCacheTest, ReleasesAreKeyedByChecksumAndK) {
-  PlanCache cache(size_t{1} << 20);
-  ReleaseTriple release;
-  release.graph = TestGraph();
-  release.partition = MakePlan(release.graph).tdv;
-  release.original_vertices = release.graph.NumVertices();
-  cache.PutRelease(7, 2, release);
-  EXPECT_NE(cache.GetRelease(7, 2), nullptr);
-  EXPECT_EQ(cache.GetRelease(7, 3), nullptr);
-  EXPECT_EQ(cache.GetRelease(8, 2), nullptr);
-}
-
-TEST(PlanCacheTest, RacingInsertReturnsTheIncumbent) {
-  PlanCache cache(size_t{1} << 20);
-  auto first = cache.PutPlan(7, MakePlan(TestGraph()));
-  auto second = cache.PutPlan(7, MakePlan(TestGraph()));
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(PlanCacheTest, EvictsPastTheByteBudgetButNeverTheNewInsert) {
-  // A cap this small cannot hold two plans; every insert is still
-  // admitted, and the LRU entry goes.
-  PlanCache cache(1);
-  auto first = cache.PutPlan(1, MakePlan(TestGraph()));
-  auto second = cache.PutPlan(2, MakePlan(MakeCycle(6)));
-  ASSERT_NE(second, nullptr);
-  EXPECT_EQ(cache.GetPlan(2).get(), second.get());
-  EXPECT_EQ(cache.GetPlan(1), nullptr);  // Evicted.
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_GE(stats.evictions, 1u);
-  EXPECT_GT(stats.peak_resident_bytes, stats.resident_bytes);
-  // Pinning: the evicted entry stays alive through the held shared_ptr.
-  EXPECT_EQ(first->partition_checksum,
-            PartitionChecksum(MakePlan(TestGraph()).tdv));
-}
-
-// ---------------------------------------------------------------------------
-// DynamicSession cache ladder
-// ---------------------------------------------------------------------------
-
-TEST(SessionTest, CacheLadderFullThenHitThenRefine) {
-  PlanCache cache(size_t{64} << 20);
-  DynamicSession session("t", TestGraph(), /*compact_ratio=*/0.5, &cache);
+TEST(SessionTest, CommitRebuildsAndEveryReanonymizeRefines) {
+  DynamicSession session(TestGraph());
   ExecutionContext context(1);
 
-  // Cold: full refinement.
   auto first = session.Reanonymize(3, &context);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(first->release_cache_hit);
-  EXPECT_FALSE(first->plan_cache_hit);
-  EXPECT_EQ(session.stats().full_refines, 1u);
-  ASSERT_NE(first->release, nullptr);
+  EXPECT_GT(context.stats().refine_calls, 0u);
 
-  // Warm, same (graph, k): release hit, no refinement at all.
+  // Nothing is cached: the unchanged graph is refined again, to the same
+  // release.
   context.ResetStats();
   auto second = session.Reanonymize(3, &context);
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->release_cache_hit);
-  EXPECT_EQ(second->release.get(), first->release.get());
-  EXPECT_EQ(context.stats().refine_calls, 0u);
+  EXPECT_GT(context.stats().refine_calls, 0u);
+  EXPECT_EQ(second->release.graph, first->release.graph);
+  EXPECT_EQ(second->release.partition, first->release.partition);
+  EXPECT_EQ(second->partition_checksum, first->partition_checksum);
 
-  // Warm plan, new k: plan hit, orbit copy only.
-  context.ResetStats();
-  auto third = session.Reanonymize(2, &context);
-  ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(third->release_cache_hit);
-  EXPECT_TRUE(third->plan_cache_hit);
-  EXPECT_EQ(context.stats().refine_calls, 0u);
-  EXPECT_EQ(third->partition_checksum, first->partition_checksum);
-
-  // Edit + commit + reanonymize: a new graph state, refined in full.
   EditBatch batch;
   batch.Insert(1, 3);
   batch.Delete(0, 1);
   ASSERT_TRUE(session.Stage(batch).ok());
+  EXPECT_EQ(session.graph(), TestGraph());  // Staged edits are not applied.
   auto committed = session.Commit();
   ASSERT_TRUE(committed.ok()) << committed.status().ToString();
   EXPECT_EQ(committed->edits, 2u);
   EXPECT_EQ(committed->touched_vertices, 3u);
+  EXPECT_EQ(committed->num_edges, 10u);
+  EXPECT_EQ(session.staged_edits(), 0u);
+  EXPECT_EQ(session.graph(), ApplyEdits(TestGraph(), batch).value());
 
-  auto fourth = session.Reanonymize(3, &context);
-  ASSERT_TRUE(fourth.ok());
-  EXPECT_FALSE(fourth->release_cache_hit);
-  EXPECT_FALSE(fourth->plan_cache_hit);
-  EXPECT_EQ(session.stats().full_refines, 2u);
-  EXPECT_NE(fourth->graph_checksum, first->graph_checksum);
-
-  // The new plan is exactly the full recompute of the compacted graph.
+  auto third = session.Reanonymize(3, &context);
+  ASSERT_TRUE(third.ok());
+  EXPECT_NE(third->graph_checksum, first->graph_checksum);
+  EXPECT_EQ(third->graph_checksum, GraphContentChecksum(session.graph()));
   ExecutionContext check(1);
-  const VertexPartition full =
-      ComputeTotalDegreePartition(session.graph().Compact(), &check);
-  EXPECT_EQ(fourth->partition_checksum, PartitionChecksum(full));
+  EXPECT_EQ(third->partition_checksum,
+            PartitionChecksum(
+                ComputeTotalDegreePartition(session.graph(), &check)));
 
-  // And the new state is itself cached now.
-  auto fifth = session.Reanonymize(3, &context);
-  ASSERT_TRUE(fifth.ok());
-  EXPECT_TRUE(fifth->release_cache_hit);
+  EXPECT_EQ(session.stats().mutates, 1u);
+  EXPECT_EQ(session.stats().commits, 1u);
+  EXPECT_EQ(session.stats().edits_committed, 2u);
+  EXPECT_EQ(session.stats().reanonymizes, 3u);
 }
 
 TEST(SessionTest, StageValidatesAgainstTheCommittedGraph) {
-  PlanCache cache(size_t{1} << 20);
-  DynamicSession session("t", TestGraph(), 0.5, &cache);
+  DynamicSession session(TestGraph());
 
   EditBatch bad;
   bad.Delete(0, 8);  // Absent.
@@ -422,22 +352,36 @@ TEST(SessionTest, StageValidatesAgainstTheCommittedGraph) {
   EXPECT_EQ(session.staged_edits(), 1u);
 
   // Committing an empty stage is an error.
-  DynamicSession fresh("u", TestGraph(), 0.5, &cache);
+  DynamicSession fresh(TestGraph());
   EXPECT_EQ(fresh.Commit().status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(SessionTest, RegistryCreateAndFind) {
-  DynamicRegistry registry(size_t{1} << 20);
-  auto created = registry.Create("g", TestGraph(), 0.25);
+  DynamicRegistry registry;
+  auto created = registry.Create("g", TestGraph(), EditBatch());
   ASSERT_TRUE(created.ok());
   EXPECT_EQ(registry.num_sessions(), 1u);
-  EXPECT_FALSE(registry.Create("g", TestGraph(), 0.25).ok());
+  EXPECT_FALSE(registry.Create("g", TestGraph(), EditBatch()).ok());
   auto found = registry.Find("g");
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->get(), created->get());
   auto missing = registry.Find("h");
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+
+  // A create whose edits fail validation registers nothing; with valid
+  // edits the new session has them staged.
+  EditBatch bad;
+  bad.Delete(0, 8);
+  EXPECT_EQ(registry.Create("h", TestGraph(), bad).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(registry.num_sessions(), 1u);
+  EditBatch good;
+  good.Insert(0, 8);
+  auto staged = registry.Create("h", TestGraph(), good);
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  EXPECT_EQ((*staged)->session.staged_edits(), 1u);
+  EXPECT_EQ(registry.num_sessions(), 2u);
 }
 
 }  // namespace

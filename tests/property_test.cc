@@ -469,9 +469,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GroupOrderProperty,
 
 // ---------------------------------------------------------------------- //
 // Dynamic sweep: on an evolving graph, every per-epoch release produced   //
-// through the dynamic session (DESIGN.md §15) keeps the passive           //
-// adversary's candidate-set floor at k — the session's cache ladder must  //
-// never leak anonymity a from-scratch release would have provided.        //
+// through the dynamic session (DESIGN.md §15) equals Algorithm 1 on a     //
+// from-scratch graph with the same edges and keeps the passive            //
+// adversary's candidate-set floor at k.                                   //
 // ---------------------------------------------------------------------- //
 
 class DynamicProperty
@@ -484,9 +484,10 @@ TEST_P(DynamicProperty, EveryEpochReleaseKeepsTheCandidateFloor) {
   Graph base = std::string(kind) == "er" ? ErdosRenyiGnm(24, 30, rng)
                                          : BarabasiAlbert(26, 2, rng);
   const size_t n = base.NumVertices();
+  std::set<std::pair<VertexId, VertexId>> edges;
+  base.ForEachEdge([&](VertexId u, VertexId v) { edges.insert({u, v}); });
 
-  dyn::PlanCache cache(size_t{64} << 20);
-  dyn::DynamicSession session("sweep", std::move(base), 0.25, &cache);
+  dyn::DynamicSession session(std::move(base));
   ExecutionContext context(1);
 
   for (int epoch = 0; epoch < 4; ++epoch) {
@@ -494,7 +495,7 @@ TEST_P(DynamicProperty, EveryEpochReleaseKeepsTheCandidateFloor) {
     // with deletes of present edges, no pair edited twice in one batch.
     dyn::EditBatch batch;
     std::set<std::pair<VertexId, VertexId>> in_batch;
-    const dyn::DeltaGraph& graph = session.graph();
+    const Graph& graph = session.graph();
     for (int i = 0; i < 3; ++i) {
       for (int attempt = 0; attempt < 200; ++attempt) {
         VertexId u = static_cast<VertexId>(rng.NextBounded(n));
@@ -516,15 +517,39 @@ TEST_P(DynamicProperty, EveryEpochReleaseKeepsTheCandidateFloor) {
     ASSERT_FALSE(batch.empty());
     ASSERT_TRUE(session.Stage(batch).ok());
     ASSERT_TRUE(session.Commit().ok());
+    for (const dyn::Edit& e : batch.edits()) {
+      const std::pair<VertexId, VertexId> edge = {std::min(e.u, e.v),
+                                                  std::max(e.u, e.v)};
+      if (e.insert) {
+        edges.insert(edge);
+      } else {
+        edges.erase(edge);
+      }
+    }
 
     auto outcome = session.Reanonymize(k, &context);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ASSERT_NE(outcome->release, nullptr);
+
+    GraphBuilder builder(n);
+    for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+    const Graph scratch = builder.Build();
+    ExecutionContext scratch_context(1);
+    AnonymizationOptions options;
+    options.k = k;
+    options.use_total_degree_partition = true;
+    const auto expected = AnonymizeWithPartition(
+        scratch, ComputeTotalDegreePartition(scratch, &scratch_context),
+        options);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(outcome->release.graph, expected->graph)
+        << kind << " epoch " << epoch;
+    EXPECT_EQ(outcome->release.partition, expected->partition)
+        << kind << " epoch " << epoch;
 
     for (const auto& measure :
          {AdjacencyMeasure(2), CommunityMeasure(4), DegreeMeasure()}) {
       const VertexPartition cells =
-          PartitionByMeasure(outcome->release->graph, measure);
+          PartitionByMeasure(outcome->release.graph, measure);
       const CandidateStats stats = ComputeCandidateStats(cells, k);
       EXPECT_GE(stats.min_size, k)
           << kind << " epoch " << epoch << " " << measure.name;

@@ -1,11 +1,10 @@
 // Tests for the ksym_serve stack (DESIGN.md §12): wire framing (round
 // trips, malformed input, a deterministic fuzz pass), the checksum-keyed
 // GraphCache (hits, eviction, pinning), the request-level API (CLI/daemon
-// equivalence, batched-vs-solo bit-equality, concurrent sharded requests on
-// one cached shard set), the ArgParser the tools share,
-// and the Server end to end over a real unix socket — including admission
-// rejection, queued-deadline expiry, server-side sample batching, and the
-// request-line cap.
+// equivalence, concurrent sharded requests on one cached shard set, the
+// dynamic-session ops), the ArgParser the tools share, and the Server end
+// to end over a real unix socket — including admission rejection,
+// queued-deadline expiry, concurrent samples, and the request-line cap.
 
 #include <cstdint>
 #include <numeric>
@@ -20,6 +19,7 @@
 #include "graph/io.h"
 #include "serve/api.h"
 #include "serve/cache.h"
+#include "serve/dynamic.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "shard/partitioner.h"
@@ -315,6 +315,15 @@ TEST(RequestDecodeTest, UnknownFieldRejected) {
       ParseWireLine("{\"op\":\"audit\",\"input\":\"g\",\"kk\":3}").value());
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("kk"), std::string::npos);
+
+  // The mutate op has no tuning fields.
+  const auto mutate = MutateRequestFromWire(
+      ParseWireLine("{\"op\":\"mutate\",\"session\":\"s\","
+                    "\"edits\":\"add 0 1\",\"compact_ratio\":0.5}")
+          .value());
+  ASSERT_FALSE(mutate.ok());
+  EXPECT_NE(mutate.status().ToString().find("compact_ratio"),
+            std::string::npos);
 }
 
 TEST(RequestDecodeTest, SampleDefaults) {
@@ -330,7 +339,7 @@ TEST(RequestDecodeTest, SampleDefaults) {
 }
 
 // ---------------------------------------------------------------------------
-// Request API: cache transparency and batch bit-equality
+// Request API: cache transparency and the dynamic ops
 // ---------------------------------------------------------------------------
 
 TEST(ApiTest, AuditReportIdenticalWithAndWithoutCache) {
@@ -375,51 +384,30 @@ TEST(ApiTest, ErrorsSurfaceAsStatuses) {
   EXPECT_FALSE(RunSample(sample).ok());
 }
 
-TEST(ApiTest, BatchedSamplingBitIdenticalToSolo) {
-  const std::string release = WriteTestRelease("batch_rel");
+TEST(ApiTest, FailedCreatingMutateRegistersNoSession) {
+  const std::string input = WriteTestCsr("dyn_create.ksymcsr", MakePetersen());
+  DynamicState state;
+  MutateRequest request;
+  request.session = "s";
+  request.input = input;
 
-  // Two requests with different seeds and sample counts.
-  SampleRequest r0;
-  r0.release = release;
-  r0.samples = 3;
-  r0.seed = 7;
-  SampleRequest r1;
-  r1.release = release;
-  r1.samples = 2;
-  r1.seed = 1234;
+  request.edits = "add 0 0";  // Parses, but a self-loop fails validation.
+  const auto invalid = RunMutate(request, &state);
+  ASSERT_FALSE(invalid.ok());
+  EXPECT_NE(invalid.status().ToString().find("self-loop"), std::string::npos);
+  EXPECT_EQ(state.registry.num_sessions(), 0u);
 
-  // Solo runs.
-  r0.output_prefix = TempPath("solo0");
-  r1.output_prefix = TempPath("solo1");
-  const auto solo0 = RunSample(r0);
-  const auto solo1 = RunSample(r1);
-  ASSERT_TRUE(solo0.ok()) << solo0.status().ToString();
-  ASSERT_TRUE(solo1.ok()) << solo1.status().ToString();
+  request.edits = "add 0";  // Does not parse.
+  EXPECT_FALSE(RunMutate(request, &state).ok());
+  EXPECT_EQ(state.registry.num_sessions(), 0u);
 
-  // Batched run of both, through a cache, with batch-level threading.
-  GraphCache cache(size_t{1} << 20);
-  SampleRequest b0 = r0;
-  SampleRequest b1 = r1;
-  b0.output_prefix = TempPath("batch0");
-  b1.output_prefix = TempPath("batch1");
-  const auto results = RunSampleBatch({b0, b1}, &cache, /*threads=*/3);
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
-  ASSERT_TRUE(results[1].ok()) << results[1].status().ToString();
-
-  // Every written sample is byte-identical to its solo twin.
-  for (uint64_t i = 0; i < r0.samples; ++i) {
-    const std::string suffix = "." + std::to_string(i) + ".edges";
-    EXPECT_EQ(ReadFileBytes(TempPath("solo0") + suffix),
-              ReadFileBytes(TempPath("batch0") + suffix))
-        << "request 0 sample " << i;
-  }
-  for (uint64_t i = 0; i < r1.samples; ++i) {
-    const std::string suffix = "." + std::to_string(i) + ".edges";
-    EXPECT_EQ(ReadFileBytes(TempPath("solo1") + suffix),
-              ReadFileBytes(TempPath("batch1") + suffix))
-        << "request 1 sample " << i;
-  }
+  request.edits = "add 0 2";  // Not a Petersen edge.
+  const auto retry = RunMutate(request, &state);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->report,
+            "created session s: 10 vertices, 15 edges\n"
+            "staged 1 edits (total staged 1)\n");
+  EXPECT_EQ(state.registry.num_sessions(), 1u);
 }
 
 TEST(ApiTest, ConcurrentShardedRequestsShareOneCachedSet) {
@@ -595,9 +583,7 @@ TEST(ServerTest, AuditMatchesCliByteForByteAndCaches) {
   EXPECT_NE(report.find("completed: 2\n"), std::string::npos) << report;
   EXPECT_NE(report.find("graph_cache_hits: 1\n"), std::string::npos)
       << report;
-  // The plan cache reports the same counter set under its own prefix.
-  EXPECT_NE(report.find("plan_cache_hits: 0\n"), std::string::npos) << report;
-  EXPECT_NE(report.find("plan_cache_entries: 0\n"), std::string::npos)
+  EXPECT_NE(report.find("dynamic_sessions: 0\n"), std::string::npos)
       << report;
   server.Stop();
 }
@@ -742,8 +728,8 @@ TEST(ServerTest, QueuedDeadlineExpires) {
   server.Stop();
 }
 
-TEST(ServerTest, QueuedSamplesBatchAndMatchSoloBytes) {
-  const std::string release = WriteTestRelease("srv_batch_rel");
+TEST(ServerTest, ConcurrentSamplesMatchSoloBytes) {
+  const std::string release = WriteTestRelease("srv_conc_rel");
 
   // Solo reference runs (no daemon).
   SampleRequest r0;
@@ -757,8 +743,9 @@ TEST(ServerTest, QueuedSamplesBatchAndMatchSoloBytes) {
   ASSERT_TRUE(RunSample(r0).ok());
   ASSERT_TRUE(RunSample(r1).ok());
 
-  ServerOptions options = BaseOptions("srv_batch.sock");
-  options.thread_budget = 1;  // One worker: it must drain both as a batch.
+  // One parked worker: both requests are queued before either runs.
+  ServerOptions options = BaseOptions("srv_conc.sock");
+  options.thread_budget = 1;
   options.start_paused = true;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -774,9 +761,9 @@ TEST(ServerTest, QueuedSamplesBatchAndMatchSoloBytes) {
   ASSERT_TRUE(c1.connected());
   std::string l0, l1;
   std::thread t0(
-      [&] { l0 = c0.RoundTrip(request_line(5, TempPath("srv_batch0"))); });
+      [&] { l0 = c0.RoundTrip(request_line(5, TempPath("srv_conc0"))); });
   std::thread t1(
-      [&] { l1 = c1.RoundTrip(request_line(6, TempPath("srv_batch1"))); });
+      [&] { l1 = c1.RoundTrip(request_line(6, TempPath("srv_conc1"))); });
   while (server.stats().accepted < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -790,18 +777,15 @@ TEST(ServerTest, QueuedSamplesBatchAndMatchSoloBytes) {
   ASSERT_TRUE(p1.ok());
   EXPECT_EQ(p0->GetString("status"), "ok") << p0->GetString("error");
   EXPECT_EQ(p1->GetString("status"), "ok") << p1->GetString("error");
+  EXPECT_EQ(server.stats().completed, 2u);
 
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_requests, 2u);
-
-  // Batched daemon outputs == solo CLI outputs, byte for byte.
+  // Daemon outputs == solo CLI outputs, byte for byte.
   for (int i = 0; i < 2; ++i) {
     const std::string suffix = "." + std::to_string(i) + ".edges";
     EXPECT_EQ(ReadFileBytes(TempPath("srv_solo0") + suffix),
-              ReadFileBytes(TempPath("srv_batch0") + suffix));
+              ReadFileBytes(TempPath("srv_conc0") + suffix));
     EXPECT_EQ(ReadFileBytes(TempPath("srv_solo1") + suffix),
-              ReadFileBytes(TempPath("srv_batch1") + suffix));
+              ReadFileBytes(TempPath("srv_conc1") + suffix));
   }
   server.Stop();
 }

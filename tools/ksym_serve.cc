@@ -42,16 +42,13 @@ void HandleSignal(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   ksym::serve::ServerOptions options;
   uint64_t cache_bytes = 0;
-  uint64_t plan_bytes = 0;
   ksym_tools::ArgParser parser(
-      "usage: ksym_serve --socket PATH [--cache-bytes B] [--plan-bytes B]\n"
-      "                  [--threads N] [--max-queue Q] [--retry-after-ms MS]");
+      "usage: ksym_serve --socket PATH [--cache-bytes B] [--threads N]\n"
+      "                  [--max-queue Q] [--retry-after-ms MS]");
   parser.String("--socket", &options.socket_path,
                 "unix-domain socket path to listen on");
   parser.U64("--cache-bytes", &cache_bytes,
              "graph-cache LRU cap in bytes (default 1 GiB)");
-  parser.U64("--plan-bytes", &plan_bytes,
-             "plan-cache LRU cap in bytes (default 256 MiB)");
   parser.U32("--threads", &options.thread_budget,
              "global compute-thread budget (and worker count)");
   parser.Size("--max-queue", &options.max_queue,
@@ -61,9 +58,6 @@ int main(int argc, char** argv) {
   parser.ParseOrExit(argc, argv);
   if (options.socket_path.empty()) parser.FailUsage();
   if (cache_bytes > 0) options.cache_bytes = static_cast<size_t>(cache_bytes);
-  if (plan_bytes > 0) {
-    options.plan_cache_bytes = static_cast<size_t>(plan_bytes);
-  }
 
   ksym::serve::Server server(options);
   const ksym::Status started = server.Start();
