@@ -49,7 +49,7 @@ MUTATIONS = [
     Mutation(
         name="Ocp rule 1 dropped (no external edge to the copy)",
         path="src/ksym/orbit_copy.cc",
-        old="        graph.AddEdge(u, v_copy);\n",
+        old="        delta.AddEdge(u, v_copy);\n",
         new="",
         test="orbit_copy_test",
     ),
@@ -100,6 +100,13 @@ MUTATIONS = [
              "      }\n"),
         new="",
         test="dyn_test",
+    ),
+    Mutation(
+        name="Ocp walks only the input row (delta row dropped)",
+        path="src/ksym/orbit_copy.cc",
+        old="    for (VertexId u : delta.added(v)) wire(u);\n",
+        new="",
+        test="orbit_copy_test",
     ),
 ]
 

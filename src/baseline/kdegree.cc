@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <set>
+#include <utility>
 
 namespace ksym {
 namespace {
@@ -163,8 +165,9 @@ Result<KDegreeResult> KDegreeAnonymize(const Graph& graph, uint32_t k,
       deficiency[v] =
           static_cast<int64_t>(targets[v]) - static_cast<int64_t>(actual[v]);
     }
-    MutableGraph result(graph);
-    size_t edges_added = 0;
+    // The added edges as (min, max) pairs; input edges are looked up in
+    // `graph`, and the result is rebuilt from both once realization succeeds.
+    std::set<std::pair<VertexId, VertexId>> added;
     bool failed = false;
     while (!failed) {
       std::vector<VertexId> deficient;
@@ -181,9 +184,10 @@ Result<KDegreeResult> KDegreeAnonymize(const Graph& graph, uint32_t k,
       const VertexId u = deficient.front();
       for (size_t i = 1; i < deficient.size() && deficiency[u] > 0; ++i) {
         const VertexId w = deficient[i];
-        if (result.HasEdge(u, w)) continue;
-        result.AddEdge(u, w);
-        ++edges_added;
+        if (graph.HasEdge(u, w) ||
+            !added.emplace(std::min(u, w), std::max(u, w)).second) {
+          continue;
+        }
         --deficiency[u];
         --deficiency[w];
       }
@@ -191,9 +195,14 @@ Result<KDegreeResult> KDegreeAnonymize(const Graph& graph, uint32_t k,
       if (deficiency[u] > 0) failed = true;
     }
     if (!failed) {
+      GraphBuilder builder(n);
+      graph.ForEachEdge([&builder](VertexId a, VertexId b) {
+        builder.AddEdge(a, b);
+      });
+      for (const auto& [a, b] : added) builder.AddEdge(a, b);
       KDegreeResult out;
-      out.graph = result.Freeze();
-      out.edges_added = edges_added;
+      out.graph = builder.Build();
+      out.edges_added = added.size();
       out.attempts = attempt;
       return out;
     }

@@ -147,16 +147,15 @@ Graph BoostClustering(const Graph& graph, size_t attempts, Rng& rng) {
 // (duplicate leaves on a shared neighbour); configuration-model graphs are
 // almost surely rigid without it.
 Graph PairPendants(const Graph& graph, size_t pairs, Rng& rng) {
-  MutableGraph work(graph);
   std::vector<std::pair<VertexId, VertexId>> edges = graph.Edges();
   // Collect pendants with their unique neighbour.
   std::vector<VertexId> pendants;
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    if (work.Degree(v) == 1) pendants.push_back(v);
+    if (graph.Degree(v) == 1) pendants.push_back(v);
   }
   rng.Shuffle(pendants.begin(), pendants.end());
 
-  // MutableGraph cannot delete edges, so rebuild through an edge set.
+  // Rewires delete edges, so work on an edge set and rebuild at the end.
   std::set<std::pair<VertexId, VertexId>> edge_set(edges.begin(), edges.end());
   auto norm = [](VertexId a, VertexId b) {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);

@@ -174,58 +174,4 @@ Graph GraphBuilder::Build() const {
   return graph;
 }
 
-MutableGraph::MutableGraph(const Graph& graph)
-    : adjacency_(graph.NumVertices()), num_edges_(graph.NumEdges()) {
-  for (VertexId v = 0; v < adjacency_.size(); ++v) {
-    const auto neighbors = graph.Neighbors(v);
-    adjacency_[v].assign(neighbors.begin(), neighbors.end());
-  }
-}
-
-VertexId MutableGraph::AddVertex() {
-  adjacency_.emplace_back();
-  return static_cast<VertexId>(adjacency_.size() - 1);
-}
-
-bool MutableGraph::HasEdge(VertexId u, VertexId v) const {
-  KSYM_DCHECK(u < adjacency_.size());
-  KSYM_DCHECK(v < adjacency_.size());
-  const std::vector<VertexId>& adj =
-      adjacency_[u].size() <= adjacency_[v].size() ? adjacency_[u]
-                                                   : adjacency_[v];
-  const VertexId target =
-      adjacency_[u].size() <= adjacency_[v].size() ? v : u;
-  return std::find(adj.begin(), adj.end(), target) != adj.end();
-}
-
-void MutableGraph::AddEdge(VertexId u, VertexId v) {
-  KSYM_DCHECK(u != v);
-  KSYM_DCHECK(u < adjacency_.size());
-  KSYM_DCHECK(v < adjacency_.size());
-  KSYM_DCHECK(!HasEdge(u, v));
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  ++num_edges_;
-}
-
-Graph MutableGraph::Freeze() const {
-  const size_t n = adjacency_.size();
-  std::vector<EdgeIndex> offsets(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    offsets[v + 1] = offsets[v] + adjacency_[v].size();
-  }
-  std::vector<VertexId> neighbors(offsets[n]);
-  for (size_t v = 0; v < n; ++v) {
-    VertexId* range = neighbors.data() + offsets[v];
-    std::copy(adjacency_[v].begin(), adjacency_[v].end(), range);
-    std::sort(range, range + adjacency_[v].size());
-    KSYM_DCHECK(std::adjacent_find(range, range + adjacency_[v].size()) ==
-                range + adjacency_[v].size());
-  }
-  KSYM_DCHECK(neighbors.size() == 2 * num_edges_);
-  Graph graph;
-  graph.AdoptStorage(std::move(offsets), std::move(neighbors));
-  return graph;
-}
-
 }  // namespace ksym

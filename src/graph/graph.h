@@ -25,8 +25,9 @@
 // A full neighbour sweep is one linear pass over a contiguous array — no
 // per-vertex heap allocation, no pointer chasing — which is what the hot
 // refinement / search / sampling loops rely on. Construction is a
-// counting-sort (GraphBuilder::Build, MutableGraph::Freeze); Graph::FromCsr
-// adopts already-built arrays with no copy.
+// counting-sort (GraphBuilder::Build); Graph::FromCsr adopts already-built
+// arrays with no copy, which is how the anonymizer emits its release (input
+// rows followed by the copies' rows, ksym/orbit_copy.h).
 //
 // Storage ownership. A Graph normally owns its two arrays, but
 // Graph::FromBorrowedCsr builds a *borrowed* graph whose spans point at
@@ -38,9 +39,8 @@
 // the lifetime contract.
 //
 // `GraphBuilder` assembles a Graph from arbitrary edge insertions
-// (deduplicating and dropping self-loops), and `MutableGraph` supports the
-// incremental vertex/edge insertion that the anonymization procedure
-// performs before freezing the result back into a Graph.
+// (deduplicating and dropping self-loops). A Graph is never modified in
+// place: code that grows or edits a graph builds a new one.
 
 #ifndef KSYM_GRAPH_GRAPH_H_
 #define KSYM_GRAPH_GRAPH_H_
@@ -171,7 +171,6 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  friend class MutableGraph;
 
   /// Adopts owning storage and points the views at it.
   void AdoptStorage(std::vector<EdgeIndex> offsets,
@@ -220,43 +219,6 @@ class GraphBuilder {
  private:
   size_t num_vertices_;
   std::vector<std::pair<VertexId, VertexId>> edges_;
-};
-
-/// A graph under modification. The k-symmetry anonymizer inserts vertices
-/// and edges (never deletes), matching the paper's restriction to
-/// vertex/edge insertion; `Freeze()` validates and produces the immutable
-/// result.
-///
-/// AddEdge requires the edge to be absent (the orbit-copying operation never
-/// produces duplicates); this is checked in debug builds.
-class MutableGraph {
- public:
-  MutableGraph() = default;
-  /// Starts from an existing graph; original vertex ids are preserved.
-  explicit MutableGraph(const Graph& graph);
-
-  VertexId AddVertex();
-  void AddEdge(VertexId u, VertexId v);
-  bool HasEdge(VertexId u, VertexId v) const;
-
-  size_t NumVertices() const { return adjacency_.size(); }
-  size_t NumEdges() const { return num_edges_; }
-
-  std::span<const VertexId> Neighbors(VertexId v) const {
-    KSYM_DCHECK(v < adjacency_.size());
-    return adjacency_[v];
-  }
-  size_t Degree(VertexId v) const {
-    KSYM_DCHECK(v < adjacency_.size());
-    return adjacency_[v].size();
-  }
-
-  /// Produces the immutable CSR graph (per-vertex ranges sorted on the way).
-  Graph Freeze() const;
-
- private:
-  std::vector<std::vector<VertexId>> adjacency_;  // Unsorted while mutable.
-  size_t num_edges_ = 0;
 };
 
 }  // namespace ksym

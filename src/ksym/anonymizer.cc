@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "ksym/orbit_copy.h"
-#include "ksym/partition.h"
+#include "shard/sharded_graph.h"
 
 namespace ksym {
 
@@ -27,6 +26,7 @@ size_t DegreeThresholdForExcludedFraction(const Graph& graph,
 
 size_t DegreeThresholdForExcludedFraction(std::span<const size_t> degrees,
                                           double fraction) {
+  KSYM_DCHECK(fraction >= 0.0 && fraction < 1.0);
   if (fraction <= 0.0 || degrees.empty()) {
     return std::numeric_limits<size_t>::max();
   }
@@ -40,36 +40,52 @@ size_t DegreeThresholdForExcludedFraction(std::span<const size_t> degrees,
   return sorted[num_excluded - 1] == 0 ? 0 : sorted[num_excluded - 1] - 1;
 }
 
-Result<AnonymizationResult> Anonymize(const Graph& graph,
-                                      const AnonymizationOptions& options) {
-  // With no caller context, a local one still collects this call's stats
-  // (it outlives the nested AnonymizeWithPartition call below).
-  ExecutionContext local_context;
-  AnonymizationOptions resolved = options;
-  if (resolved.context == nullptr) resolved.context = &local_context;
-
-  VertexPartition initial;
-  uint64_t trace = 0;
-  {
-    ScopedPhaseTimer timer(resolved.context,
-                           &RefinementStats::partition_seconds);
-    initial = options.use_total_degree_partition
-                  ? ComputeTotalDegreePartition(graph, resolved.context, &trace)
-                  : ComputeAutomorphismPartition(graph, {}, resolved.context);
+template <typename Base>
+void CopyToRequirement(const Base& base, const VertexPartition& initial,
+                       const SymmetryRequirement& requirement,
+                       const CopyUnitChooser& unit_of, ReleaseDelta& delta,
+                       TrackedPartition& partition, CopyCosts& costs) {
+  for (uint32_t cell = 0; cell < initial.cells.size(); ++cell) {
+    // The vertices of one orbit all share the same degree, so any member's
+    // degree represents the orbit.
+    const std::vector<VertexId>& orbit = initial.cells[cell];
+    const uint32_t required = requirement(orbit, base.Degree(orbit.front()));
+    if (required <= 1) {
+      ++costs.orbits_excluded;
+      continue;
+    }
+    if (partition.Cell(cell).size() >= required) {
+      ++costs.orbits_satisfied;
+      continue;
+    }
+    ++costs.orbits_copied;
+    const std::vector<VertexId> unit = unit_of ? unit_of(initial, cell) : orbit;
+    while (partition.Cell(cell).size() < required) {
+      const size_t edges_before = delta.added_edges();
+      OrbitCopy(base, delta, partition, cell, unit);
+      ++costs.copy_operations;
+      costs.vertices_added += unit.size();
+      costs.edges_added += delta.added_edges() - edges_before;
+    }
   }
-  Result<AnonymizationResult> result =
-      AnonymizeWithPartition(graph, initial, resolved);
-  if (result.ok()) result->refinement_trace = trace;
-  return result;
 }
 
-Result<AnonymizationResult> AnonymizeWithPartition(
-    const Graph& graph, const VertexPartition& initial,
-    const AnonymizationOptions& options) {
+template void CopyToRequirement(const Graph&, const VertexPartition&,
+                                const SymmetryRequirement&,
+                                const CopyUnitChooser&, ReleaseDelta&,
+                                TrackedPartition&, CopyCosts&);
+template void CopyToRequirement(const ShardedGraph&, const VertexPartition&,
+                                const SymmetryRequirement&,
+                                const CopyUnitChooser&, ReleaseDelta&,
+                                TrackedPartition&, CopyCosts&);
+
+Result<AnonymizationResult> AnonymizeInMemory(
+    const Graph& graph, const VertexPartition* initial,
+    const AnonymizationOptions& options, const CopyUnitChooser& unit_of) {
   if (!options.requirement && options.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
-  if (initial.cell_of.size() != graph.NumVertices()) {
+  if (initial != nullptr && initial->cell_of.size() != graph.NumVertices()) {
     return Status::InvalidArgument(
         "initial partition does not match the graph");
   }
@@ -77,48 +93,45 @@ Result<AnonymizationResult> AnonymizeWithPartition(
       options.requirement ? options.requirement
                           : KSymmetryRequirement(options.k);
 
+  // With no caller context, a local one still collects this call's stats.
   ExecutionContext local_context;
   const ExecutionContext* context =
       options.context != nullptr ? options.context : &local_context;
 
-  MutableGraph mutable_graph(graph);
-  TrackedPartition partition(initial);
-
   AnonymizationResult result;
   result.original_vertices = graph.NumVertices();
+  VertexPartition computed;
+  if (initial == nullptr) {
+    ScopedPhaseTimer timer(context, &RefinementStats::partition_seconds);
+    computed = options.use_total_degree_partition
+                   ? ComputeTotalDegreePartition(graph, context,
+                                                 &result.refinement_trace)
+                   : ComputeAutomorphismPartition(graph, {}, context);
+    initial = &computed;
+  }
 
   {
     ScopedPhaseTimer copy_timer(context, &RefinementStats::copy_seconds);
-    const size_t num_cells = initial.cells.size();
-    for (uint32_t cell = 0; cell < num_cells; ++cell) {
-      // Copy the *original* members; the vertices of one orbit all share the
-      // same degree, so any member's degree represents the orbit.
-      const std::vector<VertexId> unit = initial.cells[cell];
-      const size_t degree = graph.Degree(unit.front());
-      const uint32_t required = requirement(unit, degree);
-      if (required <= 1) {
-        ++result.orbits_excluded;
-        continue;
-      }
-      if (partition.Cell(cell).size() >= required) {
-        ++result.orbits_satisfied;
-        continue;
-      }
-      ++result.orbits_copied;
-      while (partition.Cell(cell).size() < required) {
-        const size_t edges_before = mutable_graph.NumEdges();
-        OrbitCopy(mutable_graph, partition, cell, unit);
-        ++result.copy_operations;
-        result.vertices_added += unit.size();
-        result.edges_added += mutable_graph.NumEdges() - edges_before;
-      }
-    }
-
-    result.graph = mutable_graph.Freeze();
+    ReleaseDelta delta(graph.NumVertices());
+    TrackedPartition partition(*initial);
+    CopyToRequirement(graph, *initial, requirement, unit_of, delta, partition,
+                      result);
+    result.graph = ReleasedGraph(graph, delta);
     result.partition = partition.ToVertexPartition();
   }
   result.refinement = context->stats();
   return result;
+}
+
+Result<AnonymizationResult> Anonymize(const Graph& graph,
+                                      const AnonymizationOptions& options) {
+  return AnonymizeInMemory(graph, nullptr, options, {});
+}
+
+Result<AnonymizationResult> AnonymizeWithPartition(
+    const Graph& graph, const VertexPartition& initial,
+    const AnonymizationOptions& options) {
+  return AnonymizeInMemory(graph, &initial, options, {});
 }
 
 }  // namespace ksym

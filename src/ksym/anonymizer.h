@@ -7,6 +7,10 @@
 // exactly what the paper publishes: the anonymized graph, its
 // sub-automorphism partition, and the original vertex count (used by the
 // sampling algorithms to size their output).
+//
+// Every entry point — these two, AnonymizeMinimalVertices,
+// AnonymizeSharded and ExactBackboneSample's regrow — runs the one per-cell
+// walk below (CopyToRequirement) with the one Ocp (ksym/orbit_copy.h).
 
 #ifndef KSYM_KSYM_ANONYMIZER_H_
 #define KSYM_KSYM_ANONYMIZER_H_
@@ -20,6 +24,8 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "graph/graph.h"
+#include "ksym/orbit_copy.h"
+#include "ksym/partition.h"
 
 namespace ksym {
 
@@ -39,6 +45,7 @@ SymmetryRequirement HubExclusionRequirement(uint32_t k,
 
 /// Helper for the Figure 10/11 sweeps: the degree threshold that excludes
 /// (approximately) the top `fraction` of vertices by descending degree.
+/// Requires 0 <= fraction < 1 (callers validate user input first);
 /// fraction = 0 excludes nothing (returns SIZE_MAX).
 size_t DegreeThresholdForExcludedFraction(const Graph& graph, double fraction);
 
@@ -62,7 +69,18 @@ struct AnonymizationOptions {
   const ExecutionContext* context = nullptr;
 };
 
-struct AnonymizationResult {
+/// Algorithm 1's cost accounting (Figure 10 and the complexity discussion
+/// of Section 3.3), shared by the in-memory and sharded results.
+struct CopyCosts {
+  size_t vertices_added = 0;
+  size_t edges_added = 0;
+  size_t copy_operations = 0;
+  size_t orbits_copied = 0;
+  size_t orbits_excluded = 0;   // Requirement 1 (hub exclusion).
+  size_t orbits_satisfied = 0;  // Already >= requirement, nothing to do.
+};
+
+struct AnonymizationResult : CopyCosts {
   /// The anonymized graph G' (a supergraph of G: original ids unchanged).
   Graph graph;
   /// The released sub-automorphism partition V' of G'.
@@ -70,22 +88,15 @@ struct AnonymizationResult {
   /// |V(G)| — released alongside G' for the sampling algorithms.
   size_t original_vertices = 0;
 
-  // Cost accounting (Figures 10 and the complexity discussion of 3.3).
-  size_t vertices_added = 0;
-  size_t edges_added = 0;
-  size_t copy_operations = 0;
-  size_t orbits_copied = 0;
-  size_t orbits_excluded = 0;   // Requirement 1 (hub exclusion).
-  size_t orbits_satisfied = 0;  // Already >= requirement, nothing to do.
-
   /// Refinement-pipeline cost accounting, populated from the execution
   /// context's timers (refine calls, cells split, wall time per phase) so
   /// callers stop re-deriving cost from scratch.
   RefinementStats refinement;
 
   /// Trace hash of the initial-partition refinement when the TDV path ran
-  /// (0 for the exact-orbit path, whose search performs many refines). The
-  /// sharded pipeline must reproduce this bit-exactly.
+  /// (0 for the exact-orbit path, whose search performs many refines, and
+  /// for a caller-supplied partition). The sharded pipeline must reproduce
+  /// this bit-exactly.
   uint64_t refinement_trace = 0;
 };
 
@@ -100,6 +111,38 @@ Result<AnonymizationResult> Anonymize(const Graph& graph,
 Result<AnonymizationResult> AnonymizeWithPartition(
     const Graph& graph, const VertexPartition& initial,
     const AnonymizationOptions& options);
+
+// ---------------------------------------------------------------------------
+// The shared Algorithm 1 machinery behind the entry points above, minimal.h,
+// sharded_anonymizer.h and sampling.h. Not a separate algorithm: callers
+// outside ksym/ use the entry points.
+// ---------------------------------------------------------------------------
+
+/// Chooses the Ocp unit of a cell Algorithm 1 must copy: a sorted subset of
+/// the cell's members in `initial`, closed under intra-cell adjacency. An
+/// empty chooser copies whole cells.
+using CopyUnitChooser = std::function<std::vector<VertexId>(
+    const VertexPartition& initial, uint32_t cell)>;
+
+/// Algorithm 1's per-cell walk. For each cell of `initial` in order, it
+/// computes the requirement from the cell and its degree in `base`, then
+/// counts the cell as excluded (requirement <= 1), as already satisfied, or
+/// copies its unit until the augmented cell reaches the requirement. The
+/// copies go to `delta` and `partition` (which must start as `initial`);
+/// the counts add to `costs`. Instantiated for `Graph` and `ShardedGraph`.
+template <typename Base>
+void CopyToRequirement(const Base& base, const VertexPartition& initial,
+                       const SymmetryRequirement& requirement,
+                       const CopyUnitChooser& unit_of, ReleaseDelta& delta,
+                       TrackedPartition& partition, CopyCosts& costs);
+
+/// Algorithm 1 on an in-memory graph: validates the options, computes the
+/// initial partition `options` selects when `initial` is null (recording
+/// the TDV trace hash), runs CopyToRequirement with `unit_of` and emits the
+/// release.
+Result<AnonymizationResult> AnonymizeInMemory(
+    const Graph& graph, const VertexPartition* initial,
+    const AnonymizationOptions& options, const CopyUnitChooser& unit_of);
 
 }  // namespace ksym
 

@@ -5,8 +5,6 @@
 
 #include "aut/isomorphism.h"
 #include "graph/algorithms.h"
-#include "ksym/orbit_copy.h"
-#include "ksym/partition.h"
 
 namespace ksym {
 namespace {
@@ -90,77 +88,23 @@ std::vector<VertexId> MinimalCopyUnit(const Graph& graph,
   return comp_members[0];
 }
 
+CopyUnitChooser MinimalUnits(const Graph& graph) {
+  return [&graph](const VertexPartition& initial, uint32_t cell) {
+    return MinimalCopyUnit(graph, initial, cell);
+  };
+}
+
 }  // namespace
 
 Result<AnonymizationResult> AnonymizeMinimalVertices(
     const Graph& graph, const VertexPartition& initial,
     const AnonymizationOptions& options) {
-  if (!options.requirement && options.k < 1) {
-    return Status::InvalidArgument("k must be >= 1");
-  }
-  if (initial.cell_of.size() != graph.NumVertices()) {
-    return Status::InvalidArgument(
-        "initial partition does not match the graph");
-  }
-  const SymmetryRequirement requirement =
-      options.requirement ? options.requirement
-                          : KSymmetryRequirement(options.k);
-
-  ExecutionContext local_context;
-  const ExecutionContext* context =
-      options.context != nullptr ? options.context : &local_context;
-  Timer copy_timer;
-
-  MutableGraph mutable_graph(graph);
-  TrackedPartition partition(initial);
-  AnonymizationResult result;
-  result.original_vertices = graph.NumVertices();
-
-  for (uint32_t cell = 0; cell < initial.cells.size(); ++cell) {
-    const std::vector<VertexId>& orbit = initial.cells[cell];
-    const size_t degree = graph.Degree(orbit.front());
-    const uint32_t required = requirement(orbit, degree);
-    if (required <= 1) {
-      ++result.orbits_excluded;
-      continue;
-    }
-    if (partition.Cell(cell).size() >= required) {
-      ++result.orbits_satisfied;
-      continue;
-    }
-    ++result.orbits_copied;
-    const std::vector<VertexId> unit = MinimalCopyUnit(graph, initial, cell);
-    while (partition.Cell(cell).size() < required) {
-      const size_t edges_before = mutable_graph.NumEdges();
-      OrbitCopy(mutable_graph, partition, cell, unit);
-      ++result.copy_operations;
-      result.vertices_added += unit.size();
-      result.edges_added += mutable_graph.NumEdges() - edges_before;
-    }
-  }
-
-  result.graph = mutable_graph.Freeze();
-  result.partition = partition.ToVertexPartition();
-  context->stats().copy_seconds += copy_timer.ElapsedSeconds();
-  result.refinement = context->stats();
-  return result;
+  return AnonymizeInMemory(graph, &initial, options, MinimalUnits(graph));
 }
 
 Result<AnonymizationResult> AnonymizeMinimalVertices(
     const Graph& graph, const AnonymizationOptions& options) {
-  ExecutionContext local_context;
-  AnonymizationOptions resolved = options;
-  if (resolved.context == nullptr) resolved.context = &local_context;
-
-  VertexPartition initial;
-  {
-    ScopedPhaseTimer timer(resolved.context,
-                           &RefinementStats::partition_seconds);
-    initial = options.use_total_degree_partition
-                  ? ComputeTotalDegreePartition(graph, resolved.context)
-                  : ComputeAutomorphismPartition(graph, {}, resolved.context);
-  }
-  return AnonymizeMinimalVertices(graph, initial, resolved);
+  return AnonymizeInMemory(graph, nullptr, options, MinimalUnits(graph));
 }
 
 }  // namespace ksym

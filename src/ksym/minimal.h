@@ -15,6 +15,10 @@
 // neighbourhoods under some isomorphism); otherwise copying one component
 // would break the symmetry between components attached to different parts
 // of the graph, and we fall back to whole-orbit copying.
+//
+// This is not a second Algorithm 1: it is the same per-cell walk and the
+// same Ocp (ksym/anonymizer.h, ksym/orbit_copy.h) with a different unit
+// chooser, so it emits its release the same way.
 
 #ifndef KSYM_KSYM_MINIMAL_H_
 #define KSYM_KSYM_MINIMAL_H_
@@ -30,7 +34,9 @@ Result<AnonymizationResult> AnonymizeMinimalVertices(
     const Graph& graph, const VertexPartition& initial,
     const AnonymizationOptions& options);
 
-/// Convenience overload computing Orb(G) (or TDV per options) internally.
+/// Convenience overload computing Orb(G) (or TDV per options) internally,
+/// through the same initial-partition step as Anonymize (so the TDV path
+/// reports `refinement_trace`).
 Result<AnonymizationResult> AnonymizeMinimalVertices(
     const Graph& graph, const AnonymizationOptions& options);
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "graph/algorithms.h"
+#include "ksym/anonymizer.h"
 #include "ksym/backbone.h"
-#include "ksym/orbit_copy.h"
-#include "ksym/partition.h"
 
 namespace ksym {
 
@@ -64,7 +63,6 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
   std::vector<size_t> cpn(num_backbone_cells, 0);
   int64_t budget = static_cast<int64_t>(target_vertices) -
                    static_cast<int64_t>(backbone.graph.NumVertices());
-  size_t copy_ops = 0;
   std::vector<double> feasible;  // Hoisted: one fill per draw, no realloc.
   while (budget > 0) {
     feasible.assign(num_backbone_cells, 0.0);
@@ -80,23 +78,25 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
     if (!any) break;  // All cells saturated; sample stays smaller than n.
     const size_t b = rng.NextDiscrete(feasible);
     ++cpn[b];
-    ++copy_ops;
     budget -= static_cast<int64_t>(backbone.partition.cells[b].size());
   }
 
-  // Regrow: apply CPN[b] orbit copying operations per backbone cell.
-  MutableGraph regrown(backbone.graph);
+  // Regrow: Algorithm 1 on the backbone with requirement (CPN[b] + 1)|B_b|,
+  // which is exactly CPN[b] whole-cell copies of each backbone cell.
+  const SymmetryRequirement regrow_to =
+      [&backbone, &cpn](const std::vector<VertexId>& cell, size_t) {
+        const uint32_t b = backbone.partition.cell_of[cell.front()];
+        return static_cast<uint32_t>((cpn[b] + 1) * cell.size());
+      };
+  ReleaseDelta delta(backbone.graph.NumVertices());
   TrackedPartition tracked(backbone.partition);
-  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
-    const std::vector<VertexId> unit = backbone.partition.cells[b];
-    for (size_t rep = 0; rep < cpn[b]; ++rep) {
-      OrbitCopy(regrown, tracked, b, unit);
-    }
-  }
-  Graph sample = regrown.Freeze();
+  CopyCosts costs;
+  CopyToRequirement(backbone.graph, backbone.partition, regrow_to, {}, delta,
+                    tracked, costs);
+  Graph sample = ReleasedGraph(backbone.graph, delta);
   if (stats != nullptr) {
     stats->backbone_vertices = backbone.graph.NumVertices();
-    stats->copy_operations = copy_ops;
+    stats->copy_operations = costs.copy_operations;
     stats->requested_vertices = target_vertices;
     stats->sampled_vertices = sample.NumVertices();
   }

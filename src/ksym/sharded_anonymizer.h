@@ -4,28 +4,26 @@
 // AnonymizeSharded runs the paper's Algorithm 1 end-to-end against a
 // ShardedGraph without ever materializing the full graph:
 //
-//   1. One pass over the shards collects the exact per-vertex degree
-//      array (the only whole-graph reduction the requirement functions
-//      need).
+//   1. The requirement: when hubs are excluded, one pass over the shards
+//      collects the exact per-vertex degree array for the threshold.
 //   2. The initial partition is TDV(G) via the sharded refinement seam
 //      (shard/refine.h) — bit-identical cells and trace hash to the
 //      in-memory run. The exact Orb(G) path needs the IR search's random
 //      access and is not offered out-of-core.
-//   3. Orbit copying replays Algorithm 1 exactly, recording the new
-//      vertices and edges in a ReleaseDelta — O(n + added) vertex state —
-//      while the original edge arrays stay on disk. Rule 1 only ever
-//      attaches *copies* to existing vertices and rule 2 only connects
-//      copies, so an original's base CSR row (all ids < n) plus its sorted
-//      delta row (all ids >= n) is already its final sorted adjacency.
+//   3. Orbit copying is the one Algorithm 1 loop and the one Ocp
+//      (CopyToRequirement, OrbitCopy) with the shard set as base: the new
+//      vertices and edges go to a ReleaseDelta — O(n + added) vertex state —
+//      while the original edge arrays stay on disk.
 //   4. The released graph streams back out through ShardSetWriter as
 //      balanced vertex-range shards with release-encoded labels
-//      (ReleaseCsrLabels), plus a manifest.
+//      (ReleaseCsrLabels), plus a manifest. Each range's rows come from the
+//      same row emitter that builds the in-memory release (base row, then
+//      sorted delta row).
 //
-// `ksym_shard merge` of the output is byte-identical to
+// `ksym_shard merge` of the output is therefore byte-identical to
 // WriteReleaseCsrFile of the in-memory Anonymize run on the merged input —
-// same CSR arrays (Freeze() sorts the same edge sets), same labels, same
-// refinement trace — pinned by sharded_anonymize_test across shard counts
-// and thread counts.
+// same code for every CSR row, same labels, same refinement trace — pinned
+// by sharded_anonymize_test across shard counts and thread counts.
 
 #ifndef KSYM_KSYM_SHARDED_ANONYMIZER_H_
 #define KSYM_KSYM_SHARDED_ANONYMIZER_H_
@@ -47,6 +45,7 @@ struct ShardedAnonymizationOptions {
   SymmetryRequirement requirement;
   /// Convenience for Section 5.2: > 0 builds a HubExclusionRequirement
   /// excluding the top fraction by degree (ignored when `requirement` set).
+  /// Must lie in [0, 1); anything else is InvalidArgument.
   double exclude_hubs_fraction = 0.0;
   /// Execution policy for the refinement. nullptr = sequential.
   const ExecutionContext* context = nullptr;
@@ -54,7 +53,7 @@ struct ShardedAnonymizationOptions {
   uint32_t output_shards = 0;
 };
 
-struct ShardedAnonymizationResult {
+struct ShardedAnonymizationResult : CopyCosts {
   /// Manifest of the written output shard set.
   ShardManifest manifest;
 
@@ -62,13 +61,6 @@ struct ShardedAnonymizationResult {
   size_t released_vertices = 0;
   size_t released_edges = 0;
 
-  // Same cost accounting as AnonymizationResult.
-  size_t vertices_added = 0;
-  size_t edges_added = 0;
-  size_t copy_operations = 0;
-  size_t orbits_copied = 0;
-  size_t orbits_excluded = 0;
-  size_t orbits_satisfied = 0;
   RefinementStats refinement;
   uint64_t refinement_trace = 0;
 

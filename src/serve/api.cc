@@ -162,6 +162,13 @@ Result<Response> RunAnonymize(const AnonymizeRequest& request,
   if (request.k < 1) {
     return Status::InvalidArgument("--k must be at least 1");
   }
+  // Checked before the manifest branch: a fraction >= 1 excludes every
+  // orbit, and a negative or non-finite one would be silently ignored.
+  if (!(request.exclude_hubs >= 0.0 && request.exclude_hubs < 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("--exclude-hubs must be a fraction in [0, 1), got %g",
+                  request.exclude_hubs));
+  }
   if (IsManifestFile(request.input)) {
     return RunAnonymizeSharded(request, cache);
   }

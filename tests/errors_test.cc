@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "baseline/kdegree.h"
 #include "baseline/perturbation.h"
@@ -12,6 +15,8 @@
 #include "ksym/anonymizer.h"
 #include "ksym/minimal.h"
 #include "ksym/sampling.h"
+#include "ksym/sharded_anonymizer.h"
+#include "shard/partitioner.h"
 
 namespace ksym {
 namespace {
@@ -31,6 +36,26 @@ TEST(ErrorsTest, AnonymizerRejectsMismatchedPartition) {
   options.k = 2;
   EXPECT_FALSE(AnonymizeWithPartition(g, wrong, options).ok());
   EXPECT_FALSE(AnonymizeMinimalVertices(g, wrong, options).ok());
+}
+
+TEST(ErrorsTest, ShardedAnonymizerRejectsOutOfRangeHubFraction) {
+  const std::string prefix = testing::TempDir() + "/errors_hubs";
+  PartitionOptions split;
+  split.num_shards = 2;
+  ASSERT_TRUE(Partitioner::Split(MakeStar(12), {}, split, prefix).ok());
+  const auto graph = ShardedGraph::Open(prefix + ".manifest");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const std::string output = prefix + "_out";
+  std::filesystem::remove(output + ".manifest");
+  for (const double bad : {1.5, 1.0, -0.5, 1e300, std::nan("")}) {
+    ShardedAnonymizationOptions options;
+    options.k = 3;
+    options.exclude_hubs_fraction = bad;
+    const auto result = AnonymizeSharded(*graph, options, output);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(std::filesystem::exists(output + ".manifest"));
 }
 
 TEST(ErrorsTest, SamplersRejectMismatchedInputs) {

@@ -1,4 +1,4 @@
-// Tests for the Graph / GraphBuilder / MutableGraph core, including
+// Tests for the Graph / GraphBuilder core, including
 // property-style invariant checks of the CSR representation on random edge
 // soups.
 
@@ -149,48 +149,6 @@ TEST(GraphTest, EqualityIsLabelled) {
   EXPECT_TRUE(b1.Build() == b1.Build());
 }
 
-TEST(MutableGraphTest, StartsFromExistingGraph) {
-  GraphBuilder b(3);
-  b.AddEdge(0, 1);
-  MutableGraph m(b.Build());
-  EXPECT_EQ(m.NumVertices(), 3u);
-  EXPECT_EQ(m.NumEdges(), 1u);
-  EXPECT_TRUE(m.HasEdge(0, 1));
-}
-
-TEST(MutableGraphTest, AddVertexAndEdge) {
-  MutableGraph m;
-  const VertexId a = m.AddVertex();
-  const VertexId b = m.AddVertex();
-  const VertexId c = m.AddVertex();
-  m.AddEdge(a, b);
-  m.AddEdge(b, c);
-  EXPECT_EQ(m.NumVertices(), 3u);
-  EXPECT_EQ(m.NumEdges(), 2u);
-  EXPECT_EQ(m.Degree(b), 2u);
-}
-
-TEST(MutableGraphTest, FreezeSortsAdjacency) {
-  MutableGraph m;
-  for (int i = 0; i < 4; ++i) m.AddVertex();
-  m.AddEdge(0, 3);
-  m.AddEdge(0, 1);
-  m.AddEdge(0, 2);
-  const Graph g = m.Freeze();
-  const auto n0 = g.Neighbors(0);
-  EXPECT_TRUE(std::is_sorted(n0.begin(), n0.end()));
-  EXPECT_EQ(g.NumEdges(), 3u);
-}
-
-TEST(MutableGraphTest, FreezeRoundTripsOriginal) {
-  GraphBuilder b(5);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(3, 4);
-  const Graph original = b.Build();
-  EXPECT_TRUE(MutableGraph(original).Freeze() == original);
-}
-
 TEST(GraphTest, FromCsrAdoptsArrays) {
   // Path 0-1-2: offsets {0, 1, 3, 4}, neighbors {1, 0, 2, 1}.
   const Graph g = Graph::FromCsr({0, 1, 3, 4}, {1, 0, 2, 1});
@@ -291,43 +249,6 @@ TEST(GraphPropertyTest, RandomEdgeSoupBuildsValidGraph) {
     const auto edges = g.Edges();
     EXPECT_TRUE(std::equal(edges.begin(), edges.end(), expected.begin(),
                            expected.end()));
-  }
-}
-
-// Property test: MutableGraph round-trips — Freeze() of a mutated graph
-// satisfies the invariants and equals an independently built graph.
-TEST(GraphPropertyTest, MutableGraphRoundTripsRandomGrowth) {
-  Rng rng(987);
-  for (int trial = 0; trial < 30; ++trial) {
-    const size_t n = 2 + rng.NextBounded(30);
-    GraphBuilder seed_builder(n);
-    for (size_t e = 0; e < 2 * n; ++e) {
-      seed_builder.AddEdge(static_cast<VertexId>(rng.NextBounded(n)),
-                           static_cast<VertexId>(rng.NextBounded(n)));
-    }
-    const Graph seed = seed_builder.Build();
-
-    // Grow: add vertices and fresh edges, mirroring into a parallel builder.
-    MutableGraph mutable_graph(seed);
-    GraphBuilder mirror = seed_builder;
-    for (int step = 0; step < 10; ++step) {
-      if (rng.NextBounded(2) == 0) {
-        const VertexId added = mutable_graph.AddVertex();
-        EXPECT_EQ(added, mirror.AddVertex());
-      } else {
-        const size_t m = mutable_graph.NumVertices();
-        const VertexId u = static_cast<VertexId>(rng.NextBounded(m));
-        const VertexId v = static_cast<VertexId>(rng.NextBounded(m));
-        if (u == v || mutable_graph.HasEdge(u, v)) continue;
-        mutable_graph.AddEdge(u, v);
-        mirror.AddEdge(u, v);
-      }
-    }
-    const Graph frozen = mutable_graph.Freeze();
-    ExpectGraphInvariants(frozen);
-    EXPECT_TRUE(frozen == mirror.Build());
-    // Round-trip again through MutableGraph without changes.
-    EXPECT_TRUE(MutableGraph(frozen).Freeze() == frozen);
   }
 }
 

@@ -118,5 +118,21 @@ TEST(MinimalTest, HubExclusionComposes) {
   EXPECT_EQ(minimal->vertices_added, 0u);  // Leaves already >= 4; hub excluded.
 }
 
+TEST(MinimalTest, TdvPathReportsTheRefinementTrace) {
+  // The from-scratch overload shares Anonymize's initial-partition step, so
+  // its TDV run reports the same refinement trace hash.
+  Rng rng(19);
+  const Graph g = BarabasiAlbert(200, 2, rng);
+  AnonymizationOptions options;
+  options.k = 3;
+  options.use_total_degree_partition = true;
+  const auto basic = Anonymize(g, options);
+  const auto minimal = AnonymizeMinimalVertices(g, options);
+  ASSERT_TRUE(basic.ok());
+  ASSERT_TRUE(minimal.ok());
+  EXPECT_NE(basic->refinement_trace, 0u);
+  EXPECT_EQ(minimal->refinement_trace, basic->refinement_trace);
+}
+
 }  // namespace
 }  // namespace ksym

@@ -6,6 +6,13 @@
 // direct leaf test and sparse generators (that search took about 2 min on
 // the Hepth release), so they pin that Orb(G) and the measure's classes
 // did not move.
+//
+// ReleaseBytes pins the release bytes of Algorithm 1 itself: the graph and
+// partition checksums of in-memory releases (exact, TDV, vertex-minimal,
+// hub-excluded) and of one exact backbone sample. Every other identity check
+// compares two outputs of the same copy code, so only these goldens see a
+// changed byte. Their values come from the copy code as it was before every
+// entry point shared one orbit copying operation.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +25,8 @@
 #include "datasets/datasets.h"
 #include "dyn/repair.h"
 #include "ksym/anonymizer.h"
+#include "ksym/minimal.h"
+#include "ksym/sampling.h"
 
 namespace ksym {
 namespace {
@@ -83,6 +92,79 @@ TEST(OrbitGoldenTest, ExactReleaseOrbits) {
     for (const std::vector<VertexId>& orbit : orbits.cells) {
       EXPECT_GE(orbit.size(), 5u);
     }
+  }
+}
+
+TEST(OrbitGoldenTest, ReleaseBytes) {
+  struct BytesGolden {
+    std::string name;
+    size_t vertices;
+    size_t edges;
+    uint64_t graph_checksum;
+    uint64_t partition_checksum;  // 0 for the sample (no partition).
+  };
+  const Graph enron = MakeEnronLike();
+  const Graph hepth = MakeHepthLike();
+  const Graph net_trace = MakeNetTraceLike();
+  AnonymizationOptions exact;
+  exact.k = 5;
+  AnonymizationOptions tdv = exact;
+  tdv.use_total_degree_partition = true;
+  AnonymizationOptions hubs = exact;
+  hubs.requirement = HubExclusionRequirement(
+      5, DegreeThresholdForExcludedFraction(hepth, 0.05));
+
+  std::vector<BytesGolden> actual;
+  const auto add = [&actual](const std::string& name,
+                             const Result<AnonymizationResult>& release) {
+    ASSERT_TRUE(release.ok()) << name << ": " << release.status().ToString();
+    actual.push_back({name, release->graph.NumVertices(),
+                      release->graph.NumEdges(),
+                      dyn::GraphContentChecksum(release->graph),
+                      dyn::PartitionChecksum(release->partition)});
+  };
+  add("Enron exact", Anonymize(enron, exact));
+  const Result<AnonymizationResult> hepth_release = Anonymize(hepth, exact);
+  add("Hepth exact", hepth_release);
+  add("Net_trace TDV", Anonymize(net_trace, tdv));
+  add("Enron minimal", AnonymizeMinimalVertices(enron, exact));
+  add("Hepth minimal", AnonymizeMinimalVertices(hepth, exact));
+  add("Hepth 5% hubs", Anonymize(hepth, hubs));
+  ASSERT_TRUE(hepth_release.ok());
+  Rng rng(1);
+  const auto sample =
+      ExactBackboneSample(hepth_release->graph, hepth_release->partition,
+                          hepth_release->original_vertices, rng);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  actual.push_back({"Hepth exact sample", sample->NumVertices(),
+                    sample->NumEdges(), dyn::GraphContentChecksum(*sample),
+                    0});
+
+  const std::vector<BytesGolden> goldens = {
+      {"Enron exact", 531, 6929, 0x79b7c4f52f3930f2ull, 0x47d9946dde97812cull},
+      {"Hepth exact", 9215, 100584, 0x1b7f1fc4a26f6715ull,
+       0xf498193427ef7d32ull},
+      {"Net_trace TDV", 8198, 70258, 0x949aa58c97a02285ull,
+       0xf297cebe80c5c013ull},
+      {"Enron minimal", 528, 6914, 0x4ecebcccce68437dull,
+       0x887faba58c487deeull},
+      {"Hepth minimal", 8999, 99387, 0x107be6bd8a0e9d32ull,
+       0xe5632feaa27f13b8ull},
+      {"Hepth 5% hubs", 8667, 53348, 0x333359f1d15b22f9ull,
+       0xccbc5c2624f3a0b7ull},
+      {"Hepth exact sample", 2510, 4920, 0x8599f02b61491f4cull, 0},
+  };
+
+  ASSERT_EQ(actual.size(), goldens.size());
+  for (size_t i = 0; i < goldens.size(); ++i) {
+    const BytesGolden& golden = goldens[i];
+    const BytesGolden& got = actual[i];
+    ASSERT_EQ(got.name, golden.name);
+    EXPECT_EQ(got.vertices, golden.vertices) << golden.name;
+    EXPECT_EQ(got.edges, golden.edges) << golden.name;
+    EXPECT_EQ(got.graph_checksum, golden.graph_checksum) << golden.name;
+    EXPECT_EQ(got.partition_checksum, golden.partition_checksum)
+        << golden.name;
   }
 }
 

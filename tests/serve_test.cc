@@ -6,7 +6,9 @@
 // to end over a real unix socket — including admission rejection,
 // queued-deadline expiry, concurrent samples, and the request-line cap.
 
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -408,6 +410,52 @@ TEST(ApiTest, FailedCreatingMutateRegistersNoSession) {
             "created session s: 10 vertices, 15 edges\n"
             "staged 1 edits (total staged 1)\n");
   EXPECT_EQ(state.registry.num_sessions(), 1u);
+}
+
+TEST(ApiTest, OutOfRangeExcludeHubsIsRejectedAndWritesNothing) {
+  // A fraction outside [0, 1) would exclude every orbit (>= 1) or be
+  // ignored (< 0, non-finite), and the release would go out unprotected.
+  Rng rng(60);
+  const Graph graph = BarabasiAlbert(60, 2, rng);
+  const std::string edges = TempPath("hubs_in.edges");
+  ASSERT_TRUE(WriteEdgeListFile(graph, edges).ok());
+  PartitionOptions split;
+  split.num_shards = 2;
+  const std::string prefix = TempPath("hubs_sharded_in");
+  ASSERT_TRUE(Partitioner::Split(graph, {}, split, prefix).ok());
+
+  for (const std::string& input : {edges, prefix + ".manifest"}) {
+    AnonymizeRequest request;
+    request.input = input;
+    request.k = 3;
+    request.tdv = true;
+    request.output = TempPath("hubs_rejected");
+    const std::string written[] = {request.output,
+                                   request.output + ".manifest",
+                                   request.output + ".0.ksymcsr"};
+    for (const double bad : {1.5, 1.0, -0.5, 1e300, std::nan("")}) {
+      for (const std::string& path : written) std::filesystem::remove(path);
+      request.exclude_hubs = bad;
+      const auto response = RunAnonymize(request);
+      ASSERT_FALSE(response.ok()) << input << " exclude_hubs=" << bad;
+      EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+          << response.status().ToString();
+      EXPECT_NE(response.status().ToString().find("exclude"),
+                std::string::npos)
+          << response.status().ToString();
+      for (const std::string& path : written) {
+        EXPECT_FALSE(std::filesystem::exists(path)) << path;
+      }
+    }
+    for (const double good : {0.0, 0.05}) {
+      request.exclude_hubs = good;
+      request.output = TempPath("hubs_accepted");
+      const auto response = RunAnonymize(request);
+      EXPECT_TRUE(response.ok())
+          << input << " exclude_hubs=" << good << ": "
+          << response.status().ToString();
+    }
+  }
 }
 
 TEST(ApiTest, ConcurrentShardedRequestsShareOneCachedSet) {
