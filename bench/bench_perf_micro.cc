@@ -33,6 +33,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -510,6 +511,42 @@ void BM_AnonymizeEndToEndHepth(benchmark::State& state) {
   AttachMemoryCounters(state, graph);
 }
 BENCHMARK(BM_AnonymizeEndToEndHepth)->Arg(2)->Arg(5);
+
+// The release_tdv input: a 30k-vertex power-law graph (gamma = 2.1, degrees
+// drawn from the truncated Pareto tail, max 300, configuration model),
+// anonymized to k = 5 from its TDV partition — the copy-and-emit step of
+// the in-memory publish.
+void BM_AnonymizeTdvPowerLaw30k(benchmark::State& state) {
+  static const Graph* graph = [] {
+    Rng rng(7);
+    std::vector<size_t> degrees(30000);
+    size_t sum = 0;
+    for (size_t& d : degrees) {
+      const double x = std::pow(1.0 - rng.NextDouble(), -1.0 / (2.1 - 1.0));
+      d = std::clamp<size_t>(static_cast<size_t>(x), 1, 300);
+      sum += d;
+    }
+    if (sum % 2 == 1) ++degrees[0];
+    auto built = ConfigurationModel(degrees, rng);
+    KSYM_CHECK(built.ok());
+    return new Graph(std::move(built).value());
+  }();
+  const VertexPartition tdv = ComputeTotalDegreePartition(*graph, nullptr);
+  AnonymizationOptions options;
+  options.k = 5;
+  options.use_total_degree_partition = true;
+  size_t released_edges = 0;
+  for (auto _ : state) {
+    auto result = AnonymizeWithPartition(*graph, tdv, options);
+    KSYM_CHECK(result.ok());
+    released_edges = result->graph.NumEdges();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["released_edges"] =
+      benchmark::Counter(static_cast<double>(released_edges));
+  AttachMemoryCounters(state, *graph);
+}
+BENCHMARK(BM_AnonymizeTdvPowerLaw30k)->Unit(benchmark::kMillisecond);
 
 void BM_BackboneDetectionHepth(benchmark::State& state) {
   AnonymizationOptions options;

@@ -47,10 +47,12 @@ MUTATIONS = [
         test="refinement_test",
     ),
     Mutation(
-        name="Ocp rule 1 dropped (no external edge to the copy)",
+        name="a copy row drops its other-cell neighbours' copies",
         path="src/ksym/orbit_copy.cc",
-        old="        delta.AddEdge(u, v_copy);\n",
-        new="",
+        old=("    } else {\n"
+             "      // Rule 1: every copy of a neighbour in another cell"),
+        new=("    } else if (row.step == 0) {\n"
+             "      // Rule 1: every copy of a neighbour in another cell"),
         test="orbit_copy_test",
     ),
     Mutation(
@@ -102,10 +104,10 @@ MUTATIONS = [
         test="dyn_test",
     ),
     Mutation(
-        name="Ocp walks only the input row (delta row dropped)",
+        name="a copy's in-cell neighbour is emitted as the original",
         path="src/ksym/orbit_copy.cc",
-        old="    for (VertexId u : delta.added(v)) wire(u);\n",
-        new="",
+        old="        *out++ = plan_.FirstCopy(*copied) + (row.step - 1) * stride;\n",
+        new="        *out++ = *copied;\n",
         test="orbit_copy_test",
     ),
 ]

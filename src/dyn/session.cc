@@ -55,7 +55,7 @@ Result<ReanonymizeOutcome> DynamicSession::Reanonymize(
   options.context = context;
   KSYM_ASSIGN_OR_RETURN(AnonymizationResult result,
                         AnonymizeWithPartition(graph_, tdv, options));
-  outcome.release = MakeReleaseTriple(result);
+  outcome.release = MakeReleaseTriple(std::move(result));
   return outcome;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "shard/sharded_graph.h"
-
 namespace ksym {
 
 SymmetryRequirement KSymmetryRequirement(uint32_t k) {
@@ -40,45 +38,6 @@ size_t DegreeThresholdForExcludedFraction(std::span<const size_t> degrees,
   return sorted[num_excluded - 1] == 0 ? 0 : sorted[num_excluded - 1] - 1;
 }
 
-template <typename Base>
-void CopyToRequirement(const Base& base, const VertexPartition& initial,
-                       const SymmetryRequirement& requirement,
-                       const CopyUnitChooser& unit_of, ReleaseDelta& delta,
-                       TrackedPartition& partition, CopyCosts& costs) {
-  for (uint32_t cell = 0; cell < initial.cells.size(); ++cell) {
-    // The vertices of one orbit all share the same degree, so any member's
-    // degree represents the orbit.
-    const std::vector<VertexId>& orbit = initial.cells[cell];
-    const uint32_t required = requirement(orbit, base.Degree(orbit.front()));
-    if (required <= 1) {
-      ++costs.orbits_excluded;
-      continue;
-    }
-    if (partition.Cell(cell).size() >= required) {
-      ++costs.orbits_satisfied;
-      continue;
-    }
-    ++costs.orbits_copied;
-    const std::vector<VertexId> unit = unit_of ? unit_of(initial, cell) : orbit;
-    while (partition.Cell(cell).size() < required) {
-      const size_t edges_before = delta.added_edges();
-      OrbitCopy(base, delta, partition, cell, unit);
-      ++costs.copy_operations;
-      costs.vertices_added += unit.size();
-      costs.edges_added += delta.added_edges() - edges_before;
-    }
-  }
-}
-
-template void CopyToRequirement(const Graph&, const VertexPartition&,
-                                const SymmetryRequirement&,
-                                const CopyUnitChooser&, ReleaseDelta&,
-                                TrackedPartition&, CopyCosts&);
-template void CopyToRequirement(const ShardedGraph&, const VertexPartition&,
-                                const SymmetryRequirement&,
-                                const CopyUnitChooser&, ReleaseDelta&,
-                                TrackedPartition&, CopyCosts&);
-
 Result<AnonymizationResult> AnonymizeInMemory(
     const Graph& graph, const VertexPartition* initial,
     const AnonymizationOptions& options, const CopyUnitChooser& unit_of) {
@@ -112,12 +71,12 @@ Result<AnonymizationResult> AnonymizeInMemory(
 
   {
     ScopedPhaseTimer copy_timer(context, &RefinementStats::copy_seconds);
-    ReleaseDelta delta(graph.NumVertices());
-    TrackedPartition partition(*initial);
-    CopyToRequirement(graph, *initial, requirement, unit_of, delta, partition,
-                      result);
-    result.graph = ReleasedGraph(graph, delta);
-    result.partition = partition.ToVertexPartition();
+    KSYM_ASSIGN_OR_RETURN(
+        const CopyPlan plan,
+        CopyToRequirement(graph, *initial, requirement, unit_of, result));
+    result.graph = ReleasedGraph(graph, plan);
+    result.edges_added = result.graph.NumEdges() - graph.NumEdges();
+    result.partition = plan.ReleasedPartition();
   }
   result.refinement = context->stats();
   return result;

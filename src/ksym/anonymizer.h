@@ -9,8 +9,9 @@
 // sampling algorithms to size their output).
 //
 // Every entry point — these two, AnonymizeMinimalVertices,
-// AnonymizeSharded and ExactBackboneSample's regrow — runs the one per-cell
-// walk below (CopyToRequirement) with the one Ocp (ksym/orbit_copy.h).
+// AnonymizeSharded and ExactBackboneSample's regrow — plans its copies with
+// the one per-cell walk below (CopyToRequirement) and emits the release with
+// the one row emitter (ksym/orbit_copy.h).
 
 #ifndef KSYM_KSYM_ANONYMIZER_H_
 #define KSYM_KSYM_ANONYMIZER_H_
@@ -25,7 +26,6 @@
 #include "common/status.h"
 #include "graph/graph.h"
 #include "ksym/orbit_copy.h"
-#include "ksym/partition.h"
 
 namespace ksym {
 
@@ -124,22 +124,45 @@ Result<AnonymizationResult> AnonymizeWithPartition(
 using CopyUnitChooser = std::function<std::vector<VertexId>(
     const VertexPartition& initial, uint32_t cell)>;
 
-/// Algorithm 1's per-cell walk. For each cell of `initial` in order, it
-/// computes the requirement from the cell and its degree in `base`, then
-/// counts the cell as excluded (requirement <= 1), as already satisfied, or
-/// copies its unit until the augmented cell reaches the requirement. The
-/// copies go to `delta` and `partition` (which must start as `initial`);
-/// the counts add to `costs`. Instantiated for `Graph` and `ShardedGraph`.
+/// Algorithm 1's per-cell walk, as a plan. Each cell of `initial`, in
+/// order, is excluded (requirement from the cell and its degree in `base`
+/// <= 1), already satisfied, or planned the copy steps of its unit that
+/// bring it to the requirement. The counts but `edges_added` add to `costs`.
+/// InvalidArgument when the release's ids would not fit VertexId.
 template <typename Base>
-void CopyToRequirement(const Base& base, const VertexPartition& initial,
-                       const SymmetryRequirement& requirement,
-                       const CopyUnitChooser& unit_of, ReleaseDelta& delta,
-                       TrackedPartition& partition, CopyCosts& costs);
+Result<CopyPlan> CopyToRequirement(const Base& base,
+                                   const VertexPartition& initial,
+                                   const SymmetryRequirement& requirement,
+                                   const CopyUnitChooser& unit_of,
+                                   CopyCosts& costs) {
+  CopyPlan plan(initial);
+  std::vector<VertexId> chosen;
+  for (uint32_t cell = 0; cell < initial.cells.size(); ++cell) {
+    // The vertices of one orbit all share the same degree, so any member's
+    // degree represents the orbit.
+    const std::vector<VertexId>& orbit = initial.cells[cell];
+    const uint32_t required = requirement(orbit, base.Degree(orbit.front()));
+    if (required <= 1 || orbit.size() >= required) {
+      ++(required <= 1 ? costs.orbits_excluded : costs.orbits_satisfied);
+      continue;
+    }
+    ++costs.orbits_copied;
+    if (unit_of) chosen = unit_of(initial, cell);
+    const std::span<const VertexId> unit = unit_of ? chosen : orbit;
+    // Each Ocp adds |unit| vertices to the cell.
+    const uint64_t steps =
+        (required - orbit.size() + unit.size() - 1) / unit.size();
+    KSYM_RETURN_IF_ERROR(plan.AddCell(cell, unit, steps));
+    costs.copy_operations += steps;
+    costs.vertices_added += steps * unit.size();
+  }
+  return plan;
+}
 
 /// Algorithm 1 on an in-memory graph: validates the options, computes the
 /// initial partition `options` selects when `initial` is null (recording
-/// the TDV trace hash), runs CopyToRequirement with `unit_of` and emits the
-/// release.
+/// the TDV trace hash), plans with CopyToRequirement and `unit_of`, and
+/// emits the release.
 Result<AnonymizationResult> AnonymizeInMemory(
     const Graph& graph, const VertexPartition* initial,
     const AnonymizationOptions& options, const CopyUnitChooser& unit_of);

@@ -1,112 +1,164 @@
-// The orbit copying operation Ocp(G, V, V_i) — Definition 3 of the paper —
-// and the release delta it writes to. This is the one Ocp: every Algorithm 1
-// entry point (in-memory, vertex-minimal, sharded) and Algorithm 3's regrow
-// copy through it (DESIGN.md §11).
+// Algorithm 1 as a planned lift of its input (DESIGN.md §11): every
+// Algorithm 1 entry point and Algorithm 3's regrow plan their copies here
+// and emit the release with the one row emitter.
 //
-// For each vertex v in the copied unit, a new vertex v' is introduced and
-// wired so that the copy preserves the unit's adjacency pattern exactly:
-//   1. every edge (u, v) with u outside the unit's cell becomes (u, v');
-//   2. every edge (u, v) inside the unit becomes (u', v').
-// Copies are appended to the unit's cell, which by Lemmas 1-2 keeps the
-// tracked partition a sub-automorphism partition of the growing graph.
-//
-// The input graph (the *base*) is never copied or modified. Every edge Ocp
-// adds touches a new vertex, so the added adjacency lives in a ReleaseDelta:
-// originals keep only their added neighbours (all ids >= n), copies their
-// whole rows. An original's released row is therefore its base row (ids < n,
-// sorted) followed by its sorted delta row — globally sorted with no merge.
-// The base is any graph with `Neighbors` and `Degree`: a `Graph` in memory
-// or a `ShardedGraph` on disk.
-//
-// The `unit` parameter generalizes the textbook operation: Algorithm 1
-// always copies the cell's original members, while the vertex-minimal
-// variant (Section 5.1) copies one component of the cell.
+// Ocp (Definition 3) gives each copied unit member v a copy v' with
+//   1. an edge (u, v') for every edge (u, v) with u outside v's cell;
+//   2. an edge (u', v') for every edge (u, v) inside the unit.
+// Applied cell by cell, a number of steps with one unit each, it turns an
+// input edge between two cells into the complete join of all instances
+// (original and copies) of its endpoints, and an input edge inside a cell
+// into the edge between the originals plus, when the unit holds them, one
+// between the step-j copies for every step j. So the release is fixed by
+// the input and, per cell, a unit and a step count: the plan numbers the
+// copies, and the emitter writes each released row, sorted, from the input
+// row and the plan. The input (the *base*) is a `Graph` in memory or a
+// `ShardedGraph` on disk.
 
 #ifndef KSYM_KSYM_ORBIT_COPY_H_
 #define KSYM_KSYM_ORBIT_COPY_H_
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
+#include "aut/orbits.h"
+#include "common/status.h"
 #include "graph/graph.h"
-#include "ksym/partition.h"
 
 namespace ksym {
 
-/// The adjacency Algorithm 1 adds on top of a base graph of `base` vertices:
-/// the only edge state an anonymization holds besides its input. Rows stay
-/// in insertion order until emitted.
-class ReleaseDelta {
- public:
-  explicit ReleaseDelta(size_t base) : base_(base), added_(base) {}
-
-  size_t NumBaseVertices() const { return base_; }
-  size_t NumVertices() const { return base_ + new_rows_.size(); }
-  size_t added_edges() const { return added_edges_; }
-
-  /// Appends a new vertex whose row has room for `degree` neighbours. Ocp
-  /// passes the original's current degree, which the copy reaches at once:
-  /// rows that grow from empty fragment the heap (DESIGN.md §11).
-  VertexId AddVertex(size_t degree) {
-    new_rows_.emplace_back().reserve(degree);
-    return static_cast<VertexId>(NumVertices() - 1);
-  }
-
-  void AddEdge(VertexId u, VertexId v) {
-    KSYM_DCHECK(u != v);
-    Row(u).push_back(v);
-    Row(v).push_back(u);
-    ++added_edges_;
-  }
-
-  /// Neighbours added to `v`: on top of the base row for an original, the
-  /// whole row for a copy.
-  std::span<const VertexId> added(VertexId v) const {
-    KSYM_DCHECK(v < NumVertices());
-    return v < base_ ? std::span<const VertexId>(added_[v])
-                     : std::span<const VertexId>(new_rows_[v - base_]);
-  }
-
- private:
-  std::vector<VertexId>& Row(VertexId v) {
-    KSYM_DCHECK(v < NumVertices());
-    return v < base_ ? added_[v] : new_rows_[v - base_];
-  }
-
-  size_t base_;
-  std::vector<std::vector<VertexId>> added_;     // Per original, ids >= base_.
-  std::vector<std::vector<VertexId>> new_rows_;  // Per copy, full row.
-  size_t added_edges_ = 0;
+/// Where a released vertex comes from: its input vertex, its cell, and the
+/// copy step that made it (0 for an original).
+struct Instance {
+  VertexId original;
+  uint32_t cell;
+  uint32_t step;
 };
 
-/// Applies one orbit copying operation to (base, delta) and `partition`,
-/// duplicating `unit`: a *sorted* subset of the original members of cell
-/// `cell_index`, closed under intra-cell adjacency (every intra-cell
-/// neighbour of a unit vertex is itself in the unit — true of whole cells
-/// and of unions of connected components of the cell-induced subgraph).
-/// A unit member's current row is its base row followed by its delta row.
-/// Sortedness lets intra-unit copies be resolved by binary search.
-///
-/// Returns the new vertex ids, aligned with `unit`. Instantiated for `Graph`
-/// and `ShardedGraph`.
-template <typename Base>
-std::vector<VertexId> OrbitCopy(const Base& base, ReleaseDelta& delta,
-                                TrackedPartition& partition,
-                                uint32_t cell_index,
-                                std::span<const VertexId> unit);
+/// Algorithm 1's copies over an initial partition, as id arithmetic: the
+/// copied cells' id ranges follow the n input vertices in cell order, and
+/// step j's copy of unit member v of cell c is
+///   first_c + (j - 1)·|U_c| + rank_{U_c}(v).
+class CopyPlan {
+ public:
+  /// No copies yet. `initial` (cells sorted and ordered by minimum, as
+  /// VertexPartition keeps them) must outlive the plan.
+  explicit CopyPlan(const VertexPartition& initial);
 
-/// The row emitter: appends the released rows of vertices [begin, end) to
-/// `neighbors` — base row, then sorted delta row — and one end offset per
-/// row to `offsets`. Instantiated for `Graph` and `ShardedGraph`.
-template <typename Base>
-void AppendReleasedRows(const Base& base, const ReleaseDelta& delta,
-                        size_t begin, size_t end,
-                        std::vector<EdgeIndex>& offsets,
-                        std::vector<VertexId>& neighbors);
+  /// Plans `steps` >= 1 copies of `unit` — a sorted subset of cell `cell`,
+  /// closed under intra-cell adjacency (whole cells and unions of
+  /// components of the cell-induced subgraph are) — after the cells planned
+  /// so far, which must be lower. InvalidArgument, with the plan unchanged,
+  /// when the released ids would not fit VertexId.
+  Status AddCell(uint32_t cell, std::span<const VertexId> unit,
+                 uint64_t steps);
 
-/// The released graph of an in-memory base: every row through
-/// AppendReleasedRows.
-Graph ReleasedGraph(const Graph& base, const ReleaseDelta& delta);
+  size_t NumInputVertices() const { return first_copy_.size(); }
+  size_t NumVertices() const { return num_vertices_; }
+  /// The copied cells, ascending, as are their id ranges.
+  std::span<const uint32_t> CopiedCells() const { return copied_; }
+
+  uint32_t CellOf(VertexId v) const { return initial_->cell_of[v]; }
+  /// The cell's copy steps; 0 when it is not copied.
+  uint32_t Steps(uint32_t cell) const { return cells_[cell].steps; }
+  /// The cell's unit; empty when it is not copied.
+  std::span<const VertexId> Unit(uint32_t cell) const {
+    return std::span<const VertexId>(units_).subspan(cells_[cell].unit_begin,
+                                                     cells_[cell].unit_size);
+  }
+  /// The step-1 copy of input vertex v (kInvalidVertex when none); its
+  /// step-j copy is j - 1 unit sizes further.
+  VertexId FirstCopy(VertexId v) const { return first_copy_[v]; }
+  /// Instances of input vertex v in the release: itself and its copies.
+  size_t Instances(VertexId v) const {
+    return first_copy_[v] == kInvalidVertex ? 1
+                                            : size_t{1} + Steps(CellOf(v));
+  }
+
+  /// Calls fn(x, instance) for x in [begin, end), in order: a copy's
+  /// original, cell and step follow from its id.
+  template <typename Fn>
+  void ForEachInstance(size_t begin, size_t end, Fn&& fn) const {
+    size_t x = begin;
+    for (; x < std::min(end, NumInputVertices()); ++x) {
+      const VertexId v = static_cast<VertexId>(x);
+      fn(v, Instance{v, CellOf(v), 0});
+    }
+    if (x >= end) return;
+    // The copies: from the last copied cell whose range starts at or before
+    // x, cell by cell, step by step, rank by rank.
+    size_t i = std::upper_bound(copied_.begin(), copied_.end(), x,
+                                [this](size_t id, uint32_t cell) {
+                                  return id < cells_[cell].first;
+                                }) -
+               copied_.begin() - 1;
+    for (size_t offset = x - cells_[copied_[i]].first; x < end;
+         ++i, offset = 0) {
+      const uint32_t cell = copied_[i];
+      const std::span<const VertexId> unit = Unit(cell);
+      for (size_t step = offset / unit.size(), rank = offset % unit.size();
+           step < Steps(cell) && x < end; ++step, rank = 0) {
+        for (; rank < unit.size() && x < end; ++rank, ++x) {
+          fn(static_cast<VertexId>(x),
+             Instance{unit[rank], cell, static_cast<uint32_t>(step + 1)});
+        }
+      }
+    }
+  }
+
+  /// The released sub-automorphism partition V': each cell of `initial`
+  /// followed by its copies, in the same cell order.
+  VertexPartition ReleasedPartition() const;
+
+ private:
+  struct Cell {
+    uint32_t steps = 0;
+    VertexId first = 0;  // First copy id, when copied.
+    uint32_t unit_begin = 0;  // Into units_.
+    uint32_t unit_size = 0;
+  };
+
+  const VertexPartition* initial_;
+  size_t num_vertices_;
+  std::vector<VertexId> first_copy_;  // Per input vertex.
+  std::vector<Cell> cells_;
+  std::vector<uint32_t> copied_;  // Copied cells, ascending.
+  std::vector<VertexId> units_;   // Their units, concatenated.
+};
+
+/// The row emitter for (base, plan), for a `Graph` or `ShardedGraph` base.
+/// Construction reads the base once for the released degrees — deg'(v), of
+/// v and of each copy, sums Instances(u) over v's input neighbours u in
+/// other cells and 1 over those in its own — and once more to list every
+/// vertex's copied neighbours by (cell, rank): O(n + m) memory.
+template <typename Base>
+class ReleaseRows {
+ public:
+  ReleaseRows(const Base& base, const CopyPlan& plan);
+
+  size_t NumEdges() const { return arcs_ / 2; }
+
+  /// Appends the rows of released vertices [begin, end): one end offset per
+  /// row to `offsets` (continuing from offsets.back(), which must equal
+  /// neighbors.size()) and the rows, each written in place and sorted, to
+  /// `neighbors`.
+  void Append(size_t begin, size_t end, std::vector<EdgeIndex>& offsets,
+              std::vector<VertexId>& neighbors) const;
+
+ private:
+  VertexId* WriteRow(const Instance& row, VertexId* out) const;
+
+  const Base& base_;
+  const CopyPlan& plan_;
+  std::vector<EdgeIndex> degree_;          // deg' per input vertex.
+  std::vector<EdgeIndex> copied_offsets_;  // Per input vertex + 1.
+  std::vector<VertexId> copied_;  // Copied neighbours, by (cell, rank).
+  EdgeIndex arcs_ = 0;
+};
+
+/// The released graph of an in-memory base: every row through ReleaseRows.
+Graph ReleasedGraph(const Graph& base, const CopyPlan& plan);
 
 }  // namespace ksym
 

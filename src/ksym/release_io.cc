@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "common/str.h"
@@ -11,8 +12,8 @@
 
 namespace ksym {
 
-ReleaseTriple MakeReleaseTriple(const AnonymizationResult& result) {
-  return ReleaseTriple{result.graph, result.partition,
+ReleaseTriple MakeReleaseTriple(AnonymizationResult result) {
+  return ReleaseTriple{std::move(result.graph), std::move(result.partition),
                        result.original_vertices};
 }
 

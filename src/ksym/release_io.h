@@ -33,8 +33,9 @@ struct ReleaseTriple {
   size_t original_vertices = 0;
 };
 
-/// Extracts the release triple from an anonymization result.
-ReleaseTriple MakeReleaseTriple(const AnonymizationResult& result);
+/// Extracts the release triple from an anonymization result: moves it out
+/// of an rvalue, copies an lvalue.
+ReleaseTriple MakeReleaseTriple(AnonymizationResult result);
 
 /// Approximate heap footprint of a materialized release triple — what the
 /// daemon's caches charge for one: the CSR arrays plus the partition

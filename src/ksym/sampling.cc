@@ -81,22 +81,19 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
     budget -= static_cast<int64_t>(backbone.partition.cells[b].size());
   }
 
-  // Regrow: Algorithm 1 on the backbone with requirement (CPN[b] + 1)|B_b|,
-  // which is exactly CPN[b] whole-cell copies of each backbone cell.
-  const SymmetryRequirement regrow_to =
-      [&backbone, &cpn](const std::vector<VertexId>& cell, size_t) {
-        const uint32_t b = backbone.partition.cell_of[cell.front()];
-        return static_cast<uint32_t>((cpn[b] + 1) * cell.size());
-      };
-  ReleaseDelta delta(backbone.graph.NumVertices());
-  TrackedPartition tracked(backbone.partition);
-  CopyCosts costs;
-  CopyToRequirement(backbone.graph, backbone.partition, regrow_to, {}, delta,
-                    tracked, costs);
-  Graph sample = ReleasedGraph(backbone.graph, delta);
+  // Regrow: Algorithm 1 on the backbone, CPN[b] whole-cell copies of each
+  // backbone cell b.
+  CopyPlan plan(backbone.partition);
+  size_t copy_operations = 0;
+  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
+    if (cpn[b] == 0) continue;
+    KSYM_RETURN_IF_ERROR(plan.AddCell(b, backbone.partition.cells[b], cpn[b]));
+    copy_operations += cpn[b];
+  }
+  Graph sample = ReleasedGraph(backbone.graph, plan);
   if (stats != nullptr) {
     stats->backbone_vertices = backbone.graph.NumVertices();
-    stats->copy_operations = costs.copy_operations;
+    stats->copy_operations = copy_operations;
     stats->requested_vertices = target_vertices;
     stats->sampled_vertices = sample.NumVertices();
   }

@@ -4,9 +4,8 @@
 #include <vector>
 
 #include "common/str.h"
+#include "common/timer.h"
 #include "ksym/orbit_copy.h"
-#include "ksym/partition.h"
-#include "ksym/release_io.h"
 #include "shard/partitioner.h"
 #include "shard/refine.h"
 
@@ -52,22 +51,18 @@ Result<ShardedAnonymizationResult> AnonymizeSharded(
         ShardedTotalDegreePartition(graph, context, &result.refinement_trace);
   }
 
-  // Algorithm 1 against (base shards, delta), whole cells.
-  ReleaseDelta delta(n);
-  TrackedPartition partition(initial);
-  {
-    ScopedPhaseTimer copy_timer(context, &RefinementStats::copy_seconds);
-    CopyToRequirement(graph, initial, requirement, {}, delta, partition,
-                      result);
-  }
+  // Algorithm 1 over the shard set, whole cells: the plan, then the row
+  // emitter's two passes over the base shards.
+  Timer copy_timer;
+  KSYM_ASSIGN_OR_RETURN(
+      const CopyPlan plan,
+      CopyToRequirement(graph, initial, requirement, {}, result));
+  const ReleaseRows<ShardedGraph> rows(graph, plan);
+  context->stats().copy_seconds += copy_timer.ElapsedSeconds();
 
-  // Stream the released graph out as balanced vertex ranges through the row
-  // emitter. Ranges ascend, so the base shards are read in file order once
-  // more.
-  const size_t released_n = delta.NumVertices();
-  const std::vector<uint64_t> labels =
-      ReleaseCsrLabels(partition.ToVertexPartition(), n);
-
+  // Stream the released graph out as balanced vertex ranges. Ranges ascend,
+  // so the base shards are read in file order once more.
+  const size_t released_n = plan.NumVertices();
   const uint32_t output_shards =
       options.output_shards > 0 ? options.output_shards : graph.NumShards();
   const size_t chunk = (released_n + output_shards - 1) / output_shards;
@@ -75,21 +70,26 @@ Result<ShardedAnonymizationResult> AnonymizeSharded(
   ShardSetWriter writer(output_prefix, released_n);
   std::vector<EdgeIndex> local_offsets;
   std::vector<VertexId> range_neighbors;
+  std::vector<uint64_t> labels;
   for (size_t begin = 0; begin < released_n; begin += chunk) {
     const size_t end = std::min(released_n, begin + chunk);
     local_offsets.assign(1, 0);
     range_neighbors.clear();
-    AppendReleasedRows(graph, delta, begin, end, local_offsets,
-                       range_neighbors);
+    rows.Append(begin, end, local_offsets, range_neighbors);
+    // The release encoding of ReleaseCsrLabels: cell << 1 | is_copy.
+    labels.clear();
+    plan.ForEachInstance(begin, end, [&labels](VertexId, const Instance& x) {
+      labels.push_back(uint64_t{x.cell} << 1 | (x.step > 0 ? 1 : 0));
+    });
     KSYM_RETURN_IF_ERROR(writer.AppendShard(
         static_cast<VertexId>(begin), static_cast<VertexId>(end),
-        local_offsets, range_neighbors,
-        std::span<const uint64_t>(labels).subspan(begin, end - begin)));
+        local_offsets, range_neighbors, labels));
   }
   KSYM_ASSIGN_OR_RETURN(result.manifest, writer.Finish());
 
   result.released_vertices = released_n;
-  result.released_edges = graph.NumEdges() + delta.added_edges();
+  result.released_edges = rows.NumEdges();
+  result.edges_added = rows.NumEdges() - graph.NumEdges();
   result.refinement = context->stats();
   result.residency = graph.stats();
   return result;

@@ -10,15 +10,14 @@
 //      (shard/refine.h) — bit-identical cells and trace hash to the
 //      in-memory run. The exact Orb(G) path needs the IR search's random
 //      access and is not offered out-of-core.
-//   3. Orbit copying is the one Algorithm 1 loop and the one Ocp
-//      (CopyToRequirement, OrbitCopy) with the shard set as base: the new
-//      vertices and edges go to a ReleaseDelta — O(n + added) vertex state —
-//      while the original edge arrays stay on disk.
+//   3. The copies are the one Algorithm 1 plan (CopyToRequirement) over
+//      the shard set, and the one row emitter (ReleaseRows) reads the base
+//      shards twice more for the released degrees and every vertex's
+//      copied neighbours: O(n + m) state, whatever the number of copies.
 //   4. The released graph streams back out through ShardSetWriter as
-//      balanced vertex-range shards with release-encoded labels
-//      (ReleaseCsrLabels), plus a manifest. Each range's rows come from the
-//      same row emitter that builds the in-memory release (base row, then
-//      sorted delta row).
+//      balanced vertex-range shards with release-encoded labels (as
+//      ReleaseCsrLabels encodes them), plus a manifest. Each range's rows
+//      come from the emitter that builds the in-memory release.
 //
 // `ksym_shard merge` of the output is therefore byte-identical to
 // WriteReleaseCsrFile of the in-memory Anonymize run on the merged input —

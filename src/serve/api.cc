@@ -1,6 +1,7 @@
 #include "serve/api.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -196,7 +197,7 @@ Result<Response> RunAnonymize(const AnonymizeRequest& request,
   }
 
   Timer timer;
-  KSYM_ASSIGN_OR_RETURN(const AnonymizationResult result,
+  KSYM_ASSIGN_OR_RETURN(AnonymizationResult result,
                         request.minimal
                             ? AnonymizeMinimalVertices(graph, options)
                             : Anonymize(graph, options));
@@ -208,7 +209,7 @@ Result<Response> RunAnonymize(const AnonymizeRequest& request,
   response.log += StrFormat("anonymize %.1f ms\n", timer.ElapsedMillis());
   AppendPhaseStats(result.refinement, context.threads(), response.log);
 
-  const ReleaseTriple release = MakeReleaseTriple(result);
+  const ReleaseTriple release = MakeReleaseTriple(std::move(result));
   KSYM_RETURN_IF_ERROR(request.binary
                            ? WriteReleaseCsrFile(release, request.output)
                            : WriteReleaseFile(release, request.output));
@@ -433,92 +434,110 @@ Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {
 // Wire decoding.
 // ---------------------------------------------------------------------------
 
-Status CheckKeys(const WireObject& object,
-                 std::initializer_list<const char*> allowed) {
+namespace {
+
+// Stores `value` in `out` when its kind, and range, fit `out`'s type.
+bool Store(const WireValue& value, std::string& out) {
+  if (value.kind == WireValue::Kind::kString) out = value.str;
+  return value.kind == WireValue::Kind::kString;
+}
+
+bool Store(const WireValue& value, bool& out) {
+  if (value.kind == WireValue::Kind::kBool) out = value.b;
+  return value.kind == WireValue::Kind::kBool;
+}
+
+bool Store(const WireValue& value, double& out) {
+  using Kind = WireValue::Kind;
+  if (value.kind == Kind::kString || value.kind == Kind::kBool) return false;
+  out = value.kind == Kind::kDouble ? value.d
+        : value.kind == Kind::kUint ? static_cast<double>(value.u)
+                                    : static_cast<double>(value.i);
+  return true;
+}
+
+// Parsed lines carry every non-negative integer as kUint.
+template <typename T>
+bool Store(const WireValue& value, T& out) {
+  if (value.kind != WireValue::Kind::kUint ||
+      value.u > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  out = static_cast<T>(value.u);
+  return true;
+}
+
+}  // namespace
+
+Status DecodeFields(const WireObject& object,
+                    std::initializer_list<WireField> fields) {
+  // What each WireField::out alternative takes; each WireValue kind's name.
+  static constexpr const char* kExpected[] = {
+      "a string", "true or false", "a number",
+      "an integer in [0, 4294967295]", "a non-negative integer"};
+  static constexpr const char* kKinds[] = {"string", "integer", "integer",
+                                           "float", "boolean"};
   for (const auto& [key, value] : object.fields) {
     if (key == "op" || key == "id" || key == "deadline_ms") continue;
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    const WireField* field =
+        std::find_if(fields.begin(), fields.end(),
+                     [&key](const WireField& f) { return key == f.key; });
+    if (field == fields.end()) {
       return Status::InvalidArgument(
           StrFormat("unknown request field \"%s\"", key.c_str()));
+    }
+    if (!std::visit([&value](auto* out) { return Store(value, *out); },
+                    field->out)) {
+      WireObject quoted;
+      quoted.Set("", value);
+      const std::string line = SerializeWireLine(quoted);  // {"":<value>}
+      return Status::InvalidArgument(StrFormat(
+          "request field \"%s\" must be %s, got %s %s", key.c_str(),
+          kExpected[field->out.index()], kKinds[static_cast<int>(value.kind)],
+          line.substr(4, line.size() - 5).c_str()));
     }
   }
   return Status::Ok();
 }
 
 Result<AnonymizeRequest> AnonymizeRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(
-      object, {"input", "output", "k", "exclude_hubs", "minimal", "tdv",
-               "binary", "threads", "output_shards"}));
-  AnonymizeRequest request;
-  request.input = object.GetString("input");
-  request.output = object.GetString("output");
-  request.k = static_cast<uint32_t>(object.GetUint("k", request.k));
-  request.exclude_hubs = object.GetDouble("exclude_hubs", 0.0);
-  request.minimal = object.GetBool("minimal", false);
-  request.tdv = object.GetBool("tdv", false);
-  request.binary = object.GetBool("binary", false);
-  request.threads =
-      static_cast<uint32_t>(object.GetUint("threads", request.threads));
-  request.output_shards =
-      static_cast<uint32_t>(object.GetUint("output_shards", 0));
-  return request;
+  AnonymizeRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(
+      object, {{"input", &r.input}, {"output", &r.output}, {"k", &r.k},
+               {"exclude_hubs", &r.exclude_hubs}, {"minimal", &r.minimal},
+               {"tdv", &r.tdv}, {"binary", &r.binary},
+               {"threads", &r.threads}, {"output_shards", &r.output_shards}}));
+  return r;
 }
 
 Result<AuditRequest> AuditRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(
-      CheckKeys(object, {"input", "k", "tdv", "threads"}));
-  AuditRequest request;
-  request.input = object.GetString("input");
-  request.k = static_cast<uint32_t>(object.GetUint("k", request.k));
-  request.tdv = object.GetBool("tdv", false);
-  request.threads =
-      static_cast<uint32_t>(object.GetUint("threads", request.threads));
-  return request;
+  AuditRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(object, {{"input", &r.input},
+                                             {"k", &r.k},
+                                             {"tdv", &r.tdv},
+                                             {"threads", &r.threads}}));
+  return r;
 }
 
 Result<SampleRequest> SampleRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(
-      object, {"release", "output_prefix", "samples", "exact", "seed",
-               "threads", "binary"}));
-  SampleRequest request;
-  request.release = object.GetString("release");
-  request.output_prefix = object.GetString("output_prefix");
-  request.samples = object.GetUint("samples", request.samples);
-  request.exact = object.GetBool("exact", false);
-  request.seed = object.GetUint("seed", request.seed);
-  request.threads =
-      static_cast<uint32_t>(object.GetUint("threads", request.threads));
-  request.binary = object.GetBool("binary", false);
-  return request;
+  SampleRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(
+      object, {{"release", &r.release}, {"output_prefix", &r.output_prefix},
+               {"samples", &r.samples}, {"exact", &r.exact},
+               {"seed", &r.seed}, {"threads", &r.threads},
+               {"binary", &r.binary}}));
+  return r;
 }
 
 Result<AttackRequest> AttackRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(
-      object, {"input", "k", "tdv", "sybils", "targets", "seed", "max_ell",
-               "community_iters", "threads"}));
-  AttackRequest request;
-  request.input = object.GetString("input");
-  request.k = static_cast<uint32_t>(object.GetUint("k", request.k));
-  request.tdv = object.GetBool("tdv", false);
-  request.sybils =
-      static_cast<uint32_t>(object.GetUint("sybils", request.sybils));
-  request.targets =
-      static_cast<uint32_t>(object.GetUint("targets", request.targets));
-  request.seed = object.GetUint("seed", request.seed);
-  request.max_ell =
-      static_cast<uint32_t>(object.GetUint("max_ell", request.max_ell));
-  request.community_iters = static_cast<uint32_t>(
-      object.GetUint("community_iters", request.community_iters));
-  request.threads =
-      static_cast<uint32_t>(object.GetUint("threads", request.threads));
-  return request;
+  AttackRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(
+      object, {{"input", &r.input}, {"k", &r.k}, {"tdv", &r.tdv},
+               {"sybils", &r.sybils}, {"targets", &r.targets},
+               {"seed", &r.seed}, {"max_ell", &r.max_ell},
+               {"community_iters", &r.community_iters},
+               {"threads", &r.threads}}));
+  return r;
 }
 
 }  // namespace serve

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -97,14 +98,24 @@ Result<Response> RunAttack(const AttackRequest& request,
                            GraphCache* cache = nullptr);
 
 // ---------------------------------------------------------------------------
-// Wire decoding (daemon side). Unknown keys are rejected — a typo'd flag
-// must not silently become a default.
+// Wire decoding (daemon side). Unknown keys, values of the wrong kind and
+// values outside the field's range are rejected — a typo'd or overflowing
+// flag must not silently become a default or wrap.
 // ---------------------------------------------------------------------------
 
-/// Checks that `object` holds no keys outside `allowed` (plus the framing
-/// keys every request may carry: "op", "id", "deadline_ms").
-Status CheckKeys(const WireObject& object,
-                 std::initializer_list<const char*> allowed);
+/// One request field: its key and the request member it decodes into.
+struct WireField {
+  const char* key;
+  std::variant<std::string*, bool*, double*, uint32_t*, uint64_t*> out;
+};
+
+/// Decodes `fields` from `object`. A key outside them (and outside the
+/// framing keys every request may carry: "op", "id", "deadline_ms"), or a
+/// value not of the member's kind and range (a number for a double, a
+/// non-negative integer that fits for an unsigned), is one InvalidArgument
+/// naming the field and the value. Absent fields keep their defaults.
+Status DecodeFields(const WireObject& object,
+                    std::initializer_list<WireField> fields);
 
 Result<AnonymizeRequest> AnonymizeRequestFromWire(const WireObject& object);
 Result<AuditRequest> AuditRequestFromWire(const WireObject& object);

@@ -155,33 +155,26 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
 }
 
 Result<MutateRequest> MutateRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(object, {"session", "input", "edits"}));
-  MutateRequest request;
-  request.session = object.GetString("session");
-  request.input = object.GetString("input");
-  request.edits = object.GetString("edits");
-  return request;
+  MutateRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(
+      object,
+      {{"session", &r.session}, {"input", &r.input}, {"edits", &r.edits}}));
+  return r;
 }
 
 Result<CommitRequest> CommitRequestFromWire(const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(object, {"session"}));
-  CommitRequest request;
-  request.session = object.GetString("session");
-  return request;
+  CommitRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(object, {{"session", &r.session}}));
+  return r;
 }
 
 Result<ReanonymizeRequest> ReanonymizeRequestFromWire(
     const WireObject& object) {
-  KSYM_RETURN_IF_ERROR(CheckKeys(
-      object, {"session", "output", "k", "binary", "threads"}));
-  ReanonymizeRequest request;
-  request.session = object.GetString("session");
-  request.output = object.GetString("output");
-  request.k = static_cast<uint32_t>(object.GetUint("k", request.k));
-  request.binary = object.GetBool("binary", false);
-  request.threads =
-      static_cast<uint32_t>(object.GetUint("threads", request.threads));
-  return request;
+  ReanonymizeRequest r;
+  KSYM_RETURN_IF_ERROR(DecodeFields(
+      object, {{"session", &r.session}, {"output", &r.output}, {"k", &r.k},
+               {"binary", &r.binary}, {"threads", &r.threads}}));
+  return r;
 }
 
 }  // namespace serve

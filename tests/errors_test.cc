@@ -58,6 +58,46 @@ TEST(ErrorsTest, ShardedAnonymizerRejectsOutOfRangeHubFraction) {
   EXPECT_FALSE(std::filesystem::exists(output + ".manifest"));
 }
 
+// k = 2^31 on a 3-vertex path asks for 2^32 released vertices, one more id
+// than VertexId has: every anonymizer rejects the plan before allocating
+// the release.
+TEST(ErrorsTest, AnonymizersRejectReleasesBeyondVertexIds) {
+  const Graph path = MakePath(3);
+  AnonymizationOptions options;
+  options.k = 1u << 31;
+  for (const bool tdv : {false, true}) {
+    options.use_total_degree_partition = tdv;
+    const VertexPartition initial =
+        tdv ? ComputeTotalDegreePartition(path, nullptr)
+            : ComputeAutomorphismPartition(path, {}, nullptr);
+    for (const Status& status :
+         {Anonymize(path, options).status(),
+          AnonymizeWithPartition(path, initial, options).status(),
+          AnonymizeMinimalVertices(path, options).status(),
+          AnonymizeMinimalVertices(path, initial, options).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("4294967296"), std::string::npos)
+          << status.ToString();
+    }
+  }
+
+  const std::string prefix = testing::TempDir() + "/errors_ids";
+  PartitionOptions split;
+  split.num_shards = 2;
+  ASSERT_TRUE(Partitioner::Split(path, {}, split, prefix).ok());
+  const auto graph = ShardedGraph::Open(prefix + ".manifest");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const std::string output = prefix + "_out";
+  std::filesystem::remove(output + ".manifest");
+  ShardedAnonymizationOptions sharded;
+  sharded.k = 1u << 31;
+  const auto result = AnonymizeSharded(*graph, sharded, output);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(output + ".manifest"));
+}
+
 TEST(ErrorsTest, SamplersRejectMismatchedInputs) {
   const Graph g = MakeCycle(5);
   const VertexPartition wrong = VertexPartition::FromCells(3, {{0, 1, 2}});

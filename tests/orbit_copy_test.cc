@@ -1,7 +1,8 @@
-// Tests for the orbit copying operation (Definition 3, Lemmas 1-3), and a
-// reference Ocp over a plain edge set that shares no code with OrbitCopy:
-// random copy sequences must give the same copy ids, tracked cells and
-// released graph over an in-memory base and over 1- and 3-shard bases.
+// Tests for the orbit copying operation (Definition 3, Lemmas 1-3) as the
+// copy plan and row emitter apply it, and a reference Ocp over a plain edge
+// set that shares no code with them: random per-cell plans must give the
+// same copy ids, cells, originals and released rows over an in-memory base
+// and over 1- and 3-shard bases.
 
 #include "ksym/orbit_copy.h"
 
@@ -25,19 +26,27 @@
 namespace ksym {
 namespace {
 
-// One Ocp sequence over an in-memory base.
+// A copy plan over an in-memory base: each Copy plans one cell, in
+// ascending cell order.
 struct Copier {
   Copier(const Graph& graph, const VertexPartition& initial)
-      : base(graph), delta(graph.NumVertices()), partition(initial) {}
+      : base(graph), plan(initial) {}
 
-  std::vector<VertexId> Copy(uint32_t cell, std::span<const VertexId> unit) {
-    return OrbitCopy(base, delta, partition, cell, unit);
+  // The copy ids of the last step, aligned with `unit`.
+  std::vector<VertexId> Copy(uint32_t cell, std::span<const VertexId> unit,
+                             uint64_t steps = 1) {
+    EXPECT_TRUE(plan.AddCell(cell, unit, steps).ok());
+    std::vector<VertexId> copies;
+    for (VertexId v : unit) {
+      copies.push_back(plan.FirstCopy(v) +
+                       static_cast<VertexId>((steps - 1) * unit.size()));
+    }
+    return copies;
   }
-  Graph Release() const { return ReleasedGraph(base, delta); }
+  Graph Release() const { return ReleasedGraph(base, plan); }
 
   const Graph& base;
-  ReleaseDelta delta;
-  TrackedPartition partition;
+  CopyPlan plan;
 };
 
 // The running example of the paper's Figure 3(a): orbits
@@ -92,7 +101,7 @@ TEST(OrbitCopyTest, CopyingV3MatchesFigure3b) {
   EXPECT_FALSE(result.HasEdge(v5c, 3));
   EXPECT_FALSE(result.HasEdge(v5c, 4));
   // 4 vertices in the augmented cell.
-  EXPECT_EQ(copier.partition.Cell(2).size(), 4u);
+  EXPECT_EQ(copier.plan.ReleasedPartition().cells[2].size(), 4u);
 }
 
 TEST(OrbitCopyTest, ResultIsSubAutomorphismPartition) {
@@ -104,7 +113,7 @@ TEST(OrbitCopyTest, ResultIsSubAutomorphismPartition) {
     Copier copier(g, orbits);
     copier.Copy(cell, orbits.cells[cell]);
     EXPECT_TRUE(IsCellwiseSubAutomorphismPartition(
-        copier.Release(), copier.partition.ToVertexPartition()))
+        copier.Release(), copier.plan.ReleasedPartition()))
         << "cell " << cell;
   }
 }
@@ -114,31 +123,10 @@ TEST(OrbitCopyTest, RepeatedCopiesKeepProperty) {
   const Graph g = Figure3Graph();
   const VertexPartition orbits = ComputeAutomorphismPartition(g, {}, nullptr);
   Copier copier(g, orbits);
-  for (int rep = 0; rep < 3; ++rep) {
-    copier.Copy(0, orbits.cells[0]);
-  }
-  EXPECT_EQ(copier.partition.Cell(0).size(), 8u);
+  copier.Copy(0, orbits.cells[0], 3);
+  EXPECT_EQ(copier.plan.ReleasedPartition().cells[0].size(), 8u);
   EXPECT_TRUE(IsCellwiseSubAutomorphismPartition(
-      copier.Release(), copier.partition.ToVertexPartition()));
-}
-
-TEST(OrbitCopyTest, OrderIndependenceUpToIsomorphism) {
-  // Lemma 3: applying the same multiset of copy operations in different
-  // orders yields isomorphic graphs.
-  const Graph g = Figure3Graph();
-  const VertexPartition orbits = ComputeAutomorphismPartition(g, {}, nullptr);
-
-  Copier c1(g, orbits);
-  c1.Copy(0, orbits.cells[0]);
-  c1.Copy(2, orbits.cells[2]);
-  c1.Copy(4, orbits.cells[4]);
-
-  Copier c2(g, orbits);
-  c2.Copy(4, orbits.cells[4]);
-  c2.Copy(2, orbits.cells[2]);
-  c2.Copy(0, orbits.cells[0]);
-
-  EXPECT_TRUE(AreIsomorphic(c1.Release(), c2.Release()));
+      copier.Release(), copier.plan.ReleasedPartition()));
 }
 
 TEST(OrbitCopyTest, CopyCountsDegreesPreserved) {
@@ -170,31 +158,9 @@ TEST(OrbitCopyTest, SingletonCellCopy) {
   }
 }
 
-TEST(TrackedPartitionTest, ProvenanceCollapsesToOriginals) {
-  const Graph g = MakeStar(3);
-  const VertexPartition orbits = ComputeAutomorphismPartition(g, {}, nullptr);
-  Copier copier(g, orbits);
-  const TrackedPartition& partition = copier.partition;
-  const uint32_t leaf_cell = orbits.cell_of[1];
-  const auto first = copier.Copy(leaf_cell, orbits.cells[leaf_cell]);
-  // Copy the copies' cell again using originals as unit.
-  const auto second = copier.Copy(leaf_cell, orbits.cells[leaf_cell]);
-  for (VertexId v : first) {
-    EXPECT_FALSE(partition.IsOriginal(v));
-    EXPECT_TRUE(partition.IsOriginal(partition.OriginalOf(v)));
-  }
-  for (VertexId v : second) {
-    EXPECT_TRUE(partition.IsOriginal(partition.OriginalOf(v)));
-  }
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_TRUE(partition.IsOriginal(v));
-  }
-}
-
-
-// Definition 3 over a plain edge set, written without OrbitCopy, the
-// release delta or the row emitter: new ids are appended, rules 1 and 2 are
-// applied to the current edge set, and the graph is built by GraphBuilder.
+// Definition 3 over a plain edge set, written without the copy plan or the
+// row emitter: new ids are appended, rules 1 and 2 are applied to the
+// current edge set, and the graph is built by GraphBuilder.
 class ReferenceOcp {
  public:
   ReferenceOcp(const Graph& graph, const VertexPartition& initial)
@@ -270,71 +236,94 @@ std::vector<std::vector<VertexId>> CellComponents(
   return components;
 }
 
-struct CopyStep {
+TEST(OrbitCopyTest, OrderIndependenceUpToIsomorphism) {
+  // Lemma 3: applying the same multiset of copy operations in different
+  // orders yields isomorphic graphs. The plan applies them in cell order;
+  // the reference in reverse.
+  const Graph g = Figure3Graph();
+  const VertexPartition orbits = ComputeAutomorphismPartition(g, {}, nullptr);
+
+  Copier planned(g, orbits);
+  planned.Copy(0, orbits.cells[0]);
+  planned.Copy(2, orbits.cells[2]);
+  planned.Copy(4, orbits.cells[4]);
+
+  ReferenceOcp reversed(g, orbits);
+  reversed.Copy(4, orbits.cells[4]);
+  reversed.Copy(2, orbits.cells[2]);
+  reversed.Copy(0, orbits.cells[0]);
+
+  EXPECT_TRUE(AreIsomorphic(planned.Release(), reversed.Build()));
+}
+
+// One planned cell: `steps` Ocps of `unit`.
+struct CellPlan {
   uint32_t cell;
   std::vector<VertexId> unit;
+  uint64_t steps;
 };
 
-// A random copy sequence that repeats cells: ten draws from a pool of the
-// cells around one vertex (so copies land next to earlier copies) plus one
-// random cell. A cell whose induced subgraph has several components copies
+// A random per-cell plan: the cells around one vertex (so copies land next
+// to other copies) plus one random cell, in ascending order, each copied
+// 1-3 times. A cell whose induced subgraph has several components copies
 // one of them half the time, else the whole cell.
-std::vector<CopyStep> RandomCopySequence(const Graph& graph,
-                                         const VertexPartition& orbits,
-                                         Rng& rng) {
+std::vector<CellPlan> RandomPlan(const Graph& graph,
+                                 const VertexPartition& orbits, Rng& rng) {
   const VertexId center =
       static_cast<VertexId>(rng.NextBounded(graph.NumVertices()));
-  std::vector<uint32_t> pool = {
+  std::set<uint32_t> cells = {
       orbits.cell_of[center],
       static_cast<uint32_t>(rng.NextBounded(orbits.NumCells()))};
   for (VertexId u : graph.Neighbors(center)) {
-    if (pool.size() == 5) break;
-    pool.push_back(orbits.cell_of[u]);
+    if (cells.size() == 5) break;
+    cells.insert(orbits.cell_of[u]);
   }
-  std::vector<CopyStep> steps;
-  for (int i = 0; i < 10; ++i) {
-    const uint32_t cell = pool[rng.NextBounded(pool.size())];
+  std::vector<CellPlan> plan;
+  for (const uint32_t cell : cells) {
     const std::vector<std::vector<VertexId>> components =
         CellComponents(graph, orbits.cells[cell]);
-    if (components.size() > 1 && rng.NextBounded(2) == 0) {
-      steps.push_back({cell, components[rng.NextBounded(components.size())]});
-    } else {
-      steps.push_back({cell, orbits.cells[cell]});
+    std::vector<VertexId> unit =
+        components.size() > 1 && rng.NextBounded(2) == 0
+            ? components[rng.NextBounded(components.size())]
+            : orbits.cells[cell];
+    plan.push_back({cell, std::move(unit), 1 + rng.NextBounded(3)});
+  }
+  return plan;
+}
+
+// Emits the release of `plan` over `base` in `ranges` consecutive output
+// ranges, and checks each range's rows against the reference graph.
+template <typename Base>
+void ExpectRowsMatch(const Base& base, const CopyPlan& plan,
+                     const Graph& expected, size_t ranges,
+                     const std::string& label) {
+  const ReleaseRows<Base> rows(base, plan);
+  EXPECT_EQ(rows.NumEdges(), expected.NumEdges()) << label;
+  const size_t n = plan.NumVertices();
+  const size_t chunk = (n + ranges - 1) / ranges;
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    const size_t end = std::min(n, begin + chunk);
+    std::vector<EdgeIndex> offsets = {0};
+    std::vector<VertexId> neighbors;
+    rows.Append(begin, end, offsets, neighbors);
+    ASSERT_EQ(offsets.size(), end - begin + 1) << label;
+    for (size_t x = begin; x < end; ++x) {
+      const std::span<const VertexId> row(
+          neighbors.data() + offsets[x - begin],
+          neighbors.data() + offsets[x - begin + 1]);
+      const std::span<const VertexId> want =
+          expected.Neighbors(static_cast<VertexId>(x));
+      EXPECT_TRUE(std::ranges::equal(row, want))
+          << label << " row " << x << " of range [" << begin << ", " << end
+          << ")";
     }
   }
-  return steps;
 }
 
-// Runs `steps` with the one Ocp over `base` and checks copy ids, tracked
-// cells and the emitted graph against the reference.
-template <typename Base>
-void ExpectMatchesReference(const Base& base, const VertexPartition& orbits,
-                            const std::vector<CopyStep>& steps,
-                            const std::vector<std::vector<VertexId>>& copies,
-                            const ReferenceOcp& reference,
-                            const std::string& label) {
-  ReleaseDelta delta(base.NumVertices());
-  TrackedPartition partition(orbits);
-  for (size_t i = 0; i < steps.size(); ++i) {
-    EXPECT_EQ(OrbitCopy(base, delta, partition, steps[i].cell, steps[i].unit),
-              copies[i])
-        << label << " step " << i;
-  }
-  for (uint32_t cell = 0; cell < orbits.NumCells(); ++cell) {
-    EXPECT_EQ(partition.Cell(cell), reference.cells()[cell])
-        << label << " cell " << cell;
-  }
-  std::vector<EdgeIndex> offsets = {0};
-  std::vector<VertexId> neighbors;
-  AppendReleasedRows(base, delta, 0, delta.NumVertices(), offsets, neighbors);
-  EXPECT_TRUE(Graph::FromCsr(std::move(offsets), std::move(neighbors)) ==
-              reference.Build())
-      << label;
-}
-
-TEST(OrbitCopyOracleTest, RandomCopySequencesMatchDefinition3) {
+TEST(OrbitCopyOracleTest, RandomPlansMatchDefinition3) {
   Rng rng(3);
   size_t partial_units = 0;
+  size_t repeated_steps = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const size_t n = 20 + rng.NextBounded(181);
     Graph graph;
@@ -351,20 +340,51 @@ TEST(OrbitCopyOracleTest, RandomCopySequencesMatchDefinition3) {
     }
     const VertexPartition orbits =
         ComputeAutomorphismPartition(graph, {}, nullptr);
-    const std::vector<CopyStep> steps =
-        RandomCopySequence(graph, orbits, rng);
-
-    ReferenceOcp reference(graph, orbits);
-    std::vector<std::vector<VertexId>> copies;
-    for (const CopyStep& step : steps) {
-      copies.push_back(reference.Copy(step.cell, step.unit));
-      if (step.unit.size() < orbits.cells[step.cell].size()) ++partial_units;
-    }
+    const std::vector<CellPlan> cells = RandomPlan(graph, orbits, rng);
     const std::string label = "trial " + std::to_string(trial);
 
-    ExpectMatchesReference(graph, orbits, steps, copies, reference,
-                           label + " in memory");
+    // Algorithm 1 order: cell by cell, each cell's steps in a row. The
+    // reference appends each copy's id, so its instance is the next entry.
+    CopyPlan plan(orbits);
+    ReferenceOcp reference(graph, orbits);
+    std::vector<Instance> want;
+    for (VertexId v = 0; v < n; ++v) want.push_back({v, orbits.cell_of[v], 0});
+    for (const CellPlan& cell : cells) {
+      ASSERT_TRUE(plan.AddCell(cell.cell, cell.unit, cell.steps).ok());
+      if (cell.unit.size() < orbits.cells[cell.cell].size()) ++partial_units;
+      if (cell.steps > 1) ++repeated_steps;
+      for (uint32_t step = 1; step <= cell.steps; ++step) {
+        const std::vector<VertexId> copies =
+            reference.Copy(cell.cell, cell.unit);
+        for (size_t i = 0; i < copies.size(); ++i) {
+          EXPECT_EQ(plan.FirstCopy(cell.unit[i]) +
+                        (step - 1) * cell.unit.size(),
+                    copies[i])
+              << label << " cell " << cell.cell << " step " << step;
+          ASSERT_EQ(copies[i], want.size()) << label;
+          want.push_back({cell.unit[i], cell.cell, step});
+        }
+      }
+    }
+    const Graph expected = reference.Build();
+    ASSERT_EQ(plan.NumVertices(), expected.NumVertices()) << label;
+    EXPECT_EQ(plan.ReleasedPartition().cells, reference.cells()) << label;
+    // Each copy's original, cell and step, walked from any start.
+    for (int walk = 0; walk < 4; ++walk) {
+      const size_t begin = walk == 0 ? 0 : rng.NextBounded(want.size());
+      size_t next = begin;
+      plan.ForEachInstance(begin, want.size(),
+                           [&](VertexId x, const Instance& instance) {
+                             ASSERT_EQ(x, next++);
+                             EXPECT_EQ(instance.original, want[x].original);
+                             EXPECT_EQ(instance.cell, want[x].cell);
+                             EXPECT_EQ(instance.step, want[x].step);
+                           });
+      EXPECT_EQ(next, want.size()) << label;
+    }
 
+    ExpectRowsMatch(graph, plan, expected, 1, label + " in memory");
+    EXPECT_TRUE(ReleasedGraph(graph, plan) == expected) << label;
     for (const uint32_t shards : {1u, 3u}) {
       PartitionOptions split;
       split.num_shards = shards;
@@ -374,13 +394,46 @@ TEST(OrbitCopyOracleTest, RandomCopySequencesMatchDefinition3) {
       ASSERT_TRUE(Partitioner::Split(graph, {}, split, prefix).ok());
       const auto sharded = ShardedGraph::Open(prefix + ".manifest");
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ExpectMatchesReference(*sharded, orbits, steps, copies, reference,
-                             label + " " + std::to_string(shards) +
-                                 " shards");
+      ExpectRowsMatch(*sharded, plan, expected, 1 + trial % 4,
+                      label + " " + std::to_string(shards) + " shards");
     }
+
+    // Lemma 3: the same copies applied in reverse cell order give an
+    // isomorphic graph. (A release that failed above may not be a simple
+    // graph, which the isomorphism search checks fatally.)
+    ASSERT_FALSE(HasFailure()) << label;
+    ReferenceOcp reversed(graph, orbits);
+    for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) {
+      for (uint64_t step = 0; step < cell->steps; ++step) {
+        reversed.Copy(cell->cell, cell->unit);
+      }
+    }
+    EXPECT_TRUE(AreIsomorphic(ReleasedGraph(graph, plan), reversed.Build()))
+        << label;
   }
-  // The sequences did exercise one-component units.
+  // The plans did exercise one-component units and repeated steps.
   EXPECT_GT(partial_units, 0u);
+  EXPECT_GT(repeated_steps, 0u);
+}
+
+TEST(CopyPlanTest, RejectsIdsBeyondVertexId) {
+  // k = 2^31 on a 3-vertex path: 2^32 released vertices.
+  const Graph path = MakePath(3);
+  const VertexPartition orbits =
+      ComputeAutomorphismPartition(path, {}, nullptr);
+  CopyPlan plan(orbits);
+  const uint32_t ends = orbits.cell_of[0];
+  const uint32_t middle = orbits.cell_of[1];
+  ASSERT_LT(ends, middle);
+  ASSERT_TRUE(plan.AddCell(ends, orbits.cells[ends], (1u << 30) - 1).ok());
+  const Status status =
+      plan.AddCell(middle, orbits.cells[middle], (1u << 31) - 1);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("4294967296"), std::string::npos)
+      << status.ToString();
+  // The plan is unchanged.
+  EXPECT_EQ(plan.NumVertices(), 3u + (1u << 31) - 2);
+  EXPECT_EQ(plan.Steps(middle), 0u);
 }
 
 }  // namespace

@@ -340,6 +340,106 @@ TEST(RequestDecodeTest, SampleDefaults) {
   EXPECT_FALSE(decoded->binary);
 }
 
+// A present field of the wrong kind or outside its type's range is one
+// InvalidArgument naming the field and the value, never a default or a
+// wrapped value.
+TEST(RequestDecodeTest, MistypedOrOutOfRangeFieldsRejected) {
+  struct Case {
+    const char* line;
+    const char* field;
+    const char* value;
+  };
+  const Case cases[] = {
+      {R"({"op":"anonymize","input":"g","output":"o","k":"10"})", "k",
+       "\"10\""},
+      {R"({"op":"anonymize","input":"g","output":"o","k":10.0})", "k", "10"},
+      {R"({"op":"anonymize","input":"g","output":"o","k":-10})", "k", "-10"},
+      {R"({"op":"anonymize","input":"g","output":"o","k":4294967301})", "k",
+       "4294967301"},
+      {R"({"op":"anonymize","input":"g","output":"o","tdv":"true"})", "tdv",
+       "\"true\""},
+      {R"({"op":"anonymize","input":"g","output":"o","threads":4294967296})",
+       "threads", "4294967296"},
+      {R"({"op":"anonymize","input":7,"output":"o"})", "input", "7"},
+      {R"({"op":"anonymize","input":"g","output":"o","exclude_hubs":"0.1"})",
+       "exclude_hubs", "\"0.1\""},
+      {R"({"op":"audit","input":"g","k":-5})", "k", "-5"},
+      {R"({"op":"audit","input":"g","tdv":1})", "tdv", "1"},
+      {R"({"op":"sample","release":"r","output_prefix":"s","samples":-1})",
+       "samples", "-1"},
+      {R"({"op":"sample","release":"r","output_prefix":"s","seed":1.5})",
+       "seed", "1.5"},
+      {R"({"op":"sample","release":"r","output_prefix":"s","exact":"yes"})",
+       "exact", "\"yes\""},
+      {R"({"op":"attack","input":"g","sybils":4294967300})", "sybils",
+       "4294967300"},
+      {R"({"op":"attack","input":"g","max_ell":false})", "max_ell", "false"},
+      {R"({"op":"reanonymize","session":"s","k":4294967298})", "k",
+       "4294967298"},
+      {R"({"op":"reanonymize","session":"s","binary":"false"})", "binary",
+       "\"false\""},
+      {R"({"op":"mutate","session":3,"edits":"add 0 1"})", "session", "3"},
+  };
+  for (const Case& c : cases) {
+    const WireObject object = ParseWireLine(c.line).value();
+    const std::string op = object.GetString("op");
+    Status status;
+    if (op == "anonymize") {
+      status = AnonymizeRequestFromWire(object).status();
+    } else if (op == "audit") {
+      status = AuditRequestFromWire(object).status();
+    } else if (op == "sample") {
+      status = SampleRequestFromWire(object).status();
+    } else if (op == "attack") {
+      status = AttackRequestFromWire(object).status();
+    } else if (op == "reanonymize") {
+      status = ReanonymizeRequestFromWire(object).status();
+    } else {
+      status = MutateRequestFromWire(object).status();
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.line;
+    const std::string message = status.message();
+    EXPECT_NE(message.find(std::string("\"") + c.field + "\""),
+              std::string::npos)
+        << c.line << ": " << message;
+    EXPECT_NE(message.find(std::string("got ")), std::string::npos)
+        << c.line << ": " << message;
+    EXPECT_NE(message.find(c.value, message.find("got ")), std::string::npos)
+        << c.line << ": " << message;
+  }
+}
+
+TEST(RequestDecodeTest, InRangeFieldsDecode) {
+  const auto anonymize = AnonymizeRequestFromWire(
+      ParseWireLine(R"({"op":"anonymize","input":"g","output":"o",)"
+                    R"("k":4294967295,"exclude_hubs":0,"threads":4,)"
+                    R"("output_shards":3,"minimal":true})")
+          .value());
+  ASSERT_TRUE(anonymize.ok()) << anonymize.status().ToString();
+  EXPECT_EQ(anonymize->k, 4294967295u);
+  EXPECT_EQ(anonymize->exclude_hubs, 0.0);
+  EXPECT_EQ(anonymize->threads, 4u);
+  EXPECT_EQ(anonymize->output_shards, 3u);
+  EXPECT_TRUE(anonymize->minimal);
+  EXPECT_FALSE(anonymize->tdv);
+
+  const auto sample = SampleRequestFromWire(
+      ParseWireLine(R"({"op":"sample","release":"r","output_prefix":"s",)"
+                    R"("seed":18446744073709551615})")
+          .value());
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  EXPECT_EQ(sample->seed, 18446744073709551615u);
+
+  const auto reanonymize = ReanonymizeRequestFromWire(
+      ParseWireLine(R"({"op":"reanonymize","session":"s","k":7,)"
+                    R"("binary":true})")
+          .value());
+  ASSERT_TRUE(reanonymize.ok()) << reanonymize.status().ToString();
+  EXPECT_EQ(reanonymize->k, 7u);
+  EXPECT_TRUE(reanonymize->binary);
+  EXPECT_EQ(reanonymize->threads, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Request API: cache transparency and the dynamic ops
 // ---------------------------------------------------------------------------
@@ -598,6 +698,54 @@ ServerOptions BaseOptions(const std::string& socket_name) {
   options.socket_path = TempPath(socket_name);
   options.thread_budget = 2;
   return options;
+}
+
+TEST(ServerTest, ReleaseBeyondVertexIdsIsRejectedAndWritesNothing) {
+  // k = 2^31 on a 3-vertex path: 2^32 released vertices. The CLI and the
+  // daemon both run RunAnonymize.
+  const Graph path = MakePath(3);
+  const std::string edges = TempPath("ids_in.edges");
+  ASSERT_TRUE(WriteEdgeListFile(path, edges).ok());
+  PartitionOptions split;
+  split.num_shards = 2;
+  const std::string prefix = TempPath("ids_sharded_in");
+  ASSERT_TRUE(Partitioner::Split(path, {}, split, prefix).ok());
+  const std::pair<std::string, bool> runs[] = {
+      {edges, false}, {edges, true}, {prefix + ".manifest", false}};
+  for (const auto& [input, minimal] : runs) {
+    AnonymizeRequest request;
+    request.input = input;
+    request.output = TempPath("ids_rejected");
+    request.k = 1u << 31;
+    request.tdv = true;
+    request.minimal = minimal;
+    std::filesystem::remove(request.output);
+    std::filesystem::remove(request.output + ".manifest");
+    const auto response = RunAnonymize(request);
+    ASSERT_FALSE(response.ok()) << input;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+        << response.status().ToString();
+    EXPECT_NE(response.status().message().find("4294967296"),
+              std::string::npos)
+        << response.status().ToString();
+    EXPECT_FALSE(std::filesystem::exists(request.output));
+    EXPECT_FALSE(std::filesystem::exists(request.output + ".manifest"));
+  }
+
+  Server server(BaseOptions("srv_ids.sock"));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.options().socket_path);
+  ASSERT_TRUE(client.connected());
+  const auto response = ParseWireLine(client.RoundTrip(
+      "{\"op\":\"anonymize\",\"input\":\"" + edges +
+      "\",\"output\":\"" + TempPath("ids_daemon") +
+      "\",\"k\":2147483648}"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->GetString("status"), "error");
+  EXPECT_NE(response->GetString("error").find("4294967296"),
+            std::string::npos)
+      << response->GetString("error");
+  server.Stop();
 }
 
 TEST(ServerTest, AuditMatchesCliByteForByteAndCaches) {
