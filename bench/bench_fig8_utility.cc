@@ -6,10 +6,9 @@
 // lengths, transitivity (clustering coefficients) and resilience — between
 // the original graph and the sample average.
 //
-// Samples come from the DrawSamples batch API (per-index Rng streams) and
-// every distribution takes the shared ExecutionContext, so --threads N
-// accelerates both the drawing and the measuring without changing any
-// printed number.
+// Samples come from the DrawSamples batch API (per-index Rng streams), so
+// --threads N draws them concurrently without changing any printed number;
+// the distributions are measured sequentially.
 //
 // Paper shape to reproduce: the sampled curves track the originals closely
 // on all four properties for all three networks.
@@ -109,45 +108,45 @@ int main(int argc, char** argv) {
     {
       std::vector<std::vector<size_t>> hists;
       for (const Graph& s : samples) {
-        hists.push_back(Histogram(DegreeValues(s, &context)));
+        hists.push_back(Histogram(DegreeValues(s)));
       }
       PrintPairedSeries(
           "degree",
-          NormalizedHistogram(Histogram(DegreeValues(dataset.graph, &context))),
+          NormalizedHistogram(Histogram(DegreeValues(dataset.graph))),
           MeanNormalizedHistogram(hists), 12);
     }
     // Shortest path lengths.
     {
       std::vector<std::vector<size_t>> hists;
       for (const Graph& s : samples) {
-        hists.push_back(Histogram(SampledPathLengths(s, kPathPairs, rng, &context)));
+        hists.push_back(Histogram(SampledPathLengths(s, kPathPairs, rng)));
       }
       PrintPairedSeries(
           "path length",
           NormalizedHistogram(Histogram(
-              SampledPathLengths(dataset.graph, kPathPairs, rng, &context))),
+              SampledPathLengths(dataset.graph, kPathPairs, rng))),
           MeanNormalizedHistogram(hists), 12);
     }
     // Transitivity (10 bins over [0, 1]).
     {
       std::vector<std::vector<size_t>> hists;
       for (const Graph& s : samples) {
-        hists.push_back(BinnedHistogram(ClusteringValues(s, &context), 0, 1, 10));
+        hists.push_back(BinnedHistogram(ClusteringValues(s), 0, 1, 10));
       }
       PrintPairedSeries(
           "transitivity",
           NormalizedHistogram(BinnedHistogram(
-              ClusteringValues(dataset.graph, &context), 0, 1, 10)),
+              ClusteringValues(dataset.graph), 0, 1, 10)),
           MeanNormalizedHistogram(hists), 10);
     }
     // Resilience: LCC fraction at matching removal fractions.
     {
-      const auto original = ResilienceCurve(dataset.graph, 7, 0.6, &context);
+      const auto original = ResilienceCurve(dataset.graph, 7, 0.6);
       std::vector<double> original_y;
       for (const auto& [x, y] : original) original_y.push_back(y);
       std::vector<double> mean_y(original.size(), 0.0);
       for (const Graph& s : samples) {
-        const auto curve = ResilienceCurve(s, 7, 0.6, &context);
+        const auto curve = ResilienceCurve(s, 7, 0.6);
         for (size_t i = 0; i < curve.size(); ++i) mean_y[i] += curve[i].second;
       }
       for (double& y : mean_y) y /= kNumSamples;
@@ -161,10 +160,10 @@ int main(int argc, char** argv) {
       double ks_deg = 0;
       double ks_cc = 0;
       for (const Graph& s : samples) {
-        ks_deg += KolmogorovSmirnovStatistic(DegreeValues(dataset.graph, &context),
-                                             DegreeValues(s, &context));
-        ks_cc += KolmogorovSmirnovStatistic(ClusteringValues(dataset.graph, &context),
-                                            ClusteringValues(s, &context));
+        ks_deg += KolmogorovSmirnovStatistic(DegreeValues(dataset.graph),
+                                             DegreeValues(s));
+        ks_cc += KolmogorovSmirnovStatistic(ClusteringValues(dataset.graph),
+                                            ClusteringValues(s));
       }
       std::printf("  mean K-S: degree %.3f, transitivity %.3f\n",
                   ks_deg / kNumSamples, ks_cc / kNumSamples);
@@ -185,10 +184,10 @@ int main(int argc, char** argv) {
     double ks_deg = 0;
     double ks_cc = 0;
     for (const Graph& sample : *drawn) {
-      ks_deg += KolmogorovSmirnovStatistic(DegreeValues(dataset.graph, &context),
-                                           DegreeValues(sample, &context));
-      ks_cc += KolmogorovSmirnovStatistic(ClusteringValues(dataset.graph, &context),
-                                          ClusteringValues(sample, &context));
+      ks_deg += KolmogorovSmirnovStatistic(DegreeValues(dataset.graph),
+                                           DegreeValues(sample));
+      ks_cc += KolmogorovSmirnovStatistic(ClusteringValues(dataset.graph),
+                                          ClusteringValues(sample));
     }
     std::printf("  %-11s degree %.3f, transitivity %.3f\n",
                 dataset.name.c_str(), ks_deg / kNumSamples,

@@ -9,11 +9,11 @@
 // it the binary prints a usage line and exits 2. Graph memory footprints
 // (Graph::MemoryBytes) and process peak RSS are attached as counters, so
 // the bench trajectory tracks space as well as time; the thread-scaling
-// sweeps record how the parallel evaluation engine — clustering, batch
-// sampling, ego-net measures — scales at 1/2/4/8 threads (path-length
-// sampling ignores its context, so its /N rows all time the same
-// sequential pair searches), and the end-to-end anonymize bench attaches the
-// pipeline's RefinementStats. The JSON context records
+// sweeps record how the three parallel kernels — batch sampling, the
+// neighbourhood measure and sybil recovery — scale at 1/2/4/8 threads, the
+// utility measures and the passive attack harness get one sequential row
+// each, and the end-to-end anonymize bench attaches the pipeline's
+// RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
 // show real speedup) are identifiable from the artifact alone.
 //
@@ -653,55 +653,43 @@ void BM_ShardedAnonymizeInMemoryBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedAnonymizeInMemoryBaseline)->Unit(benchmark::kMillisecond);
 
-// --- PR 3 thread-scaling sweeps: the parallel evaluation engine. Each
-// sweep's Arg(1) row is the sequential baseline (no pool is created), so
-// speedup = row1 / rowN; every row computes bit-identical results.
+// --- The utility measures of Section 4.3, each one sequential row: their
+// loops run plainly at any thread count (DESIGN.md §8).
 
-void BM_ClusteringThreads(benchmark::State& state) {
+void BM_Clustering(benchmark::State& state) {
   const Graph& graph = BigRefineGraph();
-  ExecutionContext context(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ClusteringValues(graph, &context));
+    benchmark::DoNotOptimize(ClusteringValues(graph));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(graph.NumVertices()));
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(context.threads()));
   AttachMemoryCounters(state, graph);
 }
-BENCHMARK(BM_ClusteringThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Clustering)->Unit(benchmark::kMillisecond);
 
-void BM_SampledPathLengthsThreads(benchmark::State& state) {
+void BM_SampledPathLengths(benchmark::State& state) {
   const Graph& graph = BigRefineGraph();
-  ExecutionContext context(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
     Rng rng(13);  // Fresh stream per iteration: identical work each pass.
-    benchmark::DoNotOptimize(SampledPathLengths(graph, 200, rng, &context));
+    benchmark::DoNotOptimize(SampledPathLengths(graph, 200, rng));
   }
   state.SetItemsProcessed(state.iterations() * 200);
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(context.threads()));
   AttachMemoryCounters(state, graph);
 }
-BENCHMARK(BM_SampledPathLengthsThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampledPathLengths)->Unit(benchmark::kMillisecond);
 
-void BM_ResilienceThreads(benchmark::State& state) {
+void BM_Resilience(benchmark::State& state) {
   const Graph& graph = HepthGraph();
-  ExecutionContext context(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ResilienceCurve(graph, 21, 0.6, &context));
+    benchmark::DoNotOptimize(ResilienceCurve(graph, 21, 0.6));
   }
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(context.threads()));
   AttachMemoryCounters(state, graph);
 }
-BENCHMARK(BM_ResilienceThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Resilience)->Unit(benchmark::kMillisecond);
+
+// --- Thread-scaling sweeps of the three parallel kernels. Each sweep's
+// Arg(1) row is the sequential baseline (no pool is created), so speedup =
+// row1 / rowN; every row computes bit-identical results.
 
 void BM_BatchSampleThreads(benchmark::State& state) {
   AnonymizationOptions options;
@@ -762,9 +750,9 @@ BENCHMARK(BM_NeighborhoodMeasureNetTrace)->Unit(benchmark::kMillisecond);
 // The PR 9 adversary family (DESIGN.md §14): sybil-pattern recovery, the
 // (k,ℓ)-adjacency sweep and the community measure against one shared
 // anonymized release (built once; the anonymization itself is BM_Anonymize*
-// territory). The thread sweeps record how the anchor-sharded embedding
-// search and the parallel measure kernels scale; outputs are bit-identical
-// across the sweep, so the rows measure the same work.
+// territory). The thread sweep records how the anchor-sharded embedding
+// search scales; outputs are bit-identical across the sweep, so the rows
+// measure the same work. The passive measures are sequential.
 
 struct AttackBenchData {
   Graph release;
@@ -844,25 +832,19 @@ void BM_AttackCommunityMeasure(benchmark::State& state) {
 }
 BENCHMARK(BM_AttackCommunityMeasure)->Arg(1)->Arg(4)->Arg(8);
 
-void BM_AttackPassiveHarnessThreads(benchmark::State& state) {
+void BM_AttackPassiveHarness(benchmark::State& state) {
   const AttackBenchData& data = AttackRelease();
-  ExecutionContext context(static_cast<uint32_t>(state.range(0)));
   AttackHarnessOptions options;
   options.k = 3;
-  options.context = &context;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         EvaluatePassiveAttacks(data.release, data.orbits, options));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(data.release.NumVertices()));
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(context.threads()));
   AttachMemoryCounters(state, data.release);
 }
-BENCHMARK(BM_AttackPassiveHarnessThreads)
-    ->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AttackPassiveHarness)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The dynamic-graph subsystem (DESIGN.md §15): the CSR rebuild a commit

@@ -110,6 +110,13 @@ MUTATIONS = [
         new="        *out++ = *copied;\n",
         test="orbit_copy_test",
     ),
+    Mutation(
+        name="resilience sweep reads each point one vertex early",
+        path="src/stats/resilience.cc",
+        old="    while (next > removed) {\n",
+        new="    while (next > removed + 1) {\n",
+        test="stats_test",
+    ),
 ]
 
 

@@ -11,33 +11,22 @@
 
 namespace ksym {
 
-StructuralMeasure AdjacencyMeasure(uint32_t ell,
-                                   const ExecutionContext* context) {
-  return {"adjacency-l" + std::to_string(ell),
-          [ell, context](const Graph& graph) {
+StructuralMeasure AdjacencyMeasure(uint32_t ell) {
+  return {"adjacency-l" + std::to_string(ell), [ell](const Graph& graph) {
             std::vector<std::vector<uint32_t>> keys(graph.NumVertices());
-            ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-            ParallelFor(
-                pool, graph.NumVertices(),
-                [&graph, &keys, ell](size_t begin, size_t end, uint32_t) {
-                  std::vector<uint32_t> degrees;
-                  for (VertexId v = static_cast<VertexId>(begin); v < end;
-                       ++v) {
-                    degrees.clear();
-                    for (VertexId u : graph.Neighbors(v)) {
-                      degrees.push_back(static_cast<uint32_t>(graph.Degree(u)));
-                    }
-                    // The adversary sees the ℓ most connected neighbours:
-                    // keep the largest ℓ degrees, descending.
-                    const size_t keep =
-                        std::min<size_t>(ell, degrees.size());
-                    std::partial_sort(degrees.begin(), degrees.begin() + keep,
-                                      degrees.end(),
-                                      std::greater<uint32_t>());
-                    degrees.resize(keep);
-                    keys[v] = degrees;
-                  }
-                });
+            std::vector<uint32_t> degrees;
+            for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+              degrees.clear();
+              for (VertexId u : graph.Neighbors(v)) {
+                degrees.push_back(static_cast<uint32_t>(graph.Degree(u)));
+              }
+              // The adversary sees the ℓ most connected neighbours: keep
+              // the largest ℓ degrees, descending.
+              const size_t keep = std::min<size_t>(ell, degrees.size());
+              std::partial_sort(degrees.begin(), degrees.begin() + keep,
+                                degrees.end(), std::greater<uint32_t>());
+              keys[v].assign(degrees.begin(), degrees.begin() + keep);
+            }
             return attack_internal::InternLabels(std::move(keys));
           }};
 }

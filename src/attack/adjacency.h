@@ -24,16 +24,13 @@
 #include <cstdint>
 
 #include "attack/measures.h"
-#include "common/parallel.h"
 
 namespace ksym {
 
 /// The ℓ-truncated descending neighbour-degree measure ("adjacency-l<ℓ>").
 /// ℓ = 0 puts every vertex in one cell; large ℓ converges to the full
-/// neighbour-degree sequence. Keys are computed in parallel under `context`
-/// and interned sequentially, so labels are thread-count-invariant.
-StructuralMeasure AdjacencyMeasure(uint32_t ell,
-                                   const ExecutionContext* context = nullptr);
+/// neighbour-degree sequence.
+StructuralMeasure AdjacencyMeasure(uint32_t ell);
 
 }  // namespace ksym
 

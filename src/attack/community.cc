@@ -12,44 +12,37 @@ namespace {
 using attack_internal::InternLabels;
 
 // One synchronous round: next[v] = most frequent label in N(v), smallest on
-// ties. Reads only `current`, writes only next[v], so the vertex range
-// shards freely. The per-shard frequency scratch is label-indexed and reset
-// via a touched list, keeping a round O(|E|) regardless of label count.
+// ties. `count` is label-indexed scratch, all zero on entry and on return:
+// each vertex resets the labels it touched, keeping a round O(|E|)
+// regardless of label count.
 void PropagateRound(const Graph& graph, const std::vector<uint32_t>& current,
-                    uint32_t num_labels, std::vector<uint32_t>& next,
-                    ThreadPool* pool) {
-  ParallelFor(pool, graph.NumVertices(), [&](size_t begin, size_t end,
-                                             uint32_t) {
-    std::vector<uint32_t> count(num_labels, 0);
-    std::vector<uint32_t> touched;
-    for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-      touched.clear();
-      for (VertexId u : graph.Neighbors(v)) {
-        const uint32_t label = current[u];
-        if (count[label] == 0) touched.push_back(label);
-        ++count[label];
-      }
-      uint32_t best = current[v];  // Isolated vertices keep their label.
-      uint32_t best_count = 0;
-      for (uint32_t label : touched) {
-        if (count[label] > best_count ||
-            (count[label] == best_count && label < best)) {
-          best = label;
-          best_count = count[label];
-        }
-      }
-      next[v] = best;
-      for (uint32_t label : touched) count[label] = 0;
+                    std::vector<uint32_t>& count, std::vector<uint32_t>& next) {
+  std::vector<uint32_t> touched;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    touched.clear();
+    for (VertexId u : graph.Neighbors(v)) {
+      const uint32_t label = current[u];
+      if (count[label] == 0) touched.push_back(label);
+      ++count[label];
     }
-  });
+    uint32_t best = current[v];  // Isolated vertices keep their label.
+    uint32_t best_count = 0;
+    for (uint32_t label : touched) {
+      if (count[label] > best_count ||
+          (count[label] == best_count && label < best)) {
+        best = label;
+        best_count = count[label];
+      }
+    }
+    next[v] = best;
+    for (uint32_t label : touched) count[label] = 0;
+  }
 }
 
 }  // namespace
 
-std::vector<uint32_t> CommunityLabels(const Graph& graph, uint32_t iterations,
-                                      const ExecutionContext* context) {
-  ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-
+std::vector<uint32_t> CommunityLabels(const Graph& graph,
+                                      uint32_t iterations) {
   // Equivariant seeding: interned degrees, never vertex ids.
   std::vector<uint32_t> degrees(graph.NumVertices());
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
@@ -62,54 +55,44 @@ std::vector<uint32_t> CommunityLabels(const Graph& graph, uint32_t iterations,
   const uint32_t num_labels =
       labels.empty() ? 0 : *std::max_element(labels.begin(), labels.end()) + 1;
 
+  std::vector<uint32_t> count(num_labels, 0);
   std::vector<uint32_t> next(labels.size());
   for (uint32_t round = 0; round < iterations; ++round) {
-    PropagateRound(graph, labels, num_labels, next, pool);
+    PropagateRound(graph, labels, count, next);
     std::swap(labels, next);
   }
   return InternLabels(std::move(labels));
 }
 
-StructuralMeasure CommunityMeasure(uint32_t iterations,
-                                   const ExecutionContext* context) {
+StructuralMeasure CommunityMeasure(uint32_t iterations) {
   return {"community-t" + std::to_string(iterations),
-          [iterations, context](const Graph& graph) {
+          [iterations](const Graph& graph) {
             const std::vector<uint32_t> community =
-                CommunityLabels(graph, iterations, context);
+                CommunityLabels(graph, iterations);
             std::vector<std::vector<uint64_t>> keys(graph.NumVertices());
-            ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-            ParallelFor(
-                pool, graph.NumVertices(),
-                [&graph, &keys, &community](size_t begin, size_t end,
-                                            uint32_t) {
-                  std::vector<uint32_t> neighbor_communities;
-                  for (VertexId v = static_cast<VertexId>(begin); v < end;
-                       ++v) {
-                    neighbor_communities.clear();
-                    for (VertexId u : graph.Neighbors(v)) {
-                      neighbor_communities.push_back(community[u]);
-                    }
-                    std::sort(neighbor_communities.begin(),
-                              neighbor_communities.end());
-                    // Run-length encode into (community << 32 | count)
-                    // pairs; sorted input makes the encoding canonical.
-                    std::vector<uint64_t> key;
-                    key.push_back(community[v]);
-                    for (size_t i = 0; i < neighbor_communities.size();) {
-                      size_t j = i;
-                      while (j < neighbor_communities.size() &&
-                             neighbor_communities[j] ==
-                                 neighbor_communities[i]) {
-                        ++j;
-                      }
-                      key.push_back(
-                          (uint64_t{neighbor_communities[i]} << 32) |
-                          static_cast<uint64_t>(j - i));
-                      i = j;
-                    }
-                    keys[v] = std::move(key);
-                  }
-                });
+            std::vector<uint32_t> neighbor_communities;
+            for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+              neighbor_communities.clear();
+              for (VertexId u : graph.Neighbors(v)) {
+                neighbor_communities.push_back(community[u]);
+              }
+              std::sort(neighbor_communities.begin(),
+                        neighbor_communities.end());
+              // Run-length encode into (community << 32 | count) pairs;
+              // sorted input makes the encoding canonical.
+              std::vector<uint64_t>& key = keys[v];
+              key.push_back(community[v]);
+              for (size_t i = 0; i < neighbor_communities.size();) {
+                size_t j = i;
+                while (j < neighbor_communities.size() &&
+                       neighbor_communities[j] == neighbor_communities[i]) {
+                  ++j;
+                }
+                key.push_back((uint64_t{neighbor_communities[i]} << 32) |
+                              static_cast<uint64_t>(j - i));
+                i = j;
+              }
+            }
             return attack_internal::InternLabels(std::move(keys));
           }};
 }

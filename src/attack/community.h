@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "attack/measures.h"
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -34,14 +33,12 @@ namespace ksym {
 /// Deterministic equivariant community labels: synchronous label
 /// propagation for `iterations` rounds from interned-degree seeds, then a
 /// final dense re-interning. Isolated vertices keep their seed label.
-std::vector<uint32_t> CommunityLabels(const Graph& graph, uint32_t iterations,
-                                      const ExecutionContext* context = nullptr);
+std::vector<uint32_t> CommunityLabels(const Graph& graph, uint32_t iterations);
 
 /// The community-signature measure ("community-t<iterations>"): vertices
 /// are indistinguishable iff they share a community and their
 /// neighbourhoods have identical per-community counts.
-StructuralMeasure CommunityMeasure(uint32_t iterations = 4,
-                                   const ExecutionContext* context = nullptr);
+StructuralMeasure CommunityMeasure(uint32_t iterations = 4);
 
 }  // namespace ksym
 

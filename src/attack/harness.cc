@@ -44,10 +44,9 @@ std::vector<MeasureAttackRow> EvaluatePassiveAttacks(
     const AttackHarnessOptions& options) {
   std::vector<StructuralMeasure> measures;
   for (uint32_t ell = 1; ell <= options.max_ell; ++ell) {
-    measures.push_back(AdjacencyMeasure(ell, options.context));
+    measures.push_back(AdjacencyMeasure(ell));
   }
-  measures.push_back(
-      CommunityMeasure(options.community_iterations, options.context));
+  measures.push_back(CommunityMeasure(options.community_iterations));
 
   std::vector<MeasureAttackRow> rows;
   rows.reserve(measures.size());

@@ -11,7 +11,10 @@
 // Report text is a `report` channel in the serve/api.h sense: pure facts,
 // byte-identical across runs and thread counts (the golden-report test and
 // the CI smoke `cmp` against it). Success rates are derived from integer
-// counts, so the %.4f renderings are exactly reproducible.
+// counts, so the %.4f renderings are exactly reproducible. The passive
+// measures run sequentially: their keys cost too little per vertex for a
+// thread pool to pay off (DESIGN.md §8). Only the sybil recovery it
+// reports on shards across threads.
 
 #ifndef KSYM_ATTACK_HARNESS_H_
 #define KSYM_ATTACK_HARNESS_H_
@@ -23,7 +26,6 @@
 #include "attack/measures.h"
 #include "attack/sybil.h"
 #include "aut/orbits.h"
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -48,7 +50,6 @@ struct AttackHarnessOptions {
   uint32_t k = 2;       // The symmetry level the release claims.
   uint32_t max_ell = 3; // Adjacency sweep runs ℓ = 1..max_ell.
   uint32_t community_iterations = 4;
-  const ExecutionContext* context = nullptr;
 };
 
 /// One row of the passive-attack table.

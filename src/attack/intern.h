@@ -3,9 +3,9 @@
 // Every structural measure reduces a vertex to some comparable key and then
 // replaces keys with dense labels (equal label <=> equal key). Keeping the
 // interning in one place guarantees every model reports collision-free
-// labels the same way: keys are computed in parallel into index-addressed
-// slots, then interned *sequentially* in vertex order, so the label stream
-// is bit-identical for any thread count.
+// labels the same way: keys are computed into index-addressed slots (in
+// parallel only by NeighborhoodMeasure), then interned *sequentially* in
+// vertex order, so the label stream is bit-identical for any thread count.
 
 #ifndef KSYM_ATTACK_INTERN_H_
 #define KSYM_ATTACK_INTERN_H_

@@ -14,59 +14,50 @@ namespace {
 using attack_internal::InternLabels;
 
 std::vector<std::vector<uint32_t>> NeighborDegreeSequences(
-    const Graph& graph, const ExecutionContext* context) {
+    const Graph& graph) {
   std::vector<std::vector<uint32_t>> sequences(graph.NumVertices());
-  ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-  ParallelFor(pool, graph.NumVertices(),
-              [&graph, &sequences](size_t begin, size_t end, uint32_t) {
-                for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-                  auto& seq = sequences[v];
-                  seq.reserve(graph.Degree(v));
-                  for (VertexId u : graph.Neighbors(v)) {
-                    seq.push_back(static_cast<uint32_t>(graph.Degree(u)));
-                  }
-                  std::sort(seq.begin(), seq.end());
-                }
-              });
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    auto& seq = sequences[v];
+    seq.reserve(graph.Degree(v));
+    for (VertexId u : graph.Neighbors(v)) {
+      seq.push_back(static_cast<uint32_t>(graph.Degree(u)));
+    }
+    std::sort(seq.begin(), seq.end());
+  }
   return sequences;
 }
 
 }  // namespace
 
-StructuralMeasure DegreeMeasure(const ExecutionContext* context) {
-  return {"degree", [context](const Graph& graph) {
+StructuralMeasure DegreeMeasure(const ExecutionContext* /*context*/) {
+  return {"degree", [](const Graph& graph) {
             std::vector<uint32_t> keys(graph.NumVertices());
-            ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-            ParallelFor(pool, graph.NumVertices(),
-                        [&graph, &keys](size_t begin, size_t end, uint32_t) {
-                          for (VertexId v = static_cast<VertexId>(begin);
-                               v < end; ++v) {
-                            keys[v] = static_cast<uint32_t>(graph.Degree(v));
-                          }
-                        });
+            for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+              keys[v] = static_cast<uint32_t>(graph.Degree(v));
+            }
             return InternLabels(std::move(keys));
           }};
 }
 
-StructuralMeasure TriangleMeasure(const ExecutionContext* context) {
-  return {"triangle", [context](const Graph& graph) {
-            return InternLabels(TriangleCounts(graph, context));
+StructuralMeasure TriangleMeasure(const ExecutionContext* /*context*/) {
+  return {"triangle", [](const Graph& graph) {
+            return InternLabels(TriangleCounts(graph));
           }};
 }
 
 StructuralMeasure NeighborDegreeSequenceMeasure(
-    const ExecutionContext* context) {
-  return {"neighbor-degrees", [context](const Graph& graph) {
-            return InternLabels(NeighborDegreeSequences(graph, context));
+    const ExecutionContext* /*context*/) {
+  return {"neighbor-degrees", [](const Graph& graph) {
+            return InternLabels(NeighborDegreeSequences(graph));
           }};
 }
 
-StructuralMeasure CombinedMeasure(const ExecutionContext* context) {
-  return {"combined", [context](const Graph& graph) {
-            const std::vector<uint64_t> tri = TriangleCounts(graph, context);
+StructuralMeasure CombinedMeasure(const ExecutionContext* /*context*/) {
+  return {"combined", [](const Graph& graph) {
+            const std::vector<uint64_t> tri = TriangleCounts(graph);
             std::vector<std::pair<std::vector<uint32_t>, uint64_t>> keys;
             keys.reserve(graph.NumVertices());
-            auto sequences = NeighborDegreeSequences(graph, context);
+            auto sequences = NeighborDegreeSequences(graph);
             for (VertexId v = 0; v < graph.NumVertices(); ++v) {
               keys.emplace_back(std::move(sequences[v]), tri[v]);
             }

@@ -30,10 +30,13 @@ struct StructuralMeasure {
   std::function<std::vector<uint32_t>(const Graph&)> eval;
 };
 
-// Each factory takes an optional ExecutionContext captured by the measure's
-// eval closure (the context must outlive the measure). Per-vertex keys are
-// computed in parallel on the context's pool and interned sequentially, so
-// the labels are bit-identical for any thread count.
+// Keys are computed per vertex and interned in vertex order. Only
+// NeighborhoodMeasure, whose ego-net canonical forms cost enough to gain
+// from threads, shards its key loop across the optional ExecutionContext's
+// pool (the context must outlive the measure); its labels are
+// bit-identical for any thread count. The other factories run one plain
+// loop and ignore their context, which they keep because the repository
+// benchmark (perfbench/) passes one; it goes with its next change.
 
 /// deg(v) — the vertex degree (the knowledge behind k-degree anonymity).
 StructuralMeasure DegreeMeasure(const ExecutionContext* context = nullptr);

@@ -2,7 +2,14 @@
 // deterministic ParallelFor, and the ExecutionContext handed through the
 // refinement / orbit / anonymization / evaluation entry points.
 //
-// Design rules, relied on by the parallel evaluation kernels (DESIGN.md §8):
+// Exactly three loops run on the pool, the three that beat their plain
+// loop in a benchmark (DESIGN.md §8): DrawSamples (one sample per index),
+// NeighborhoodMeasure (one ego-net canonical form per vertex) and
+// RecoverSybils (one embedding search per anchor). Every other consumer
+// runs sequentially and uses its context only as a stats sink, or ignores
+// it.
+//
+// Design rules, relied on by those kernels:
 //   * ParallelFor uses *static* chunking — shard s always receives the same
 //     contiguous index range for a given (n, num_threads) — so any
 //     shard-indexed output buffer is filled deterministically.
@@ -83,8 +90,8 @@ struct RefinementStats {
 
 /// Execution policy threaded through Refiner, EquitablePartition, orbit
 /// computation, AnonymizationOptions, backbone detection and the
-/// evaluation kernels: how many threads the parallel kernels use, and a
-/// stats sink for per-phase timers. Refinement itself always runs
+/// evaluation kernels: how many threads the three parallel kernels use,
+/// and a stats sink for per-phase timers. Refinement itself always runs
 /// sequentially and only reports into the sink.
 ///
 /// threads == 1 (the default) is the sequential policy: no pool is ever

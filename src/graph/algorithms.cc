@@ -1,7 +1,6 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 
 #include "simd/simd.h"
@@ -121,25 +120,19 @@ int64_t PairDistance::operator()(VertexId s, VertexId t) {
   }
 }
 
-namespace {
-
-// Core of TriangleCounts over the vertex range [begin, end): for each edge
-// (u, v) with u < v, intersect sorted neighbor ranges; each common neighbor
-// w closes a triangle {u, v, w}. To count each triangle once per edge scan,
-// only consider w > v; then credit all three corners via `add(vertex,
-// delta)`. The flat sorted ranges make both the forward suffix (> u) and
-// the intersection suffix (> v) contiguous: one binary search per vertex,
-// and the > v suffix of u's range starts right after v's own slot.
-//
-// The two suffixes meet in a two-pointer merge that credits each common w
-// with 1 as it is found, and u and v with the pair's count afterwards. The
-// credits are integers and their sums (plain or relaxed-atomic) commute,
-// so the counts are the same at every thread count.
-template <typename AddFn>
-void CountTrianglesRange(const Graph& graph, VertexId begin, VertexId end,
-                         const AddFn& add) {
+// For each edge (u, v) with u < v, intersect sorted neighbor ranges; each
+// common neighbor w closes a triangle {u, v, w}. To count each triangle
+// once per edge scan, only consider w > v; then credit all three corners.
+// The flat sorted ranges make both the forward suffix (> u) and the
+// intersection suffix (> v) contiguous: one binary search per vertex, and
+// the > v suffix of u's range starts right after v's own slot. The two
+// suffixes meet in a two-pointer merge that credits each common w with 1
+// as it is found, and u and v with the pair's count afterwards.
+std::vector<uint64_t> TriangleCounts(const Graph& graph) {
+  const size_t n = graph.NumVertices();
+  std::vector<uint64_t> tri(n, 0);
   uint64_t pairs = 0;
-  for (VertexId u = begin; u < end; ++u) {
+  for (VertexId u = 0; u < n; ++u) {
     const auto nu = graph.Neighbors(u);
     for (auto itv = std::upper_bound(nu.begin(), nu.end(), u);
          itv != nu.end(); ++itv) {
@@ -154,7 +147,7 @@ void CountTrianglesRange(const Graph& graph, VertexId begin, VertexId end,
         } else if (*b < *a) {
           ++b;
         } else {
-          add(*a, 1);
+          ++tri[*a];
           ++common;
           ++a;
           ++b;
@@ -162,36 +155,11 @@ void CountTrianglesRange(const Graph& graph, VertexId begin, VertexId end,
       }
       ++pairs;
       if (common == 0) continue;
-      add(u, common);
-      add(v, common);
+      tri[u] += common;
+      tri[v] += common;
     }
   }
   simd::AddSimdCalls(simd::SimdKernel::kIntersect, pairs);
-}
-
-}  // namespace
-
-std::vector<uint64_t> TriangleCounts(const Graph& graph,
-                                     const ExecutionContext* context) {
-  const size_t n = graph.NumVertices();
-  std::vector<uint64_t> tri(n, 0);
-  ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-  if (pool == nullptr) {
-    CountTrianglesRange(graph, 0, static_cast<VertexId>(n),
-                        [&tri](VertexId v, uint64_t c) { tri[v] += c; });
-    return tri;
-  }
-  // Sharded by owning vertex u; corner credits cross shard boundaries, so
-  // they go through relaxed atomic adds. Sums of per-triangle contributions
-  // commute, hence the totals equal the sequential counts exactly.
-  ParallelFor(pool, n, [&graph, &tri](size_t begin, size_t end, uint32_t) {
-    CountTrianglesRange(graph, static_cast<VertexId>(begin),
-                        static_cast<VertexId>(end),
-                        [&tri](VertexId v, uint64_t c) {
-                          std::atomic_ref<uint64_t> count(tri[v]);
-                          count.fetch_add(c, std::memory_order_relaxed);
-                        });
-  });
   return tri;
 }
 
@@ -201,21 +169,17 @@ uint64_t TotalTriangles(const Graph& graph) {
   return corner_sum / 3;
 }
 
-std::vector<double> ClusteringCoefficients(const Graph& graph,
-                                           const ExecutionContext* context) {
-  const std::vector<uint64_t> tri = TriangleCounts(graph, context);
+std::vector<double> ClusteringCoefficients(const Graph& graph) {
+  const std::vector<uint64_t> tri = TriangleCounts(graph);
   const size_t n = graph.NumVertices();
   std::vector<double> cc(n, 0.0);
-  ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-  ParallelFor(pool, n, [&graph, &tri, &cc](size_t begin, size_t end, uint32_t) {
-    for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-      const size_t d = graph.Degree(v);
-      if (d >= 2) {
-        cc[v] = 2.0 * static_cast<double>(tri[v]) /
-                (static_cast<double>(d) * static_cast<double>(d - 1));
-      }
+  for (VertexId v = 0; v < n; ++v) {
+    const size_t d = graph.Degree(v);
+    if (d >= 2) {
+      cc[v] = 2.0 * static_cast<double>(tri[v]) /
+              (static_cast<double>(d) * static_cast<double>(d - 1));
     }
-  });
+  }
   return cc;
 }
 

@@ -9,7 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -66,21 +65,17 @@ class PairDistance {
 };
 
 /// Per-vertex triangle counts: tri(v) = number of triangles through v.
-/// Runs in O(sum_over_edges min(deg)) using sorted-adjacency merge. With a
-/// parallel `context` the edge scan is sharded by vertex range and corner
-/// credits use relaxed atomic adds; integer addition commutes, so the
-/// result is bit-identical to the sequential path for any thread count.
-std::vector<uint64_t> TriangleCounts(const Graph& graph,
-                                     const ExecutionContext* context = nullptr);
+/// Runs in O(sum_over_edges min(deg)) using sorted-adjacency merge, as one
+/// sequential scan: a scan sharded across threads paid off in no benchmark
+/// (DESIGN.md §8).
+std::vector<uint64_t> TriangleCounts(const Graph& graph);
 
 /// Total number of triangles in the graph (each counted once).
 uint64_t TotalTriangles(const Graph& graph);
 
 /// Local clustering coefficient per vertex:
 /// c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)); 0 when deg(v) < 2.
-/// Thread-count-invariant under a parallel `context` (see TriangleCounts).
-std::vector<double> ClusteringCoefficients(
-    const Graph& graph, const ExecutionContext* context = nullptr);
+std::vector<double> ClusteringCoefficients(const Graph& graph);
 
 /// The subgraph induced by `vertices` (need not be sorted; must be
 /// duplicate-free). Vertex i of the result corresponds to vertices[i];

@@ -81,12 +81,11 @@ Result<ResolvedRelease> ResolveRelease(const std::string& path,
   return resolved;
 }
 
-void AppendPhaseStats(const RefinementStats& refinement, uint32_t threads,
-                      std::string& log) {
+void AppendPhaseStats(const RefinementStats& refinement, std::string& log) {
   log += StrFormat(
-      "phases (threads=%u): partition %.1f ms (refine %.1f ms, "
+      "phases: partition %.1f ms (refine %.1f ms, "
       "%llu refine calls, %llu cells split), copy %.1f ms\n",
-      threads, refinement.partition_seconds * 1e3,
+      refinement.partition_seconds * 1e3,
       refinement.refine_seconds * 1e3,
       static_cast<unsigned long long>(refinement.refine_calls),
       static_cast<unsigned long long>(refinement.cells_split),
@@ -107,7 +106,7 @@ Result<Response> RunAnonymizeSharded(const AnonymizeRequest& request,
   }
 
   Response response;
-  ExecutionContext context(request.threads);
+  ExecutionContext context;
   ShardedAnonymizationOptions options;
   options.k = request.k;
   options.exclude_hubs_fraction = request.exclude_hubs;
@@ -142,7 +141,7 @@ Result<Response> RunAnonymizeSharded(const AnonymizeRequest& request,
       request.k, result.vertices_added, result.edges_added,
       result.copy_operations, result.orbits_excluded);
   response.log += StrFormat("anonymize %.1f ms\n", timer.ElapsedMillis());
-  AppendPhaseStats(result.refinement, context.threads(), response.log);
+  AppendPhaseStats(result.refinement, response.log);
   response.log += StrFormat("mapped %u shards, %zu bytes\n",
                             graph->NumShards(),
                             result.residency.resident_bytes);
@@ -185,7 +184,7 @@ Result<Response> RunAnonymize(const AnonymizeRequest& request,
   response.log += StrFormat("input %s [%s]\n", request.input.c_str(),
                             input.mode);
 
-  ExecutionContext context(request.threads);
+  ExecutionContext context;
   AnonymizationOptions options;
   options.k = request.k;
   options.use_total_degree_partition = request.tdv;
@@ -207,7 +206,7 @@ Result<Response> RunAnonymize(const AnonymizeRequest& request,
       request.k, result.vertices_added, result.edges_added,
       result.copy_operations, result.orbits_excluded);
   response.log += StrFormat("anonymize %.1f ms\n", timer.ElapsedMillis());
-  AppendPhaseStats(result.refinement, context.threads(), response.log);
+  AppendPhaseStats(result.refinement, response.log);
 
   const ReleaseTriple release = MakeReleaseTriple(std::move(result));
   KSYM_RETURN_IF_ERROR(request.binary
@@ -237,16 +236,14 @@ Result<Response> RunAudit(const AuditRequest& request, GraphCache* cache) {
       stats.average_degree);
 
   Timer timer;
-  ExecutionContext context(request.threads);
   const VertexPartition orbits =
-      request.tdv ? ComputeTotalDegreePartition(graph, &context)
-                  : ComputeAutomorphismPartition(graph, {}, &context);
+      request.tdv ? ComputeTotalDegreePartition(graph, nullptr)
+                  : ComputeAutomorphismPartition(graph, {}, nullptr);
   response.report += StrFormat(
       "%s partition: %zu cells, %zu singletons%s\n",
       request.tdv ? "TDV" : "orbit", orbits.NumCells(), orbits.NumSingletons(),
       request.tdv ? "  [upper approximation of Orb(G)]" : "");
-  response.log += StrFormat("partition %.1f ms (threads=%u)\n",
-                            timer.ElapsedMillis(), context.threads());
+  response.log += StrFormat("partition %.1f ms\n", timer.ElapsedMillis());
 
   size_t under_k = 0;
   size_t min_cell = graph.NumVertices();
@@ -388,7 +385,7 @@ Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {
       "anonymized to k=%u: +%zu vertices, +%zu edges\n", request.k,
       result.vertices_added, result.edges_added);
   response.log += StrFormat("anonymize %.1f ms\n", timer.ElapsedMillis());
-  AppendPhaseStats(result.refinement, context.threads(), response.log);
+  AppendPhaseStats(result.refinement, response.log);
 
   // Phase 3: every adversary attacks the release. r_f/s_f compare against
   // the release's exact orbits (not the released sub-automorphism
@@ -420,12 +417,11 @@ Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {
   harness.k = request.k;
   harness.max_ell = request.max_ell;
   harness.community_iterations = request.community_iters;
-  harness.context = &context;
   timer.Reset();
   const std::vector<MeasureAttackRow> rows =
       EvaluatePassiveAttacks(result.graph, orbits, harness);
-  response.log += StrFormat("passive attacks %.1f ms (threads=%u)\n",
-                            timer.ElapsedMillis(), context.threads());
+  response.log += StrFormat("passive attacks %.1f ms\n",
+                            timer.ElapsedMillis());
   response.report += FormatPassiveSection(rows, request.k);
   return response;
 }
@@ -469,14 +465,28 @@ bool Store(const WireValue& value, T& out) {
 
 }  // namespace
 
-Status DecodeFields(const WireObject& object,
-                    std::initializer_list<WireField> fields) {
+Status DecodeField(const WireField& field, const WireValue& value) {
   // What each WireField::out alternative takes; each WireValue kind's name.
   static constexpr const char* kExpected[] = {
       "a string", "true or false", "a number",
       "an integer in [0, 4294967295]", "a non-negative integer"};
   static constexpr const char* kKinds[] = {"string", "integer", "integer",
                                            "float", "boolean"};
+  if (std::visit([&value](auto* out) { return Store(value, *out); },
+                 field.out)) {
+    return Status::Ok();
+  }
+  WireObject quoted;
+  quoted.Set("", value);
+  const std::string line = SerializeWireLine(quoted);  // {"":<value>}
+  return Status::InvalidArgument(StrFormat(
+      "request field \"%s\" must be %s, got %s %s", field.key,
+      kExpected[field.out.index()], kKinds[static_cast<int>(value.kind)],
+      line.substr(4, line.size() - 5).c_str()));
+}
+
+Status DecodeFields(const WireObject& object,
+                    std::initializer_list<WireField> fields) {
   for (const auto& [key, value] : object.fields) {
     if (key == "op" || key == "id" || key == "deadline_ms") continue;
     const WireField* field =
@@ -486,16 +496,7 @@ Status DecodeFields(const WireObject& object,
       return Status::InvalidArgument(
           StrFormat("unknown request field \"%s\"", key.c_str()));
     }
-    if (!std::visit([&value](auto* out) { return Store(value, *out); },
-                    field->out)) {
-      WireObject quoted;
-      quoted.Set("", value);
-      const std::string line = SerializeWireLine(quoted);  // {"":<value>}
-      return Status::InvalidArgument(StrFormat(
-          "request field \"%s\" must be %s, got %s %s", key.c_str(),
-          kExpected[field->out.index()], kKinds[static_cast<int>(value.kind)],
-          line.substr(4, line.size() - 5).c_str()));
-    }
+    KSYM_RETURN_IF_ERROR(DecodeField(*field, value));
   }
   return Status::Ok();
 }
@@ -512,10 +513,11 @@ Result<AnonymizeRequest> AnonymizeRequestFromWire(const WireObject& object) {
 
 Result<AuditRequest> AuditRequestFromWire(const WireObject& object) {
   AuditRequest r;
+  uint32_t threads = 1;  // Accepted and ignored: an audit runs one thread.
   KSYM_RETURN_IF_ERROR(DecodeFields(object, {{"input", &r.input},
                                              {"k", &r.k},
                                              {"tdv", &r.tdv},
-                                             {"threads", &r.threads}}));
+                                             {"threads", &threads}}));
   return r;
 }
 

@@ -43,7 +43,7 @@ struct AnonymizeRequest {
   bool minimal = false;
   bool tdv = false;
   bool binary = false;
-  uint32_t threads = 1;
+  uint32_t threads = 1;        // Ignored: an anonymize runs one thread.
   size_t resident_bytes = 0;   // Ignored: a shard set is mapped whole.
   uint32_t output_shards = 0;  // Sharded input: output shard count.
 };
@@ -53,7 +53,6 @@ struct AuditRequest {
   std::string input;
   uint32_t k = 5;
   bool tdv = false;
-  uint32_t threads = 1;
 };
 
 /// Mirrors ksym_sample.
@@ -109,11 +108,16 @@ struct WireField {
   std::variant<std::string*, bool*, double*, uint32_t*, uint64_t*> out;
 };
 
-/// Decodes `fields` from `object`. A key outside them (and outside the
-/// framing keys every request may carry: "op", "id", "deadline_ms"), or a
-/// value not of the member's kind and range (a number for a double, a
-/// non-negative integer that fits for an unsigned), is one InvalidArgument
-/// naming the field and the value. Absent fields keep their defaults.
+/// Stores `value` in `field.out` when it is of the member's kind and range
+/// (a number for a double, a non-negative integer that fits for an
+/// unsigned); otherwise one InvalidArgument naming the field and the value,
+/// and `field.out` is left as it was.
+Status DecodeField(const WireField& field, const WireValue& value);
+
+/// Decodes `fields` from `object` by DecodeField. A key outside them (and
+/// outside the framing keys every request may carry: "op", "id",
+/// "deadline_ms") is one InvalidArgument naming it. Absent fields keep
+/// their defaults.
 Status DecodeFields(const WireObject& object,
                     std::initializer_list<WireField> fields);
 

@@ -120,7 +120,7 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
                         state->registry.Find(request.session));
   Response response;
   Timer timer;
-  ExecutionContext context(request.threads);
+  ExecutionContext context;
   dyn::ReanonymizeOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
@@ -145,8 +145,7 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
                              : WriteReleaseFile(release, request.output));
     response.report += StrFormat("wrote %s\n", request.output.c_str());
   }
-  response.log += StrFormat("reanonymize %.1f ms (threads=%u)\n",
-                            timer.ElapsedMillis(), context.threads());
+  response.log += StrFormat("reanonymize %.1f ms\n", timer.ElapsedMillis());
   response.log += StrFormat(
       "refinement: %llu refine calls, %llu splitters\n",
       static_cast<unsigned long long>(context.stats().refine_calls),
@@ -171,9 +170,10 @@ Result<CommitRequest> CommitRequestFromWire(const WireObject& object) {
 Result<ReanonymizeRequest> ReanonymizeRequestFromWire(
     const WireObject& object) {
   ReanonymizeRequest r;
+  uint32_t threads = 1;  // Accepted and ignored: an epoch runs one thread.
   KSYM_RETURN_IF_ERROR(DecodeFields(
       object, {{"session", &r.session}, {"output", &r.output}, {"k", &r.k},
-               {"binary", &r.binary}, {"threads", &r.threads}}));
+               {"binary", &r.binary}, {"threads", &threads}}));
   return r;
 }
 

@@ -66,7 +66,6 @@ struct ReanonymizeRequest {
                        // when `binary`, else the text triple).
   uint32_t k = 2;
   bool binary = false;
-  uint32_t threads = 1;
 };
 
 Result<Response> RunMutate(const MutateRequest& request, DynamicState* state,

@@ -80,12 +80,13 @@ struct Server::Job {
   MutateRequest mutate;
   CommitRequest commit;
   ReanonymizeRequest reanonymize;
-  uint64_t sleep_ms = 0;
+  uint32_t sleep_ms = 0;
 
   bool has_deadline = false;
   SteadyClock::time_point deadline{};
 
-  /// Budget tokens this job's execution occupies (its clamped threads).
+  /// Budget tokens this job's execution occupies: its clamped threads for
+  /// the ops with a parallel loop (sample, attack), else 1.
   uint32_t cost = 1;
 
   std::promise<WireObject> promise;
@@ -315,6 +316,14 @@ std::string Server::HandleLine(const std::string& line) {
     return finish(OkResponse(stats_response));
   }
 
+  // Every malformed request, whatever its op, is one counted parse error
+  // and queues nothing.
+  const auto reject = [&](const Status& status) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.parse_errors;
+    return finish(ErrorResponse(status));
+  };
+
   auto job = std::make_unique<Job>();
   const auto clamp_threads = [&](uint32_t threads) {
     return std::clamp<uint32_t>(threads == 0 ? 1 : threads, 1,
@@ -322,94 +331,59 @@ std::string Server::HandleLine(const std::string& line) {
   };
   if (op == "anonymize") {
     auto decoded = AnonymizeRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kAnonymize;
     job->anonymize = std::move(decoded).value();
-    job->anonymize.threads = clamp_threads(job->anonymize.threads);
-    job->cost = job->anonymize.threads;
   } else if (op == "audit") {
     auto decoded = AuditRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kAudit;
     job->audit = std::move(decoded).value();
-    job->audit.threads = clamp_threads(job->audit.threads);
-    job->cost = job->audit.threads;
   } else if (op == "sample") {
     auto decoded = SampleRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kSample;
     job->sample = std::move(decoded).value();
     job->sample.threads = clamp_threads(job->sample.threads);
     job->cost = job->sample.threads;
   } else if (op == "attack") {
     auto decoded = AttackRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kAttack;
     job->attack = std::move(decoded).value();
     job->attack.threads = clamp_threads(job->attack.threads);
     job->cost = job->attack.threads;
   } else if (op == "mutate") {
     auto decoded = MutateRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kMutate;
     job->mutate = std::move(decoded).value();
-    job->cost = 1;
   } else if (op == "commit") {
     auto decoded = CommitRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kCommit;
     job->commit = std::move(decoded).value();
-    job->cost = 1;
   } else if (op == "reanonymize") {
     auto decoded = ReanonymizeRequestFromWire(request);
-    if (!decoded.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_errors;
-      return finish(ErrorResponse(decoded.status()));
-    }
+    if (!decoded.ok()) return reject(decoded.status());
     job->kind = Job::Kind::kReanonymize;
     job->reanonymize = std::move(decoded).value();
-    job->reanonymize.threads = clamp_threads(job->reanonymize.threads);
-    job->cost = job->reanonymize.threads;
   } else if (op == "sleep") {
+    const Status decoded = DecodeFields(request, {{"ms", &job->sleep_ms}});
+    if (!decoded.ok()) return reject(decoded);
     job->kind = Job::Kind::kSleep;
-    job->sleep_ms = request.GetUint("ms", 0);
-    job->cost = 1;
   } else {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.parse_errors;
-    return finish(ErrorResponse(Status::InvalidArgument(
-        StrFormat("unknown op \"%s\"", op.c_str()))));
+    return reject(Status::InvalidArgument(
+        StrFormat("unknown op \"%s\"", op.c_str())));
   }
 
-  if (request.Has("deadline_ms")) {
+  if (const WireValue* value = request.Find("deadline_ms")) {
+    uint32_t deadline_ms = 0;
+    const Status decoded = DecodeField({"deadline_ms", &deadline_ms}, *value);
+    if (!decoded.ok()) return reject(decoded);
     job->has_deadline = true;
-    job->deadline = SteadyClock::now() +
-                    std::chrono::milliseconds(request.GetUint("deadline_ms"));
+    job->deadline =
+        SteadyClock::now() + std::chrono::milliseconds(deadline_ms);
   }
 
   std::future<WireObject> future = job->promise.get_future();
@@ -513,8 +487,7 @@ WireObject Server::Execute(Job& job) {
     case Job::Kind::kSleep: {
       std::this_thread::sleep_for(std::chrono::milliseconds(job.sleep_ms));
       Response response;
-      response.report = StrFormat(
-          "slept %llu ms\n", static_cast<unsigned long long>(job.sleep_ms));
+      response.report = StrFormat("slept %u ms\n", job.sleep_ms);
       result = std::move(response);
       break;
     }

@@ -15,11 +15,15 @@
 // Scheduling: a bounded FIFO queue feeds `thread_budget` workers, and each
 // worker executes one dequeued request at a time. A request whose arrival
 // finds the queue full is rejected immediately with "busy" — the daemon
-// never blocks a client on another client's work. Each request's
-// ExecutionContext is clamped to the global thread budget, and workers
-// acquire that many tokens before executing, so total compute threads never
-// exceed the budget. A "deadline_ms" that expires while queued yields an
-// error at dequeue time instead of a late execution.
+// never blocks a client on another client's work. Only "sample" and
+// "attack" run a parallel loop: their `threads` is clamped to the global
+// thread budget, and the worker acquires that many tokens before
+// executing. Every other op runs on one thread and takes one token (the
+// `threads` key that "anonymize", "audit" and "reanonymize" accept is
+// type-checked and ignored). So total compute threads never exceed the
+// budget. A "deadline_ms" (an integer in [0, 4294967295]) that expires
+// while queued yields an error at dequeue time instead of a late
+// execution.
 //
 // "stats" is answered inline on the connection thread — it can always be
 // served, even (especially) when the queue is rejecting work.
@@ -61,8 +65,8 @@ struct ServerOptions {
   /// Graph-cache LRU cap (serve/cache.h).
   size_t cache_bytes = size_t{1} << 30;
 
-  /// Global compute-thread budget; also the worker count. Each request's
-  /// `threads` is clamped to this.
+  /// Global compute-thread budget; also the worker count. A sample's or
+  /// attack's `threads` is clamped to this.
   uint32_t thread_budget = 4;
 
   /// Bounded-queue depth; arrivals past it are rejected with "busy".

@@ -25,7 +25,7 @@ inline const char* SimdLevelName(SimdLevel) { return "scalar"; }
 inline SimdLevel ActiveSimdLevel() { return SimdLevel::kScalar; }
 
 /// Kept for the benchmark: cumulative kernel invocation counters. Counting
-/// happens at kernel-user granularity — one add per TriangleCounts range /
+/// happens at kernel-user granularity — one add per TriangleCounts call /
 /// CountSplitter call / BFS — never per element, so the relaxed atomics
 /// stay off the hot path.
 struct SimdCallCounts {

@@ -8,21 +8,17 @@
 namespace ksym {
 
 std::vector<double> DegreeValues(const Graph& graph,
-                                 const ExecutionContext* context) {
+                                 const ExecutionContext* /*context*/) {
   std::vector<double> values(graph.NumVertices());
-  ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-  ParallelFor(pool, graph.NumVertices(),
-              [&graph, &values](size_t begin, size_t end, uint32_t) {
-                for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-                  values[v] = static_cast<double>(graph.Degree(v));
-                }
-              });
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    values[v] = static_cast<double>(graph.Degree(v));
+  }
   return values;
 }
 
 std::vector<double> ClusteringValues(const Graph& graph,
-                                     const ExecutionContext* context) {
-  return ClusteringCoefficients(graph, context);
+                                     const ExecutionContext* /*context*/) {
+  return ClusteringCoefficients(graph);
 }
 
 std::vector<double> SampledPathLengths(const Graph& graph, size_t num_pairs,

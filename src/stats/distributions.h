@@ -3,10 +3,10 @@
 // sampled pairs, transitivity (clustering-coefficient distribution), and
 // (in resilience.h) network resilience.
 //
-// Every measure takes an optional ExecutionContext; the parallel path is
-// bit-identical to the sequential one for any thread count (see DESIGN.md
-// §8 on the deterministic parallel evaluation engine). Path-length
-// sampling has no parallel path.
+// Every measure runs as one plain loop: a thread pool won no benchmark
+// that runs them (DESIGN.md §8). Each still takes an optional
+// ExecutionContext, accepted and ignored, because the repository benchmark
+// (perfbench/) passes one; the parameters go with its next change.
 
 #ifndef KSYM_STATS_DISTRIBUTIONS_H_
 #define KSYM_STATS_DISTRIBUTIONS_H_
@@ -21,11 +21,12 @@
 namespace ksym {
 
 /// Per-vertex degrees as an empirical sample (for K-S comparisons and
-/// histograms).
+/// histograms). `context` is ignored.
 std::vector<double> DegreeValues(const Graph& graph,
                                  const ExecutionContext* context = nullptr);
 
-/// Per-vertex local clustering coefficients.
+/// Per-vertex local clustering coefficients (ClusteringCoefficients).
+/// `context` is ignored.
 std::vector<double> ClusteringValues(const Graph& graph,
                                      const ExecutionContext* context = nullptr);
 
@@ -37,8 +38,8 @@ std::vector<double> ClusteringValues(const Graph& graph,
 ///
 /// Each drawn pair costs one exact bidirectional search (PairDistance), so
 /// a pair touches only the two balls around its ends, not the whole graph.
-/// The search runs sequentially at any thread count; `context` is accepted
-/// and ignored. The accepted lengths depend only on the Rng stream.
+/// `context` is ignored. The accepted lengths depend only on the Rng
+/// stream.
 std::vector<double> SampledPathLengths(const Graph& graph, size_t num_pairs,
                                        Rng& rng,
                                        const ExecutionContext* context = nullptr);

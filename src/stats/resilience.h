@@ -9,20 +9,19 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace ksym {
 
 /// Points (fraction_removed, |LCC| / |V|) for `num_points` evenly spaced
-/// removal fractions in [0, max_fraction]. Vertices are removed in
-/// descending order of their original degree (ties by id). Curve points
-/// are independent given the removal order, so a parallel `context`
-/// evaluates them concurrently (per-thread SubgraphExtractor scratch);
-/// each point's value is identical for any thread count.
+/// removal fractions in [0, max_fraction] (max_fraction in [0, 1]).
+/// Vertices are removed in descending order of their original degree (ties
+/// by id). The removed sets nest, so one reverse sweep computes every
+/// point: vertices return in reverse removal order into a union-find that
+/// tracks the largest component, in O(n log n + m α(n)) for the whole
+/// curve.
 std::vector<std::pair<double, double>> ResilienceCurve(
-    const Graph& graph, size_t num_points = 21, double max_fraction = 0.6,
-    const ExecutionContext* context = nullptr);
+    const Graph& graph, size_t num_points = 21, double max_fraction = 0.6);
 
 }  // namespace ksym
 

@@ -2,7 +2,7 @@
 // tests on hand-built graphs with known candidate sets, the naive-release
 // baseline where the sybil attack must fully succeed, a pinned
 // budget-truncated recovery, sybil recovery against a brute-force oracle,
-// 1/2/4-thread bit-identity of every report surface, the pinned golden
+// 1/2/4-thread bit-identity of the sybil section, the pinned golden
 // report on the checked-in graph, and the descriptive-error contract for
 // manifest inputs.
 
@@ -449,11 +449,12 @@ TEST(SybilOracleTest, RecoveryMatchesBruteForceOnRandomHosts) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-count invariance: every report surface byte-identical at 1/2/4
-// threads (the TSan job runs this file too).
+// Thread-count invariance: the sybil section byte-identical at 1/2/4
+// threads (the TSan job runs this file too). The passive measures have no
+// parallel path; the golden tests below pin their section.
 // ---------------------------------------------------------------------------
 
-TEST(AttackDeterminismTest, ReportsAreBitIdenticalAcrossThreadCounts) {
+TEST(AttackDeterminismTest, SybilSectionIsBitIdenticalAcrossThreadCounts) {
   SybilPlantOptions options;
   options.num_sybils = 6;
   options.num_targets = 3;
@@ -464,11 +465,8 @@ TEST(AttackDeterminismTest, ReportsAreBitIdenticalAcrossThreadCounts) {
   anon.k = 3;
   const auto release = Anonymize(plant->graph, anon);
   ASSERT_TRUE(release.ok());
-  const VertexPartition orbits =
-      ComputeAutomorphismPartition(release->graph, {}, nullptr);
 
   std::vector<std::string> sybil_sections;
-  std::vector<std::string> passive_sections;
   for (const uint32_t threads : {1u, 2u, 4u}) {
     ExecutionContext context(threads);
     SybilRecoveryOptions recovery;
@@ -477,21 +475,11 @@ TEST(AttackDeterminismTest, ReportsAreBitIdenticalAcrossThreadCounts) {
         RecoverSybils(release->graph, plant->plan, recovery);
     sybil_sections.push_back(
         FormatSybilSection("anonymized release", plant->plan, report));
-
-    AttackHarnessOptions harness;
-    harness.k = 3;
-    harness.context = &context;
-    passive_sections.push_back(FormatPassiveSection(
-        EvaluatePassiveAttacks(release->graph, orbits, harness), 3));
   }
   EXPECT_EQ(sybil_sections[0], sybil_sections[1]);
   EXPECT_EQ(sybil_sections[0], sybil_sections[2]);
-  EXPECT_EQ(passive_sections[0], passive_sections[1]);
-  EXPECT_EQ(passive_sections[0], passive_sections[2]);
-  // And the sections are non-trivial.
+  // And the section is non-trivial.
   EXPECT_NE(sybil_sections[0].find("sybil attack"), std::string::npos);
-  EXPECT_NE(passive_sections[0].find("adjacency-l1"), std::string::npos);
-  EXPECT_NE(passive_sections[0].find("community-t4"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

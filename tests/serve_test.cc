@@ -4,7 +4,8 @@
 // equivalence, concurrent sharded requests on one cached shard set, the
 // dynamic-session ops), the ArgParser the tools share, and the Server end
 // to end over a real unix socket — including admission rejection,
-// queued-deadline expiry, concurrent samples, and the request-line cap.
+// queued-deadline expiry, strict framing keys, budget tokens, concurrent
+// samples, and the request-line cap.
 
 #include <cmath>
 #include <cstdint>
@@ -300,8 +301,8 @@ TEST(RequestDecodeTest, AuditDefaultsAndFields) {
   EXPECT_EQ(minimal->input, "g.ksymcsr");
   EXPECT_EQ(minimal->k, 5u);
   EXPECT_FALSE(minimal->tdv);
-  EXPECT_EQ(minimal->threads, 1u);
 
+  // `threads` is still accepted (and ignored): an audit runs one thread.
   const auto full = AuditRequestFromWire(
       ParseWireLine("{\"op\":\"audit\",\"id\":\"x\",\"deadline_ms\":5,"
                     "\"input\":\"g\",\"k\":3,\"tdv\":true,\"threads\":2}")
@@ -309,7 +310,6 @@ TEST(RequestDecodeTest, AuditDefaultsAndFields) {
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(full->k, 3u);
   EXPECT_TRUE(full->tdv);
-  EXPECT_EQ(full->threads, 2u);
 }
 
 TEST(RequestDecodeTest, UnknownFieldRejected) {
@@ -365,6 +365,7 @@ TEST(RequestDecodeTest, MistypedOrOutOfRangeFieldsRejected) {
        "exclude_hubs", "\"0.1\""},
       {R"({"op":"audit","input":"g","k":-5})", "k", "-5"},
       {R"({"op":"audit","input":"g","tdv":1})", "tdv", "1"},
+      {R"({"op":"audit","input":"g","threads":"2"})", "threads", "\"2\""},
       {R"({"op":"sample","release":"r","output_prefix":"s","samples":-1})",
        "samples", "-1"},
       {R"({"op":"sample","release":"r","output_prefix":"s","seed":1.5})",
@@ -378,6 +379,8 @@ TEST(RequestDecodeTest, MistypedOrOutOfRangeFieldsRejected) {
        "4294967298"},
       {R"({"op":"reanonymize","session":"s","binary":"false"})", "binary",
        "\"false\""},
+      {R"({"op":"reanonymize","session":"s","threads":-1})", "threads",
+       "-1"},
       {R"({"op":"mutate","session":3,"edits":"add 0 1"})", "session", "3"},
   };
   for (const Case& c : cases) {
@@ -432,12 +435,11 @@ TEST(RequestDecodeTest, InRangeFieldsDecode) {
 
   const auto reanonymize = ReanonymizeRequestFromWire(
       ParseWireLine(R"({"op":"reanonymize","session":"s","k":7,)"
-                    R"("binary":true})")
+                    R"("binary":true,"threads":4})")
           .value());
   ASSERT_TRUE(reanonymize.ok()) << reanonymize.status().ToString();
   EXPECT_EQ(reanonymize->k, 7u);
   EXPECT_TRUE(reanonymize->binary);
-  EXPECT_EQ(reanonymize->threads, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,7 +592,6 @@ TEST(ApiTest, ConcurrentShardedRequestsShareOneCachedSet) {
       AnonymizeRequest request = reference;
       request.input = prefix + ".manifest";
       request.output = outputs[i];
-      request.threads = 2;
       statuses[i] = RunAnonymize(request, &cache).status();
     });
   }
@@ -921,6 +922,79 @@ TEST(ServerTest, QueuedDeadlineExpires) {
   EXPECT_NE(response->GetString("error").find("deadline expired"),
             std::string::npos);
   EXPECT_EQ(server.stats().deadline_expired, 1u);
+  server.Stop();
+}
+
+// The framing keys "deadline_ms" and the sleep op's "ms" follow the
+// request fields' rule: an integer in [0, 4294967295], else one counted
+// InvalidArgument naming the key, and nothing is queued.
+TEST(ServerTest, MistypedDeadlineAndSleepMsAreRejected) {
+  Server server(BaseOptions("srv_framing.sock"));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.options().socket_path);
+  ASSERT_TRUE(client.connected());
+
+  uint64_t parse_errors = 0;
+  for (const char* key : {"deadline_ms", "ms"}) {
+    for (const char* bad : {"\"5000\"", "-1", "5000.0", "4294967296"}) {
+      const std::string line =
+          std::string("{\"op\":\"sleep\",") +
+          (std::string(key) == "ms" ? "" : "\"ms\":0,") + "\"" + key +
+          "\":" + bad + "}";
+      const auto response = ParseWireLine(client.RoundTrip(line));
+      ASSERT_TRUE(response.ok()) << line;
+      EXPECT_EQ(response->GetString("status"), "error") << line;
+      const std::string error = response->GetString("error");
+      EXPECT_EQ(error.rfind("InvalidArgument", 0), 0u) << line << ": " << error;
+      EXPECT_NE(error.find(std::string("\"") + key + "\""), std::string::npos)
+          << line << ": " << error;
+      EXPECT_EQ(server.stats().parse_errors, ++parse_errors) << line;
+    }
+  }
+  EXPECT_EQ(server.stats().accepted, 0u);
+
+  const auto ok = ParseWireLine(
+      client.RoundTrip("{\"op\":\"sleep\",\"ms\":1,\"deadline_ms\":5000}"));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->GetString("status"), "ok") << ok->GetString("error");
+  EXPECT_EQ(ok->GetString("report"), "slept 1 ms\n");
+  EXPECT_EQ(server.stats().completed, 1u);
+  EXPECT_EQ(server.stats().parse_errors, parse_errors);
+  server.Stop();
+}
+
+// An op without a parallel loop holds one budget token whatever `threads`
+// it asks for, so on a budget-2 daemon it runs beside another job instead
+// of waiting for the whole budget.
+TEST(ServerTest, SingleThreadedOpTakesOneTokenBesideASleep) {
+  const std::string input = WriteTestCsr("srv_token.ksymcsr", MakePetersen());
+  Server server(BaseOptions("srv_token.sock"));  // Budget 2.
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient sleeper(server.options().socket_path);
+  ASSERT_TRUE(sleeper.connected());
+  std::string sleep_response;
+  std::thread sleeping([&] {
+    sleep_response = sleeper.RoundTrip("{\"op\":\"sleep\",\"ms\":2000}");
+  });
+  while (server.stats().running_threads < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  TestClient client(server.options().socket_path);
+  ASSERT_TRUE(client.connected());
+  const auto anonymize = ParseWireLine(client.RoundTrip(
+      "{\"op\":\"anonymize\",\"input\":\"" + input + "\",\"output\":\"" +
+      TempPath("srv_token.ksymcsr.out") +
+      "\",\"k\":2,\"binary\":true,\"threads\":2}"));
+  ASSERT_TRUE(anonymize.ok());
+  EXPECT_EQ(anonymize->GetString("status"), "ok")
+      << anonymize->GetString("error");
+  // The sleep is still running: only the anonymize has completed.
+  EXPECT_EQ(server.stats().completed, 1u);
+  sleeping.join();
+  EXPECT_EQ(server.stats().completed, 2u);
+  EXPECT_EQ(ParseWireLine(sleep_response)->GetString("status"), "ok");
   server.Stop();
 }
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -261,6 +263,77 @@ TEST(ResilienceTest, MonotoneNonIncreasing) {
   for (size_t i = 1; i < curve.size(); ++i) {
     EXPECT_LE(curve[i].second, curve[i - 1].second + 1e-12);
   }
+}
+
+// The curve by its definition: for each point, rebuild the survivors'
+// induced subgraph and take its largest component. Independent of the
+// sweep, which never builds a subgraph.
+std::vector<std::pair<double, double>> BruteForceResilienceCurve(
+    const Graph& graph, size_t num_points, double max_fraction) {
+  std::vector<std::pair<double, double>> curve;
+  const size_t n = graph.NumVertices();
+  if (n == 0) return curve;
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(), [&graph](VertexId a,
+                                                        VertexId b) {
+    return graph.Degree(a) > graph.Degree(b);
+  });
+  for (size_t i = 0; i < num_points; ++i) {
+    const double fraction =
+        num_points == 1 ? 0.0
+                        : max_fraction * static_cast<double>(i) /
+                              static_cast<double>(num_points - 1);
+    const size_t removed =
+        static_cast<size_t>(fraction * static_cast<double>(n));
+    std::vector<VertexId> survivors(order.begin() + removed, order.end());
+    std::sort(survivors.begin(), survivors.end());
+    const size_t lcc =
+        LargestComponentSize(InducedSubgraph(graph, survivors));
+    curve.emplace_back(fraction,
+                       static_cast<double>(lcc) / static_cast<double>(n));
+  }
+  return curve;
+}
+
+TEST(ResilienceTest, SweepMatchesBruteForceOracle) {
+  Rng rng(20261018);
+  std::vector<Graph> graphs;
+  graphs.push_back(GraphBuilder(1).Build());  // n = 1.
+  graphs.push_back(GraphBuilder(7).Build());  // Isolated vertices only.
+  graphs.push_back(MakeStar(9));
+  for (int round = 0; round < 12; ++round) {
+    const size_t n = 2 + rng.NextBounded(80);
+    graphs.push_back(ErdosRenyiGnm(n, rng.NextBounded(2 * n + 1), rng));
+    graphs.push_back(BarabasiAlbert(n, 1 + rng.NextBounded(4), rng));
+    // Disconnected, with isolated vertices spread through the id range
+    // by the relabelling.
+    GraphBuilder isolated(1 + rng.NextBounded(10));
+    const Graph parts = DisjointUnion(
+        DisjointUnion(ErdosRenyiGnm(n, n, rng), isolated.Build()),
+        BarabasiAlbert(1 + n / 2, 2, rng));
+    std::vector<VertexId> perm(parts.NumVertices());
+    std::iota(perm.begin(), perm.end(), VertexId{0});
+    for (size_t i = perm.size(); i > 1; --i) {
+      std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
+    }
+    graphs.push_back(RelabelGraph(parts, perm));
+  }
+  size_t points = 0;
+  for (const Graph& graph : graphs) {
+    for (const size_t num_points : {1, 2, 7, 21}) {
+      for (const double max_fraction : {0.0, 0.6, 1.0}) {
+        const auto curve = ResilienceCurve(graph, num_points, max_fraction);
+        // Exact equality: both sides divide the same integers.
+        EXPECT_EQ(curve,
+                  BruteForceResilienceCurve(graph, num_points, max_fraction))
+            << graph.NumVertices() << " vertices, " << graph.NumEdges()
+            << " edges, " << num_points << " points to " << max_fraction;
+        points += curve.size();
+      }
+    }
+  }
+  EXPECT_EQ(points, graphs.size() * 3 * (1 + 2 + 7 + 21));
 }
 
 TEST(AggregateTest, CompareUtilityOfIdenticalGraphs) {

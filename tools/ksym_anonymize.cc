@@ -6,8 +6,7 @@
 // of Section 5.1).
 //
 //   ksym_anonymize --input graph.edges --output release.ksym --k 5
-//                  [--exclude-hubs 0.01] [--minimal] [--tdv] [--threads N]
-//                  [--binary]
+//                  [--exclude-hubs 0.01] [--minimal] [--tdv] [--binary]
 //
 // With a manifest input the whole pipeline runs out-of-core (DESIGN.md
 // §11): the refinement and copy phases read the edges from the mapped
@@ -18,7 +17,7 @@
 // orbit search needs random access) and rejects --minimal.
 //
 //   ksym_anonymize --input graph.manifest --output PREFIX --k 5 --tdv
-//                  [--threads N] [--output-shards S]
+//                  [--output-shards S]
 //
 // The tool is a thin adapter over serve/api.h: it parses flags into an
 // AnonymizeRequest and executes exactly what the ksym_serve daemon would —
@@ -34,10 +33,10 @@ int main(int argc, char** argv) {
   ksym_tools::ArgParser parser(
       "usage: ksym_anonymize --input graph.edges --output release.ksym\n"
       "                      --k K [--exclude-hubs FRACTION] [--minimal]\n"
-      "                      [--tdv] [--threads N] [--binary]\n"
+      "                      [--tdv] [--binary]\n"
       "       ksym_anonymize --input graph.manifest --output PREFIX\n"
       "                      --k K --tdv [--exclude-hubs FRACTION]\n"
-      "                      [--threads N] [--output-shards S]");
+      "                      [--output-shards S]");
   parser.String("--input", &request.input,
                 "graph: text edge list, .ksymcsr, or shard manifest");
   parser.String("--output", &request.output,
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
               "use the TDV partition instead of exact orbits (Section 7)");
   parser.Flag("--binary", &request.binary,
               "write the release in binary CSR form");
-  parser.U32("--threads", &request.threads, "refinement worker threads");
   parser.U32("--output-shards", &request.output_shards,
              "sharded input: output shard count (0 = same as input)");
   parser.ParseOrExit(argc, argv);

@@ -5,12 +5,11 @@
 // re-identification: per-measure unique/under-k counts, the orbit-partition
 // exposure limit, and whether the graph already satisfies k-symmetry.
 //
-//   ksym_audit --input graph.edges [--k 5] [--tdv] [--threads N]
+//   ksym_audit --input graph.edges [--k 5] [--tdv]
 //
-// --threads shards the partition computation's refinement (bit-identical
-// to the sequential run). The tool is a thin adapter over serve/api.h: the
-// report on stdout is byte-identical to the ksym_serve daemon's response
-// for the same AuditRequest (the CI smoke test diffs the two).
+// The tool is a thin adapter over serve/api.h: the report on stdout is
+// byte-identical to the ksym_serve daemon's response for the same
+// AuditRequest (the CI smoke test diffs the two).
 
 #include <cstdio>
 
@@ -20,13 +19,12 @@
 int main(int argc, char** argv) {
   ksym::serve::AuditRequest request;
   ksym_tools::ArgParser parser(
-      "usage: ksym_audit --input graph.edges [--k K] [--tdv] [--threads N]");
+      "usage: ksym_audit --input graph.edges [--k K] [--tdv]");
   parser.String("--input", &request.input,
                 "graph: text edge list or .ksymcsr");
   parser.U32("--k", &request.k, "symmetry requirement to audit against");
   parser.Flag("--tdv", &request.tdv,
               "use the TDV partition instead of exact orbits (Section 7)");
-  parser.U32("--threads", &request.threads, "refinement worker threads");
   parser.ParseOrExit(argc, argv);
   if (request.input.empty()) parser.FailUsage();
 

@@ -2,8 +2,7 @@
 // emits one anonymized release per epoch (DESIGN.md §15).
 //
 //   ksym_dynamic --input base.ksymcsr --trace edits.trace
-//                --output-prefix out --k 3 [--binary] [--threads N]
-//                [--emit-graphs]
+//                --output-prefix out --k 3 [--binary] [--emit-graphs]
 //
 // The trace grammar (dyn/edits.h): one `add U V` / `del U V` per line,
 // `epoch` commits the batch and closes an epoch, `#` comments. For each
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "dyn/edits.h"
 #include "graph/io.h"
 #include "serve/dynamic.h"
@@ -41,13 +39,11 @@ int main(int argc, char** argv) {
   std::string output_prefix;
   uint32_t k = 2;
   bool binary = false;
-  uint32_t threads = 1;
   bool emit_graphs = false;
 
   ksym_tools::ArgParser parser(
       "usage: ksym_dynamic --input GRAPH --trace TRACE --output-prefix P\n"
-      "                    [--k K] [--binary] [--threads N]\n"
-      "                    [--emit-graphs]");
+      "                    [--k K] [--binary] [--emit-graphs]");
   parser.String("--input", &input, "base graph (edge list or .ksymcsr)");
   parser.String("--trace", &trace_path,
                 "edit-trace file (add/del/epoch lines)");
@@ -55,7 +51,6 @@ int main(int argc, char** argv) {
                 "releases are written to <prefix>.epochN[.ksymcsr]");
   parser.U32("--k", &k, "anonymity requirement per epoch (default 2)");
   parser.Flag("--binary", &binary, "write binary .ksymcsr releases");
-  parser.U32("--threads", &threads, "refinement thread count (default 1)");
   parser.Flag("--emit-graphs", &emit_graphs,
               "also write each epoch's committed graph to "
               "<prefix>.epochN.graph.ksymcsr");
@@ -100,7 +95,6 @@ int main(int argc, char** argv) {
     reanon.session = kSessionName;
     reanon.k = k;
     reanon.binary = binary;
-    reanon.threads = threads;
     reanon.output = output_prefix + ".epoch" + std::to_string(epoch) +
                     (binary ? ".ksymcsr" : ".ksym");
     auto released = ksym::serve::RunReanonymize(reanon, &state);

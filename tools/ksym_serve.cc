@@ -16,8 +16,9 @@
 //   {"op":"sample","release":"r.ksymcsr","output_prefix":"s","samples":4}
 //   {"op":"stats"}
 //
-// --threads is the *global* compute budget: per-request thread counts are
-// clamped to it and admission blocks past it; a full queue answers
+// --threads is the *global* compute budget: a sample's or attack's thread
+// count is clamped to it, every other op takes one thread of it, and
+// admission blocks past it; a full queue answers
 // {"status":"busy","retry_after_ms":...} instead of queueing unboundedly.
 // Drive it interactively with ksym_client, or any tool that can write
 // lines to a unix socket.
