@@ -10,8 +10,9 @@
 // (Graph::MemoryBytes) and process peak RSS are attached as counters, so
 // the bench trajectory tracks space as well as time; the thread-scaling
 // sweeps record how the three parallel kernels — batch sampling, the
-// neighbourhood measure and sybil recovery — scale at 1/2/4/8 threads, the
-// utility measures and the passive attack harness get one sequential row
+// neighbourhood measure and sybil recovery — scale at 1/2/4/8 threads (and
+// the paper_eval attack's recovery at 1/4), the utility measures, the
+// passive attack harness and the audit's measures get one sequential row
 // each, and the end-to-end anonymize bench attaches the pipeline's
 // RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
@@ -782,28 +783,58 @@ const AttackBenchData& AttackRelease() {
   return *data;
 }
 
-void BM_AttackSybilRecoveryThreads(benchmark::State& state) {
-  const AttackBenchData& data = AttackRelease();
+void SybilRecoveryBench(benchmark::State& state, const Graph& release,
+                        const SybilPlan& plan) {
   ExecutionContext context(static_cast<uint32_t>(state.range(0)));
   SybilRecoveryOptions options;
   options.context = &context;
   size_t embeddings = 0;
   for (auto _ : state) {
-    const SybilAttackReport report =
-        RecoverSybils(data.release, data.plan, options);
+    const SybilAttackReport report = RecoverSybils(release, plan, options);
     embeddings = report.embeddings_found;
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.release.NumVertices()));
+                          static_cast<int64_t>(release.NumVertices()));
   state.counters["embeddings"] =
       benchmark::Counter(static_cast<double>(embeddings));
   state.counters["threads"] =
       benchmark::Counter(static_cast<double>(context.threads()));
-  AttachMemoryCounters(state, data.release);
+  AttachMemoryCounters(state, release);
+}
+
+void BM_AttackSybilRecoveryThreads(benchmark::State& state) {
+  const AttackBenchData& data = AttackRelease();
+  SybilRecoveryBench(state, data.release, data.plan);
 }
 BENCHMARK(BM_AttackSybilRecoveryThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// The attack paper_eval and ksym_attack run by default: the Enron stand-in
+// with 4 sybils and 3 targets (seed 4), anonymized to k = 5. Its 1,217,120
+// embeddings share 142,530 three-vertex prefixes, so this row is where the
+// per-prefix settle shows; the BA(128, 3) row above spends its time in the
+// inner levels.
+void BM_AttackSybilRecoveryEnron(benchmark::State& state) {
+  static const AttackBenchData* data = [] {
+    SybilPlantOptions plant_options;
+    plant_options.num_sybils = 4;
+    plant_options.num_targets = 3;
+    plant_options.seed = 4;
+    auto plant = PlantSybils(EnronGraph(), plant_options);
+    KSYM_CHECK(plant.ok());
+    AnonymizationOptions anon;
+    anon.k = 5;
+    auto release = Anonymize(plant->graph, anon);
+    KSYM_CHECK(release.ok());
+    return new AttackBenchData{std::move(release->graph),
+                               std::move(plant->plan), {}};
+  }();
+  SybilRecoveryBench(state, data->release, data->plan);
+}
+BENCHMARK(BM_AttackSybilRecoveryEnron)
+    ->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AttackAdjacencySweep(benchmark::State& state) {
@@ -845,6 +876,33 @@ void BM_AttackPassiveHarness(benchmark::State& state) {
   AttachMemoryCounters(state, data.release);
 }
 BENCHMARK(BM_AttackPassiveHarness)->Unit(benchmark::kMillisecond);
+
+// Key interning (attack/intern.h) inside the passive measures: the
+// neighbour-degree measure on BA(200k, 4), 200k vector keys, and the five
+// measures an audit runs, on Hepth.
+void BM_NeighborDegreeMeasure200k(benchmark::State& state) {
+  const Graph& graph = BigRefineGraph();
+  const StructuralMeasure measure = NeighborDegreeSequenceMeasure();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(measure.eval(graph));
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_NeighborDegreeMeasure200k)->Unit(benchmark::kMillisecond);
+
+void BM_AuditMeasuresHepth(benchmark::State& state) {
+  const Graph& graph = HepthGraph();
+  const std::vector<StructuralMeasure> measures = {
+      DegreeMeasure(), TriangleMeasure(), NeighborDegreeSequenceMeasure(),
+      NeighborhoodMeasure(), CombinedMeasure()};
+  for (auto _ : state) {
+    for (const StructuralMeasure& measure : measures) {
+      benchmark::DoNotOptimize(measure.eval(graph));
+    }
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_AuditMeasuresHepth)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The dynamic-graph subsystem (DESIGN.md §15): the CSR rebuild a commit

@@ -74,7 +74,7 @@ Result<AnonymizationResult> AnonymizeInMemory(
     KSYM_ASSIGN_OR_RETURN(
         const CopyPlan plan,
         CopyToRequirement(graph, *initial, requirement, unit_of, result));
-    result.graph = ReleasedGraph(graph, plan);
+    KSYM_ASSIGN_OR_RETURN(result.graph, ReleasedGraph(graph, plan));
     result.edges_added = result.graph.NumEdges() - graph.NumEdges();
     result.partition = plan.ReleasedPartition();
   }

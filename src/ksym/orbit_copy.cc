@@ -1,5 +1,9 @@
 #include "ksym/orbit_copy.h"
 
+#include <unistd.h>
+
+#include <cstdint>
+
 #include "common/str.h"
 #include "shard/sharded_graph.h"
 
@@ -135,8 +139,24 @@ void ReleaseRows<Base>::Append(size_t begin, size_t end,
   KSYM_CHECK(out == neighbors.data() + neighbors.size());
 }
 
-Graph ReleasedGraph(const Graph& base, const CopyPlan& plan) {
+Result<Graph> ReleasedGraph(const Graph& base, const CopyPlan& plan) {
   const ReleaseRows<Graph> rows(base, plan);
+  // 8 bytes per released vertex for its offset and 8 per released edge for
+  // its two neighbour ids.
+  uint64_t bytes = 0;
+  const bool overflow =
+      __builtin_mul_overflow(uint64_t{rows.NumEdges()}, uint64_t{8}, &bytes) ||
+      __builtin_add_overflow(bytes, uint64_t{plan.NumVertices()} * 8, &bytes);
+  const uint64_t physical = static_cast<uint64_t>(sysconf(_SC_PHYS_PAGES)) *
+                            static_cast<uint64_t>(sysconf(_SC_PAGE_SIZE));
+  if (overflow || bytes > physical) {
+    return Status::InvalidArgument(StrFormat(
+        "the release would have %zu vertices and %zu edges, %s%llu bytes of "
+        "CSR, more than the %llu bytes of physical memory",
+        plan.NumVertices(), rows.NumEdges(), overflow ? "over " : "",
+        static_cast<unsigned long long>(overflow ? UINT64_MAX : bytes),
+        static_cast<unsigned long long>(physical)));
+  }
   std::vector<EdgeIndex> offsets;
   offsets.reserve(plan.NumVertices() + 1);
   offsets.push_back(0);

@@ -158,7 +158,9 @@ class ReleaseRows {
 };
 
 /// The released graph of an in-memory base: every row through ReleaseRows.
-Graph ReleasedGraph(const Graph& base, const CopyPlan& plan);
+/// InvalidArgument, before any of the release is allocated, when its CSR
+/// (8 bytes per vertex and 8 per edge) would exceed physical memory.
+Result<Graph> ReleasedGraph(const Graph& base, const CopyPlan& plan);
 
 }  // namespace ksym
 

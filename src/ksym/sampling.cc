@@ -90,7 +90,7 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
     KSYM_RETURN_IF_ERROR(plan.AddCell(b, backbone.partition.cells[b], cpn[b]));
     copy_operations += cpn[b];
   }
-  Graph sample = ReleasedGraph(backbone.graph, plan);
+  KSYM_ASSIGN_OR_RETURN(Graph sample, ReleasedGraph(backbone.graph, plan));
   if (stats != nullptr) {
     stats->backbone_vertices = backbone.graph.NumVertices();
     stats->copy_operations = copy_operations;

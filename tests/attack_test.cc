@@ -1,10 +1,17 @@
-// Tests for structural measures and re-identification statistics
-// (Section 2.2, Figure 2 machinery).
+// Tests for structural measures, their key interning and re-identification
+// statistics (Section 2.2, Figure 2 machinery).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "attack/intern.h"
 #include "attack/measures.h"
 #include "attack/reidentification.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "ksym/anonymizer.h"
 
@@ -24,6 +31,52 @@ Graph Figure1Graph() {
   b.AddEdge(5, 6);
   b.AddEdge(6, 7);
   return b.Build();
+}
+
+// The interning reference: a std::map of whole keys, where the first
+// occurrence in index order takes the next label.
+template <typename Key>
+std::vector<uint32_t> MapInternLabels(const std::vector<Key>& keys) {
+  std::map<Key, uint32_t> table;
+  std::vector<uint32_t> labels;
+  for (const Key& key : keys) {
+    labels.push_back(
+        table.emplace(key, static_cast<uint32_t>(table.size())).first->second);
+  }
+  return labels;
+}
+
+TEST(InternLabelsTest, MatchesMapReferenceOnRandomKeys) {
+  Rng rng(11);
+  for (int round = 0; round < 300; ++round) {
+    // Few distinct values in half the rounds, so most keys repeat; short
+    // vectors, so keys that are prefixes of others and empty keys occur.
+    const size_t n = rng.NextBounded(400);
+    const uint64_t range = 1 + rng.NextBounded(round % 2 == 0 ? 4 : 2000);
+    std::vector<uint32_t> scalars;
+    std::vector<uint64_t> wide;
+    std::vector<std::vector<uint32_t>> vectors;
+    std::vector<std::vector<uint64_t>> wide_vectors;
+    std::vector<std::pair<std::vector<uint32_t>, uint64_t>> pairs;
+    for (size_t i = 0; i < n; ++i) {
+      scalars.push_back(static_cast<uint32_t>(rng.NextBounded(range)));
+      wide.push_back(rng.NextBounded(range) << (i % 2 == 0 ? 0 : 40));
+      std::vector<uint32_t> vector(rng.NextBounded(4));
+      for (uint32_t& x : vector) x = static_cast<uint32_t>(rng.NextBounded(3));
+      std::vector<uint64_t> wide_vector(rng.NextBounded(3));
+      for (uint64_t& x : wide_vector) x = rng.NextBounded(range) << 33;
+      vectors.push_back(vector);
+      wide_vectors.push_back(std::move(wide_vector));
+      pairs.emplace_back(std::move(vector), rng.NextBounded(2));
+    }
+    using attack_internal::InternLabels;
+    EXPECT_EQ(InternLabels(scalars), MapInternLabels(scalars)) << round;
+    EXPECT_EQ(InternLabels(wide), MapInternLabels(wide)) << round;
+    EXPECT_EQ(InternLabels(vectors), MapInternLabels(vectors)) << round;
+    EXPECT_EQ(InternLabels(wide_vectors), MapInternLabels(wide_vectors))
+        << round;
+    EXPECT_EQ(InternLabels(pairs), MapInternLabels(pairs)) << round;
+  }
 }
 
 TEST(MeasuresTest, DegreePartitionGroupsByDegree) {

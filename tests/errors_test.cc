@@ -16,6 +16,7 @@
 #include "ksym/minimal.h"
 #include "ksym/sampling.h"
 #include "ksym/sharded_anonymizer.h"
+#include "serve/api.h"
 #include "shard/partitioner.h"
 
 namespace ksym {
@@ -96,6 +97,57 @@ TEST(ErrorsTest, AnonymizersRejectReleasesBeyondVertexIds) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(std::filesystem::exists(output + ".manifest"));
+}
+
+TEST(ErrorsTest, AnonymizersRejectReleasesBeyondPhysicalMemory) {
+  // A 4-vertex star at k = 10^9 fits vertex ids (about 2·10^9 of them) but
+  // joins 10^9 hub instances to about 10^9 leaf instances: about 10^18
+  // edges, 8·10^18 bytes of CSR, refused before any of it is allocated.
+  const Graph star = MakeStar(4);
+  AnonymizationOptions options;
+  options.k = 1000000000;
+  for (const bool tdv : {false, true}) {
+    options.use_total_degree_partition = tdv;
+    const VertexPartition initial =
+        tdv ? ComputeTotalDegreePartition(star, nullptr)
+            : ComputeAutomorphismPartition(star, {}, nullptr);
+    // Whole-cell copies: 10^9 hub and 3·333,333,334 leaf instances.
+    for (const Status& status : {Anonymize(star, options).status(),
+                                 AnonymizeWithPartition(star, initial, options)
+                                     .status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("8000000032000000016 bytes"),
+                std::string::npos)
+          << status.ToString();
+    }
+    // One-leaf units: 10^9 instances on each side.
+    for (const Status& status :
+         {AnonymizeMinimalVertices(star, options).status(),
+          AnonymizeMinimalVertices(star, initial, options).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("8000000016000000000 bytes"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+
+  const std::string input = testing::TempDir() + "/errors_star.edges";
+  const std::string output = testing::TempDir() + "/errors_star.release";
+  ASSERT_TRUE(WriteEdgeListFile(star, input).ok());
+  std::filesystem::remove(output);
+  serve::AnonymizeRequest request;
+  request.input = input;
+  request.output = output;
+  request.k = 1000000000;
+  const auto response = serve::RunAnonymize(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find("8000000032000000016 bytes"),
+            std::string::npos)
+      << response.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(output));
 }
 
 TEST(ErrorsTest, SamplersRejectMismatchedInputs) {

@@ -43,7 +43,7 @@ struct Copier {
     }
     return copies;
   }
-  Graph Release() const { return ReleasedGraph(base, plan); }
+  Graph Release() const { return ReleasedGraph(base, plan).value(); }
 
   const Graph& base;
   CopyPlan plan;
@@ -384,7 +384,7 @@ TEST(OrbitCopyOracleTest, RandomPlansMatchDefinition3) {
     }
 
     ExpectRowsMatch(graph, plan, expected, 1, label + " in memory");
-    EXPECT_TRUE(ReleasedGraph(graph, plan) == expected) << label;
+    EXPECT_TRUE(ReleasedGraph(graph, plan).value() == expected) << label;
     for (const uint32_t shards : {1u, 3u}) {
       PartitionOptions split;
       split.num_shards = shards;
@@ -408,7 +408,8 @@ TEST(OrbitCopyOracleTest, RandomPlansMatchDefinition3) {
         reversed.Copy(cell->cell, cell->unit);
       }
     }
-    EXPECT_TRUE(AreIsomorphic(ReleasedGraph(graph, plan), reversed.Build()))
+    EXPECT_TRUE(AreIsomorphic(ReleasedGraph(graph, plan).value(),
+                              reversed.Build()))
         << label;
   }
   // The plans did exercise one-component units and repeated steps.
