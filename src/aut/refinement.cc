@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/hash.h"
+
 namespace ksym {
-namespace {
-
-inline uint64_t HashMix(uint64_t h, uint64_t value) {
-  h ^= value + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDull;
-  h ^= h >> 33;
-  return h;
-}
-
-}  // namespace
 
 OrderedPartition::OrderedPartition(size_t n,
                                    const std::vector<uint32_t>& colors)
@@ -191,7 +183,7 @@ uint64_t Refiner::DoRefine(OrderedPartition& p) {
   // The per-split records already pin down the resulting structure given
   // the (inductively equal) input structure; mix the cell count as a cheap
   // extra integrity check.
-  return HashMix(hash, p.NumCells());
+  return HashCombine(hash, p.NumCells());
 }
 
 void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
@@ -234,8 +226,8 @@ void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
     uint32_t largest_size = rest;
     uint32_t gstart = c_start + rest;
     if (rest > 0) {
-      hash = HashMix(hash, uint64_t{c_start} << 32);
-      hash = HashMix(hash, rest);
+      hash = HashCombine(hash, uint64_t{c_start} << 32);
+      hash = HashCombine(hash, rest);
     }
     uint32_t group_len = 0;
     for (size_t i = first; i < last; ++i) {
@@ -243,8 +235,8 @@ void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
       ++group_len;
       if (i + 1 == last || count_of(i + 1) != count_of(i)) {
         tail_groups_.push_back(group_len);
-        hash = HashMix(hash, (uint64_t{c_start} << 32) | count_of(i));
-        hash = HashMix(hash, group_len);
+        hash = HashCombine(hash, (uint64_t{c_start} << 32) | count_of(i));
+        hash = HashCombine(hash, group_len);
         if (group_len > largest_size) {
           largest_size = group_len;
           largest_start = gstart;
@@ -271,7 +263,7 @@ void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
       if (gstart != skip) Schedule(gstart);
       gstart += gsize;
     }
-    hash = HashMix(hash, (uint64_t{w_start} << 32) | c_start);
+    hash = HashCombine(hash, (uint64_t{w_start} << 32) | c_start);
   }
 }
 

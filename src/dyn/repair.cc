@@ -1,5 +1,7 @@
 #include "dyn/repair.h"
 
+#include "common/hash.h"
+
 namespace ksym {
 namespace dyn {
 

@@ -20,16 +20,6 @@
 namespace ksym {
 namespace dyn {
 
-/// The HashMix fold used for content checksums and partition checksums —
-/// the same mixer the refinement trace hash uses, so one hash quality
-/// argument covers both.
-inline uint64_t HashCombine(uint64_t h, uint64_t value) {
-  h ^= value + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDull;
-  h ^= h >> 33;
-  return h;
-}
-
 /// Content key of a graph: a fold over (n, per-vertex degree, sorted
 /// neighbours).
 uint64_t GraphContentChecksum(const Graph& graph);
