@@ -11,10 +11,10 @@
 // the bench trajectory tracks space as well as time; the thread-scaling
 // sweeps record how the three parallel kernels — batch sampling, the
 // neighbourhood measure and sybil recovery — scale at 1/2/4/8 threads (and
-// the paper_eval attack's recovery at 1/4), the utility measures, the
-// passive attack harness and the audit's measures get one sequential row
-// each, and the end-to-end anonymize bench attaches the pipeline's
-// RefinementStats. The JSON context records
+// the paper_eval attack's recovery at 1/4, and a 4,000-target recovery at
+// 1), the utility measures, the passive attack harness and the audit's
+// measures get one sequential row each, and the end-to-end anonymize bench
+// attaches the pipeline's RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
 // show real speedup) are identifiable from the artifact alone.
 //
@@ -835,6 +835,34 @@ void BM_AttackSybilRecoveryEnron(benchmark::State& state) {
 }
 BENCHMARK(BM_AttackSybilRecoveryEnron)
     ->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// Many targets: 12 sybils fingerprint all 4,000 vertices of BA(4000, 2),
+// and recovery runs on the exact k = 2 release at one thread. The default
+// budget truncates the search at 516 embeddings; a prefix's scanned lists
+// hold hundreds of bases, so this row is where one walk per position
+// decides many targets at once.
+void BM_AttackSybilRecoveryManyTargets(benchmark::State& state) {
+  static const AttackBenchData* data = [] {
+    Rng rng(1);
+    const Graph host = BarabasiAlbert(4000, 2, rng);
+    SybilPlantOptions plant_options;
+    plant_options.num_sybils = 12;
+    plant_options.num_targets = 4000;
+    plant_options.seed = 1;
+    auto plant = PlantSybils(host, plant_options);
+    KSYM_CHECK(plant.ok());
+    AnonymizationOptions anon;
+    anon.k = 2;
+    auto release = Anonymize(plant->graph, anon);
+    KSYM_CHECK(release.ok());
+    return new AttackBenchData{std::move(release->graph),
+                               std::move(plant->plan), {}};
+  }();
+  SybilRecoveryBench(state, data->release, data->plan);
+}
+BENCHMARK(BM_AttackSybilRecoveryManyTargets)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AttackAdjacencySweep(benchmark::State& state) {

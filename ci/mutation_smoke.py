@@ -83,13 +83,10 @@ MUTATIONS = [
         test="attack_harness_test",
     ),
     Mutation(
-        name="sybil settled mask recorded although a leaf rule failed",
+        name="sybil base index files every target in the top-less slot",
         path="src/attack/sybil.cc",
-        old=("          found.Insert(u);\n"
-             "        } else {\n"
-             "          settled = false;\n"
-             "        }\n"),
-        new="          found.Insert(u);\n        }\n",
+        old="      targets_of_[base][fingerprint == base ? 0 : 1] = t;\n",
+        new="      targets_of_[base][0] = t;\n",
         test="attack_harness_test",
     ),
     Mutation(

@@ -1,9 +1,11 @@
 #include "attack/sybil.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/hash.h"
@@ -132,8 +134,7 @@ class EmbeddingSearch {
         pattern_masks_(PatternMasks(plan.pattern)),
         last_(static_cast<uint32_t>(plan.pattern.NumVertices()) - 1),
         mapping_(last_),
-        mask_of_(release.NumVertices(), 0),
-        settled_mask_(release.NumVertices(), 0) {
+        mask_of_(release.NumVertices(), 0) {
     result_.candidates.assign(plan.targets.size(),
                               CandidateSet(release.NumVertices()));
     const uint32_t top = uint32_t{1} << last_;
@@ -142,23 +143,11 @@ class EmbeddingSearch {
       // A fingerprint with no bit or a bit past the pattern matches nothing.
       if (fingerprint == 0 || (fingerprint >> last_) > 1) continue;
       const uint32_t base = fingerprint & ~top;
-      if (base == 0) {
-        top_only_.push_back(t);
-      } else {
-        by_base_.push_back({base, t});
+      if (base >= targets_of_.size()) {
+        targets_of_.resize(base + 1, {kNoTarget, kNoTarget});
       }
-    }
-    std::sort(by_base_.begin(), by_base_.end(), BaseTarget::ByPositionAndBase);
-    first_of_base_.assign(std::bit_ceil(2 * by_base_.size() + 1), kNoTarget);
-    scan_ranges_.assign(last_, {0, 0});
-    for (uint32_t i = 0; i < by_base_.size(); ++i) {
-      const uint32_t base = by_base_[i].base;
-      auto& [begin, end] = scan_ranges_[std::countr_zero(base)];
-      if (begin == end) begin = i;
-      end = i + 1;
-      if (i == 0 || base != by_base_[i - 1].base) {
-        first_of_base_[BaseSlot(base)] = i;
-      }
+      targets_of_[base][fingerprint == base ? 0 : 1] = t;
+      if (base != 0) scan_positions_ |= uint32_t{1} << std::countr_zero(base);
     }
   }
 
@@ -177,22 +166,7 @@ class EmbeddingSearch {
   ShardResult TakeResult() { return std::move(result_); }
 
  private:
-  // A target whose fingerprint has a base (the fingerprint without the top
-  // bit) other than 0.
-  struct BaseTarget {
-    uint32_t base;
-    uint32_t target;
-    static bool ByPositionAndBase(const BaseTarget& a, const BaseTarget& b) {
-      const int a_position = std::countr_zero(a.base);
-      const int b_position = std::countr_zero(b.base);
-      return a_position != b_position ? a_position < b_position
-                                      : a.base < b.base;
-    }
-  };
   static constexpr uint32_t kNoTarget = ~uint32_t{0};
-  // A position with at most this many bases walks its list once per base:
-  // for a few targets a mask compare per vertex costs less than a lookup.
-  static constexpr uint32_t kFewBases = 4;
 
   void Assign(uint32_t position, VertexId v) {
     mapping_[position] = v;
@@ -255,10 +229,10 @@ class EmbeddingSearch {
   // f minus top, u outside the prefix matches f in some embedding iff
   // mask_of_[u] == base and some leaf v is adjacent to u (top in f), or
   // some leaf v != u is not (top not in f). Such a u is adjacent to the
-  // position of its mask's lowest bit, so only the lists of positions that
-  // are some base's lowest bit are walked: once per base while a position
-  // holds few bases, else once for all of them. A fingerprint of the top
-  // bit alone has base 0 and is read off the leaves' own lists.
+  // position of its mask's lowest bit, so each position that is some
+  // base's lowest bit has its list walked once, reading a vertex only
+  // there and deciding its mask's at most two targets. A fingerprint of
+  // the top bit alone has base 0 and is read off the leaves' own lists.
   void Settle() {
     result_.embeddings += leaves_.size();
     if (leaves_.empty()) return;
@@ -267,79 +241,42 @@ class EmbeddingSearch {
             leaves_.end()) {
       result_.found_planted_embedding = true;
     }
-    for (uint32_t t : top_only_) {
-      CandidateSet& found = result_.candidates[t];
+    CandidateSet* const sets = result_.candidates.data();
+    if (!targets_of_.empty() && targets_of_[0][1] != kNoTarget) {
+      CandidateSet& found = sets[targets_of_[0][1]];
       for (VertexId v : leaves_) {
         for (VertexId u : release_.Neighbors(v)) {
           if (mask_of_[u] == 0 && !IsAssigned(u, last_)) found.Insert(u);
         }
       }
     }
-    for (uint32_t position = 0; position < last_; ++position) {
-      const auto [begin, end] = scan_ranges_[position];
-      if (end - begin > kFewBases) {
-        SettleByLookup(position);
-        continue;
-      }
-      for (uint32_t i = begin; i < end; ++i) SettleBase(position, by_base_[i]);
-    }
-    leaves_.clear();
-  }
-
-  // One walk of the position's list for one target, testing each vertex's
-  // mask against the target's base: the cheaper walk while a position
-  // holds few bases.
-  void SettleBase(uint32_t position, BaseTarget entry) {
-    CandidateSet& found = result_.candidates[entry.target];
-    const bool adjacent = (plan_.fingerprints[entry.target] >> last_) & 1;
-    for (VertexId u : release_.Neighbors(mapping_[position])) {
-      if (mask_of_[u] != entry.base || found.Contains(u) ||
-          IsAssigned(u, last_)) {
-        continue;
-      }
-      if (adjacent ? AnyLeafAdjacent(u) : AnyLeafApart(u)) found.Insert(u);
-    }
-  }
-
-  // One walk of the position's list for all its targets: a vertex is read
-  // only where its mask's lowest bit is the position, and looked up among
-  // the targets of its mask's base. So a prefix costs each scanned list
-  // once, not once per target, however many targets share the position.
-  void SettleByLookup(uint32_t position) {
-    for (VertexId u : release_.Neighbors(mapping_[position])) {
-      const uint32_t mask = mask_of_[u];
-      if (static_cast<uint32_t>(std::countr_zero(mask)) != position ||
-          mask == settled_mask_[u]) {
-        continue;
-      }
-      // kNoTarget skips the loop below and settles the mask for good.
-      const uint32_t first = first_of_base_[BaseSlot(mask)];
-      if (first != kNoTarget && IsAssigned(u, last_)) continue;
-      bool settled = true;
-      for (uint32_t i = first;
-           i < by_base_.size() && by_base_[i].base == mask; ++i) {
-        const uint32_t t = by_base_[i].target;
-        CandidateSet& found = result_.candidates[t];
-        if (found.Contains(u)) continue;
-        const bool adjacent = (plan_.fingerprints[t] >> last_) & 1;
-        if (adjacent ? AnyLeafAdjacent(u) : AnyLeafApart(u)) {
-          found.Insert(u);
-        } else {
-          settled = false;
+    // Views, not members: across the calls below the compiler would load
+    // each member again for every vertex.
+    const std::span<const std::array<uint32_t, 2>> index(targets_of_);
+    const std::span<const uint32_t> mask_of(mask_of_);
+    for (uint32_t positions = scan_positions_; positions != 0;
+         positions &= positions - 1) {
+      const auto position = static_cast<uint32_t>(std::countr_zero(positions));
+      const uint32_t below = (uint32_t{1} << position) - 1;
+      for (VertexId u : release_.Neighbors(mapping_[position])) {
+        // u is adjacent to the position, so its mask holds that bit; the
+        // position is its lowest bit when no bit below it is set.
+        const uint32_t mask = mask_of[u];
+        if ((mask & below) != 0 || mask >= index.size()) continue;
+        // The set test goes first: once the sets fill, most vertices are in
+        // them, and it spares the assignment test.
+        const auto [apart, adjacent] = index[mask];
+        if (apart != kNoTarget && !sets[apart].Contains(u) &&
+            !IsAssigned(u, last_) && AnyLeafApart(u)) {
+          sets[apart].Insert(u);
+        }
+        if (adjacent != kNoTarget && !sets[adjacent].Contains(u) &&
+            !IsAssigned(u, last_) && AnyLeafAdjacent(u)) {
+          sets[adjacent].Insert(u);
         }
       }
-      if (settled) settled_mask_[u] = mask;
     }
-  }
-
-  // The slot of first_of_base_ that holds the base or, if no target has
-  // it, the empty slot where it would go.
-  size_t BaseSlot(uint32_t base) const {
-    const size_t mask = first_of_base_.size() - 1;
-    for (size_t slot = HashCombine(0, base) & mask;; slot = (slot + 1) & mask) {
-      const uint32_t first = first_of_base_[slot];
-      if (first == kNoTarget || by_base_[first].base == base) return slot;
-    }
+    leaves_.clear();
   }
 
   bool AnyLeafAdjacent(VertexId u) const {
@@ -360,22 +297,15 @@ class EmbeddingSearch {
   const SybilPlan& plan_;
   const std::vector<uint32_t> pattern_masks_;
   const uint32_t last_;  // The last pattern position, s - 1.
-  // Sorted by the base's lowest bit, then by base.
-  std::vector<BaseTarget> by_base_;
-  // An open-addressing table, at most half full, of the index in by_base_
-  // of each base's first target.
-  std::vector<uint32_t> first_of_base_;
-  // Per position below the last, the range of by_base_ whose bases have
-  // their lowest bit there.
-  std::vector<std::pair<uint32_t, uint32_t>> scan_ranges_;
-  std::vector<uint32_t> top_only_;  // Targets whose fingerprint is the top.
+  // Per base (a fingerprint without the top bit), the target whose
+  // fingerprint is the base and the one whose fingerprint is the base plus
+  // the top, or kNoTarget. Fingerprints are unique, so no third target
+  // shares a base. Sized by the largest base.
+  std::vector<std::array<uint32_t, 2>> targets_of_;
+  uint32_t scan_positions_ = 0;  // The lowest bit of every base but 0.
   uint64_t budget_ = 0;  // Remaining candidate attempts for this anchor.
   std::vector<VertexId> mapping_;  // Positions 0..s-2.
   std::vector<uint32_t> mask_of_;
-  // A mask every target of whose base already holds the vertex (or that is
-  // no target's base): a later prefix in which the vertex has that mask adds
-  // nothing for it. 0, which no scanned vertex has, until then.
-  std::vector<uint32_t> settled_mask_;
   std::vector<VertexId> leaves_;  // The current prefix's last positions.
   ShardResult result_;
 };

@@ -34,23 +34,27 @@
 //     v != u is not (top bit not in f; certain once |L| > deg(u) + 1).
 //     That is the union over the prefix's leaves of what a per-leaf scan
 //     finds. Such a u is adjacent to the position of its mask's lowest
-//     bit, so only those positions' neighbour lists are walked: once per
-//     base while a position holds few bases, else once for all of them,
-//     each vertex looked up among the targets of its mask's base (and
-//     skipped while its mask is one whose targets all hold it already).
-//     The fingerprint of the top bit alone is read off the leaves' own
-//     lists.
+//     bit. Targets are indexed by base (the fingerprint without the top
+//     bit), and fingerprints are unique, so a base has at most two: the
+//     one without the top bit and the one with it. So each position that
+//     is some base's lowest bit has its neighbour list walked once per
+//     prefix, a vertex is read only at its mask's lowest bit, and its mask
+//     indexes the at most two targets it can match. The fingerprint of
+//     the top bit alone has base 0 and is read off the leaves' own lists.
 // The budget is charged exactly as a per-leaf search charges it: one unit
 // per neighbour tried, at every position the last included, in the same
 // order. When it runs out inside the last position, L holds the leaves
 // found before that, which are the ones a per-leaf search records.
 //
-// Embeddings are counted, never stored. Each worker's scratch is two masks
-// per vertex and L (O(|V|)), the targets indexed by base (O(T)) and, per
-// target, a set of the candidates that worker found: empty until its first
-// candidate, then at most 16 bytes per candidate, four times what those
-// candidates take in the report. So the scratch follows the report
-// actually returned, not the number of targets times |V|.
+// Embeddings are counted, never stored. Each worker's scratch is
+// O(|V| + largest fingerprint) plus the candidate sets: one mask per vertex
+// and L, the index of targets by base, sized by the largest base (target t
+// of a plan PlantSybils made has fingerprint t + 1, so at most T + 1
+// slots), and, per target, a set of the candidates that worker found:
+// empty until its first candidate, then at most 16 bytes per candidate,
+// four times what those candidates take in the report. So the scratch
+// follows the report actually returned, not the number of targets times
+// |V|.
 //
 // Determinism: planting is a pure function of (graph, options). With a
 // parallel context the anchor range is sharded by ParallelFor (static
