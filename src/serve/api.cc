@@ -28,6 +28,22 @@ namespace ksym {
 namespace serve {
 namespace {
 
+// Caps on the bare counts that size a request's work, each at least ten
+// times any count the tools, tests and benchmarks ask for. Past them a
+// request would allocate without bound (a graph per sample, a measure per
+// ell) or hold a worker for hours (label-propagation rounds).
+constexpr uint64_t kMaxSamples = 1000;
+constexpr uint64_t kMaxEll = 64;
+constexpr uint64_t kMaxCommunityIterations = 100;
+
+Status CheckCount(const char* flag, uint64_t count, uint64_t cap) {
+  if (count <= cap) return Status::Ok();
+  return Status::InvalidArgument(
+      StrFormat("%s %llu exceeds the cap of %llu", flag,
+                static_cast<unsigned long long>(count),
+                static_cast<unsigned long long>(cap)));
+}
+
 /// A resolved whole-graph input: either a cache pin or a locally loaded
 /// graph, plus the load mode for the log line. Accessed through graph()
 /// so the struct stays safely movable (no self-pointers).
@@ -280,6 +296,8 @@ Result<Response> RunSample(const SampleRequest& request, GraphCache* cache) {
     return Status::InvalidArgument(
         "--release and --output-prefix are required");
   }
+  KSYM_RETURN_IF_ERROR(
+      CheckCount("--samples", request.samples, kMaxSamples));
   KSYM_ASSIGN_OR_RETURN(const ResolvedRelease resolved,
                         ResolveRelease(request.release, cache));
   const ReleaseTriple& release = resolved.release();
@@ -331,6 +349,10 @@ Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {
   if (request.k < 1) {
     return Status::InvalidArgument("--k must be at least 1");
   }
+  KSYM_RETURN_IF_ERROR(CheckCount("--max-ell", request.max_ell, kMaxEll));
+  KSYM_RETURN_IF_ERROR(CheckCount("--community-iters",
+                                  request.community_iters,
+                                  kMaxCommunityIterations));
   if (IsManifestFile(request.input)) {
     return Status::InvalidArgument(
         "attack needs the resident graph; sharded manifests are not "

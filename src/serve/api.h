@@ -59,7 +59,7 @@ struct AuditRequest {
 struct SampleRequest {
   std::string release;
   std::string output_prefix;
-  uint64_t samples = 10;
+  uint64_t samples = 10;  // At most 1,000.
   bool exact = false;
   uint64_t seed = 42;
   uint32_t threads = 1;
@@ -77,8 +77,8 @@ struct AttackRequest {
   uint32_t sybils = 4;
   uint32_t targets = 3;
   uint64_t seed = 1;
-  uint32_t max_ell = 3;
-  uint32_t community_iters = 4;
+  uint32_t max_ell = 3;           // At most 64.
+  uint32_t community_iters = 4;   // At most 100.
   uint32_t threads = 1;
 };
 

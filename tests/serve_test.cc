@@ -13,6 +13,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -560,6 +561,43 @@ TEST(ApiTest, OutOfRangeExcludeHubsIsRejectedAndWritesNothing) {
   }
 }
 
+TEST(ApiTest, OversizedCountsAreRejectedAndWriteNothing) {
+  // Each count would size the work with no bound: a trillion sample graphs,
+  // four billion adjacency measures, four billion label-propagation rounds.
+  SampleRequest sample;
+  sample.release = WriteTestRelease("api_counts_rel");
+  sample.output_prefix = TempPath("api_counts_s");
+  sample.samples = 1000000000000;
+  const std::string first = sample.output_prefix + ".0.edges";
+  std::filesystem::remove(first);
+  const auto sampled = RunSample(sample);
+  ASSERT_FALSE(sampled.ok());
+  EXPECT_EQ(sampled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sampled.status().message(),
+            "--samples 1000000000000 exceeds the cap of 1000");
+  EXPECT_FALSE(std::filesystem::exists(first));
+
+  AttackRequest attack;
+  attack.input = WriteTestEdges("api_counts.edges");
+  attack.max_ell = 4000000000;
+  const auto ell = RunAttack(attack);
+  ASSERT_FALSE(ell.ok());
+  EXPECT_EQ(ell.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ell.status().message(),
+            "--max-ell 4000000000 exceeds the cap of 64");
+  attack.max_ell = 3;
+  attack.community_iters = 4000000000;
+  const auto rounds = RunAttack(attack);
+  ASSERT_FALSE(rounds.ok());
+  EXPECT_EQ(rounds.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rounds.status().message(),
+            "--community-iters 4000000000 exceeds the cap of 100");
+  attack.max_ell = 64;  // The caps themselves are accepted.
+  attack.community_iters = 100;
+  const auto capped = RunAttack(attack);
+  EXPECT_TRUE(capped.ok()) << capped.status().ToString();
+}
+
 TEST(ApiTest, ConcurrentShardedRequestsShareOneCachedSet) {
   Rng rng(17);
   const Graph graph = BarabasiAlbert(300, 3, rng);
@@ -746,6 +784,43 @@ TEST(ServerTest, ReleaseBeyondVertexIdsIsRejectedAndWritesNothing) {
   EXPECT_NE(response->GetString("error").find("4294967296"),
             std::string::npos)
       << response->GetString("error");
+  server.Stop();
+}
+
+TEST(ServerTest, OversizedCountsAnswerErrorsAndTheDaemonServesOn) {
+  // Each would abort the daemon on an uncaught bad_alloc or hold a worker
+  // for hours; the deadline only covers the queue.
+  const std::string release = WriteTestRelease("srv_counts_rel");
+  const std::string input = WriteTestEdges("srv_counts.edges");
+  const std::pair<std::string, std::string> requests[] = {
+      {"{\"op\":\"sample\",\"release\":\"" + release +
+           "\",\"output_prefix\":\"" + TempPath("srv_counts_s") +
+           "\",\"samples\":1000000000000}",
+       "--samples 1000000000000 exceeds the cap of 1000"},
+      {"{\"op\":\"attack\",\"input\":\"" + input +
+           "\",\"max_ell\":4000000000}",
+       "--max-ell 4000000000 exceeds the cap of 64"},
+      {"{\"op\":\"attack\",\"input\":\"" + input +
+           "\",\"community_iters\":4000000000}",
+       "--community-iters 4000000000 exceeds the cap of 100"},
+  };
+  Server server(BaseOptions("srv_counts.sock"));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.options().socket_path);
+  ASSERT_TRUE(client.connected());
+  for (const auto& [line, error] : requests) {
+    const auto response = ParseWireLine(client.RoundTrip(line));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status"), "error") << line;
+    EXPECT_NE(response->GetString("error").find(error), std::string::npos)
+        << response->GetString("error");
+  }
+  EXPECT_FALSE(
+      std::filesystem::exists(TempPath("srv_counts_s") + ".0.edges"));
+  const auto stats = ParseWireLine(client.RoundTrip("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->GetString("status"), "ok");
+  EXPECT_EQ(server.stats().failed, 3u);
   server.Stop();
 }
 
