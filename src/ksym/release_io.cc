@@ -159,8 +159,8 @@ std::vector<uint64_t> ReleaseCsrLabels(const VertexPartition& partition,
                                        size_t original_vertices) {
   std::vector<uint64_t> labels(partition.cell_of.size());
   for (size_t v = 0; v < labels.size(); ++v) {
-    labels[v] = (uint64_t{partition.cell_of[v]} << 1) |
-                (v >= original_vertices ? 1u : 0u);
+    labels[v] =
+        EncodeReleaseLabel(partition.cell_of[v], v >= original_vertices);
   }
   return labels;
 }
@@ -180,29 +180,30 @@ Result<ReleaseTriple> ReadReleaseCsrFile(const std::string& path) {
   // Originals are the unflagged prefix; the flag must be monotone.
   size_t originals = n;
   for (size_t v = 0; v < n; ++v) {
-    if (loaded.labels[v] & 1) {
+    if (DecodeReleaseLabel(loaded.labels[v]).is_copy) {
       originals = v;
       break;
     }
   }
   size_t num_cells = 0;
   for (size_t v = 0; v < n; ++v) {
-    if ((loaded.labels[v] & 1) != (v >= originals ? 1u : 0u)) {
+    const ReleaseLabel label = DecodeReleaseLabel(loaded.labels[v]);
+    if (label.is_copy != (v >= originals)) {
       return Status::IoError(StrFormat(
           "%s: not a release: copy flags are not a contiguous suffix",
           path.c_str()));
     }
-    const uint64_t cell = loaded.labels[v] >> 1;
-    if (cell >= n) {
+    if (label.cell >= n) {
       return Status::IoError(StrFormat(
           "%s: not a release: vertex %zu has cell id %llu out of range",
-          path.c_str(), v, static_cast<unsigned long long>(cell)));
+          path.c_str(), v, static_cast<unsigned long long>(label.cell)));
     }
-    num_cells = std::max(num_cells, static_cast<size_t>(cell) + 1);
+    num_cells = std::max(num_cells, static_cast<size_t>(label.cell) + 1);
   }
   std::vector<std::vector<VertexId>> cells(num_cells);
   for (size_t v = 0; v < n; ++v) {
-    cells[loaded.labels[v] >> 1].push_back(static_cast<VertexId>(v));
+    cells[DecodeReleaseLabel(loaded.labels[v]).cell].push_back(
+        static_cast<VertexId>(v));
   }
   for (size_t c = 0; c < cells.size(); ++c) {
     if (cells[c].empty()) {

@@ -63,6 +63,21 @@ Result<ReleaseTriple> ReadReleaseFile(const std::string& path);
 // `ksym_shard merge` of its output is byte-identical to
 // WriteReleaseCsrFile of the in-memory run.
 
+/// One vertex's label and back. Every writer and reader of release labels
+/// goes through these two, so the encoding lives here alone.
+inline uint64_t EncodeReleaseLabel(uint64_t cell, bool is_copy) {
+  return cell << 1 | (is_copy ? 1 : 0);
+}
+
+struct ReleaseLabel {
+  uint64_t cell;
+  bool is_copy;
+};
+
+inline ReleaseLabel DecodeReleaseLabel(uint64_t label) {
+  return {label >> 1, (label & 1) != 0};
+}
+
 /// The label array described above; partition.cell_of must cover the
 /// release's vertices, original_vertices of which are originals.
 std::vector<uint64_t> ReleaseCsrLabels(const VertexPartition& partition,

@@ -6,6 +6,7 @@
 #include "common/str.h"
 #include "common/timer.h"
 #include "ksym/orbit_copy.h"
+#include "ksym/release_io.h"
 #include "shard/partitioner.h"
 #include "shard/refine.h"
 
@@ -76,10 +77,9 @@ Result<ShardedAnonymizationResult> AnonymizeSharded(
     local_offsets.assign(1, 0);
     range_neighbors.clear();
     rows.Append(begin, end, local_offsets, range_neighbors);
-    // The release encoding of ReleaseCsrLabels: cell << 1 | is_copy.
     labels.clear();
     plan.ForEachInstance(begin, end, [&labels](VertexId, const Instance& x) {
-      labels.push_back(uint64_t{x.cell} << 1 | (x.step > 0 ? 1 : 0));
+      labels.push_back(EncodeReleaseLabel(x.cell, x.step > 0));
     });
     KSYM_RETURN_IF_ERROR(writer.AppendShard(
         static_cast<VertexId>(begin), static_cast<VertexId>(end),
