@@ -581,6 +581,24 @@ void BM_ApproxSampleHepth(benchmark::State& state) {
 }
 BENCHMARK(BM_ApproxSampleHepth);
 
+// The quota step's largest case among the stand-ins: the Net_trace TDV
+// k = 5 release hands out 3,104 quota draws over 1,109 cells.
+void BM_ApproxSampleNetTrace(benchmark::State& state) {
+  AnonymizationOptions options;
+  options.k = 5;
+  options.use_total_degree_partition = true;
+  auto release = Anonymize(NetTraceGraph(), options);
+  KSYM_CHECK(release.ok());
+  Rng rng(7);
+  for (auto _ : state) {
+    auto sample = ApproximateBackboneSample(
+        release->graph, release->partition, release->original_vertices, rng);
+    benchmark::DoNotOptimize(sample);
+  }
+  AttachMemoryCounters(state, release->graph);
+}
+BENCHMARK(BM_ApproxSampleNetTrace);
+
 void BM_ExactSampleHepth(benchmark::State& state) {
   AnonymizationOptions options;
   options.k = 5;

@@ -143,6 +143,16 @@ MUTATIONS = [
         new="    while (next > removed + 1) {\n",
         test="stats_test",
     ),
+    # orbit_golden_test's approximate-sample goldens catch this one too.
+    Mutation(
+        name="a removed sum-tree leaf keeps its ancestors' sums",
+        path="src/common/rng.cc",
+        old=("  for (node /= 2; node > 0; node /= 2) {\n"
+             "    nodes_[node] = nodes_[2 * node] + nodes_[2 * node + 1];\n"
+             "  }\n"),
+        new="",
+        test="common_test",
+    ),
 ]
 
 

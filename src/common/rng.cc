@@ -1,5 +1,7 @@
 #include "common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace ksym {
@@ -87,6 +89,41 @@ size_t Rng::NextDiscrete(const std::vector<double>& weights) {
     if (weights[i] > 0.0) return i;
   }
   return weights.size() - 1;
+}
+
+DiscreteSumTree::DiscreteSumTree(const std::vector<double>& weights)
+    : leaves_(std::bit_ceil(std::max<size_t>(weights.size(), 1))),
+      nodes_(2 * leaves_, 0.0) {
+  for (size_t i = 0; i < weights.size(); ++i) {
+    KSYM_DCHECK(std::isfinite(weights[i]) && weights[i] >= 0.0);
+    nodes_[leaves_ + i] = weights[i];
+  }
+  for (size_t node = leaves_; node-- > 1;) {
+    nodes_[node] = nodes_[2 * node] + nodes_[2 * node + 1];
+  }
+}
+
+void DiscreteSumTree::Remove(size_t i) {
+  KSYM_DCHECK(i < leaves_);
+  size_t node = leaves_ + i;
+  nodes_[node] = 0.0;
+  for (node /= 2; node > 0; node /= 2) {
+    nodes_[node] = nodes_[2 * node] + nodes_[2 * node + 1];
+  }
+}
+
+size_t DiscreteSumTree::Draw(Rng& rng) const {
+  KSYM_CHECK(Total() > 0.0);
+  double r = rng.NextDouble() * Total();
+  size_t node = 1;
+  while (node < leaves_) {
+    node *= 2;  // Left, unless r is past it and the right subtree has weight.
+    if (r >= nodes_[node] && nodes_[node + 1] > 0.0) {
+      r -= nodes_[node];
+      ++node;
+    }
+  }
+  return node - leaves_;
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xD6E8FEB86659FD93ull); }

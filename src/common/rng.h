@@ -78,6 +78,39 @@ class Rng {
   uint64_t s_[4];
 };
 
+/// Weighted draws over indices that drop out one by one: a sum tree, O(n)
+/// to build and O(log n) per draw and per removal, where NextDiscrete
+/// rescans every weight. Leaf i holds weights[i] until Remove(i) zeroes it;
+/// every internal node is recomputed as left + right, never updated by
+/// subtraction, so a subtree with nothing left reads exactly 0 and a draw
+/// never returns a zero-weight or removed index. A draw consumes one
+/// NextDouble and returns the index that NextDiscrete returns over the
+/// current weights, unless the draw lands within rounding error of a
+/// boundary between two indices, where the tree's pairwise sums and the
+/// scan's running sum may disagree.
+class DiscreteSumTree {
+ public:
+  /// Weights must be finite and non-negative.
+  explicit DiscreteSumTree(const std::vector<double>& weights);
+
+  /// Sum of the weights not removed; draws require it to be positive.
+  double Total() const { return nodes_[1]; }
+
+  /// Sets index i's weight to 0 for every later draw.
+  void Remove(size_t i);
+
+  /// Index in [0, weights.size()) drawn with probability proportional to
+  /// its current weight. A rounding overshoot ends at the last index with
+  /// a positive weight, where NextDiscrete's scan falls back to.
+  size_t Draw(Rng& rng) const;
+
+ private:
+  size_t leaves_;  // A power of two >= weights.size().
+  // nodes_[1] is the root, node j's children are 2j and 2j + 1, and leaf i
+  // is nodes_[leaves_ + i]; leaves past weights.size() hold 0.
+  std::vector<double> nodes_;
+};
+
 }  // namespace ksym
 
 #endif  // KSYM_COMMON_RNG_H_

@@ -1,12 +1,56 @@
 #include "ksym/sampling.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/str.h"
 #include "graph/algorithms.h"
 #include "ksym/anonymizer.h"
 #include "ksym/backbone.h"
 
 namespace ksym {
+namespace {
+
+/// One finite, non-negative weight per cell, as the quota draws require.
+Status CheckCellWeights(const std::vector<double>& weights,
+                        size_t num_cells) {
+  if (weights.size() != num_cells) {
+    return Status::InvalidArgument("one weight per cell required");
+  }
+  for (size_t i = 0; i < num_cells; ++i) {
+    if (!(std::isfinite(weights[i]) && weights[i] >= 0.0)) {
+      return Status::InvalidArgument(StrFormat(
+          "cell %zu has weight %g; weights must be finite and non-negative",
+          i, weights[i]));
+    }
+  }
+  return Status::Ok();
+}
+
+/// The quota step of both samplers (Algorithm 3's CPN[b], Algorithm 4's
+/// S[i]): spends `budget` vertices one draw at a time. A draw picks a cell c
+/// that has room with probability proportional to weight(c), adds one to
+/// counts[c] and charges cost(c); c leaves the draws once
+/// has_room(c, counts[c]) turns false. Stops under budget once no cell has
+/// room. The draw tree is freed on return, before the caller's next step.
+template <typename Weight, typename Cost, typename HasRoom>
+void SpendBudget(int64_t budget, const Weight& weight, const Cost& cost,
+                 const HasRoom& has_room, std::vector<size_t>& counts,
+                 Rng& rng) {
+  std::vector<double> room(counts.size(), 0.0);
+  for (size_t c = 0; c < counts.size(); ++c) {
+    if (has_room(c, counts[c])) room[c] = weight(c);
+  }
+  DiscreteSumTree draws(room);
+  while (budget > 0 && draws.Total() > 0.0) {
+    const size_t c = draws.Draw(rng);
+    budget -= cost(c);
+    ++counts[c];
+    if (!has_room(c, counts[c])) draws.Remove(c);
+  }
+}
+
+}  // namespace
 
 std::vector<double> InverseDegreeCellWeights(
     const Graph& graph, const VertexPartition& partition) {
@@ -41,9 +85,7 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
     default_weights = SizeAwareCellWeights(graph, partition);
     weights = &default_weights;
   }
-  if (weights->size() != partition.cells.size()) {
-    return Status::InvalidArgument("one weight per cell required");
-  }
+  KSYM_RETURN_IF_ERROR(CheckCellWeights(*weights, partition.cells.size()));
 
   // Backbone of the released pair; backbone cell b corresponds to released
   // cell via the representative's cell in the input partition.
@@ -59,27 +101,21 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
 
   // Distribute the vertex budget: CPN[b] copy operations per backbone cell,
   // subject to (CPN[b] + 1) * |B_b| <= |V'_released(b)| so the sample never
-  // outgrows the released graph's cell.
+  // outgrows the released graph's cell. Once every cell is saturated the
+  // sample stays smaller than n.
   std::vector<size_t> cpn(num_backbone_cells, 0);
-  int64_t budget = static_cast<int64_t>(target_vertices) -
-                   static_cast<int64_t>(backbone.graph.NumVertices());
-  std::vector<double> feasible;  // Hoisted: one fill per draw, no realloc.
-  while (budget > 0) {
-    feasible.assign(num_backbone_cells, 0.0);
-    bool any = false;
-    for (uint32_t b = 0; b < num_backbone_cells; ++b) {
-      const size_t unit = backbone.partition.cells[b].size();
-      const size_t cap = partition.cells[released_cell[b]].size();
-      if ((cpn[b] + 2) * unit <= cap) {  // Room for one more copy.
-        feasible[b] = (*weights)[released_cell[b]];
-        any = any || feasible[b] > 0.0;
-      }
-    }
-    if (!any) break;  // All cells saturated; sample stays smaller than n.
-    const size_t b = rng.NextDiscrete(feasible);
-    ++cpn[b];
-    budget -= static_cast<int64_t>(backbone.partition.cells[b].size());
-  }
+  SpendBudget(
+      static_cast<int64_t>(target_vertices) -
+          static_cast<int64_t>(backbone.graph.NumVertices()),
+      [&](size_t b) { return (*weights)[released_cell[b]]; },
+      [&](size_t b) {
+        return static_cast<int64_t>(backbone.partition.cells[b].size());
+      },
+      [&](size_t b, size_t copies) {  // Room for one more copy.
+        return (copies + 2) * backbone.partition.cells[b].size() <=
+               partition.cells[released_cell[b]].size();
+      },
+      cpn, rng);
 
   // Regrow: Algorithm 1 on the backbone, CPN[b] whole-cell copies of each
   // backbone cell b.
@@ -115,32 +151,19 @@ Result<Graph> ApproximateBackboneSample(const Graph& graph,
     default_weights = SizeAwareCellWeights(graph, partition);
     weights = &default_weights;
   }
-  if (weights->size() != partition.cells.size()) {
-    return Status::InvalidArgument("one weight per cell required");
-  }
+  KSYM_RETURN_IF_ERROR(CheckCellWeights(*weights, partition.cells.size()));
   target_vertices = std::min(target_vertices, n);
 
   // Quotas: one per cell, then distribute the rest with probability p[i]
   // subject to S[i] < |V'_i| (Algorithm 4, lines 1-6).
   const size_t num_cells = partition.cells.size();
   std::vector<size_t> quota(num_cells, 1);
-  int64_t budget = static_cast<int64_t>(target_vertices) -
-                   static_cast<int64_t>(num_cells);
-  std::vector<double> feasible;  // Hoisted: one fill per draw, no realloc.
-  while (budget > 0) {
-    feasible.assign(num_cells, 0.0);
-    bool any = false;
-    for (size_t i = 0; i < num_cells; ++i) {
-      if (quota[i] < partition.cells[i].size()) {
-        feasible[i] = (*weights)[i];
-        any = any || feasible[i] > 0.0;
-      }
-    }
-    if (!any) break;
-    const size_t i = rng.NextDiscrete(feasible);
-    ++quota[i];
-    --budget;
-  }
+  SpendBudget(
+      static_cast<int64_t>(target_vertices) - static_cast<int64_t>(num_cells),
+      [&](size_t i) { return (*weights)[i]; },
+      [](size_t) { return int64_t{1}; },
+      [&](size_t i, size_t s) { return s < partition.cells[i].size(); },
+      quota, rng);
 
   // Quota-guided DFS (Algorithm 5), iterative to survive deep graphs. Only
   // selected vertices are expanded, as in the paper. Neighbour order is
@@ -217,9 +240,7 @@ Result<std::vector<Graph>> DrawSamples(const Graph& graph,
     default_weights = SizeAwareCellWeights(graph, partition);
     weights = &default_weights;
   }
-  if (weights->size() != partition.cells.size()) {
-    return Status::InvalidArgument("one weight per cell required");
-  }
+  KSYM_RETURN_IF_ERROR(CheckCellWeights(*weights, partition.cells.size()));
 
   const size_t num_samples = options.num_samples;
   std::vector<Graph> samples(num_samples);

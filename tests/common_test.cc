@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -119,6 +120,54 @@ TEST(RngTest, DiscreteRespectsWeights) {
   for (int i = 0; i < 40000; ++i) ++counts[rng.NextDiscrete(weights)];
   EXPECT_EQ(counts[0], 0);
   EXPECT_NEAR(static_cast<double>(counts[1]) / counts[2], 3.0, 0.2);
+}
+
+// The sum tree against the scan it replaces in the samplers: cells of mixed
+// weights (some zero) drawn until each fills its capacity and is removed.
+// Every draw must return NextDiscrete's index over the current weights,
+// never a zero-weight or removed one, and leave both generators in the same
+// state.
+TEST(DiscreteSumTreeTest, MatchesNextDiscreteAsCellsFill) {
+  std::vector<size_t> sizes = {1, 2, 3, 7, 64, 1024, 1025, 2000};
+  Rng size_rng(41);
+  for (int extra = 0; extra < 12; ++extra) {
+    sizes.push_back(1 + size_rng.NextBounded(2000));
+  }
+  for (size_t trial = 0; trial < sizes.size(); ++trial) {
+    const size_t n = sizes[trial];
+    Rng setup(1000 + trial);
+    std::vector<double> weights(n);
+    std::vector<uint64_t> capacity(n);
+    for (size_t i = 0; i < n; ++i) {
+      // About one weight in eight is zero; the rest span four decades.
+      weights[i] = setup.NextBounded(8) == 0
+                       ? 0.0
+                       : (0.5 + setup.NextDouble()) *
+                             std::pow(10.0, setup.NextInRange(-2, 1));
+      capacity[i] = 1 + setup.NextBounded(4);
+    }
+    DiscreteSumTree tree(weights);
+    Rng tree_rng(trial);
+    Rng scan_rng(trial);
+    size_t draws = 0;
+    while (tree.Total() > 0.0) {
+      const size_t i = tree.Draw(tree_rng);
+      ASSERT_GT(weights[i], 0.0) << "n " << n << " draw " << draws;
+      ASSERT_EQ(i, scan_rng.NextDiscrete(weights))
+          << "n " << n << " draw " << draws;
+      Rng tree_next = tree_rng;
+      Rng scan_next = scan_rng;
+      ASSERT_EQ(tree_next.Next(), scan_next.Next());
+      if (--capacity[i] == 0) {
+        tree.Remove(i);
+        weights[i] = 0.0;
+      }
+      ++draws;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(weights[i], 0.0) << "n " << n << " index " << i;
+    }
+  }
 }
 
 TEST(RngTest, ShufflePreservesElements) {

@@ -162,6 +162,38 @@ TEST(ErrorsTest, SamplersRejectMismatchedInputs) {
   EXPECT_FALSE(ExactBackboneSample(g, orbits, 5, rng, &bad_weights).ok());
   EXPECT_FALSE(
       ApproximateBackboneSample(g, orbits, 5, rng, &bad_weights).ok());
+
+  // One weight per cell, but not finite and non-negative: each sampler and
+  // the batch reject it with one error naming the cell and the value.
+  const Graph path = MakePath(7);  // Orbits {0, 6}, {1, 5}, {2, 4}, {3}.
+  const VertexPartition path_orbits =
+      ComputeAutomorphismPartition(path, {}, nullptr);
+  ASSERT_EQ(path_orbits.NumCells(), 4u);
+  const struct {
+    std::vector<double> weights;
+    std::string named;
+  } bad_values[] = {
+      {{1.0, std::nan(""), 1.0, 1.0}, "cell 1 has weight nan"},
+      {{-1.0, -1.0, -1.0, -1.0}, "cell 0 has weight -1"},
+      {{1.0, 1.0, 1.0, HUGE_VAL}, "cell 3 has weight inf"},
+  };
+  for (const auto& bad : bad_values) {
+    BatchSampleOptions batch;
+    batch.num_samples = 2;
+    batch.target_vertices = 6;
+    batch.weights = &bad.weights;
+    const Status statuses[] = {
+        ExactBackboneSample(path, path_orbits, 6, rng, &bad.weights).status(),
+        ApproximateBackboneSample(path, path_orbits, 6, rng, &bad.weights)
+            .status(),
+        DrawSamples(path, path_orbits, batch, rng).status(),
+    };
+    for (const Status& status : statuses) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad.named;
+      EXPECT_NE(status.message().find(bad.named), std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 TEST(ErrorsTest, SamplerHandlesZeroTarget) {

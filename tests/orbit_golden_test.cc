@@ -12,12 +12,15 @@
 // hub-excluded) and of one exact backbone sample. Every other identity check
 // compares two outputs of the same copy code, so only these goldens see a
 // changed byte. Their values come from the copy code as it was before every
-// entry point shared one orbit copying operation.
+// entry point shared one orbit copying operation. It also pins two
+// approximate backbone samples, whose values come from the quota step as it
+// was when each draw rescanned every cell's weight (Rng::NextDiscrete).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/measures.h"
@@ -126,7 +129,9 @@ TEST(OrbitGoldenTest, ReleaseBytes) {
   add("Enron exact", Anonymize(enron, exact));
   const Result<AnonymizationResult> hepth_release = Anonymize(hepth, exact);
   add("Hepth exact", hepth_release);
-  add("Net_trace TDV", Anonymize(net_trace, tdv));
+  const Result<AnonymizationResult> net_trace_release =
+      Anonymize(net_trace, tdv);
+  add("Net_trace TDV", net_trace_release);
   add("Enron minimal", AnonymizeMinimalVertices(enron, exact));
   add("Hepth minimal", AnonymizeMinimalVertices(hepth, exact));
   add("Hepth 5% hubs", Anonymize(hepth, hubs));
@@ -139,6 +144,21 @@ TEST(OrbitGoldenTest, ReleaseBytes) {
   actual.push_back({"Hepth exact sample", sample->NumVertices(),
                     sample->NumEdges(), dyn::GraphContentChecksum(*sample),
                     0});
+  // Algorithms 4-5 on the Hepth release (811 quota draws over 1,699 cells,
+  // 5 of which fill) and the Net_trace release (3,104 draws over 1,109
+  // cells, 34 fill): these pin the draws made after a cell leaves.
+  ASSERT_TRUE(net_trace_release.ok());
+  for (const auto& [name, release] :
+       {std::pair{"Hepth approximate sample", &hepth_release},
+        std::pair{"Net_trace approximate sample", &net_trace_release}}) {
+    Rng approx_rng(1);
+    const auto approx = ApproximateBackboneSample(
+        (*release)->graph, (*release)->partition,
+        (*release)->original_vertices, approx_rng);
+    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+    actual.push_back({name, approx->NumVertices(), approx->NumEdges(),
+                      dyn::GraphContentChecksum(*approx), 0});
+  }
 
   const std::vector<BytesGolden> goldens = {
       {"Enron exact", 531, 6929, 0x79b7c4f52f3930f2ull, 0x47d9946dde97812cull},
@@ -153,6 +173,8 @@ TEST(OrbitGoldenTest, ReleaseBytes) {
       {"Hepth 5% hubs", 8667, 53348, 0x333359f1d15b22f9ull,
        0xccbc5c2624f3a0b7ull},
       {"Hepth exact sample", 2510, 4920, 0x8599f02b61491f4cull, 0},
+      {"Hepth approximate sample", 2510, 5065, 0x5a1334053dde7f64ull, 0},
+      {"Net_trace approximate sample", 4213, 5763, 0x1194f9a4144d90aaull, 0},
   };
 
   ASSERT_EQ(actual.size(), goldens.size());
