@@ -11,10 +11,11 @@
 // the bench trajectory tracks space as well as time; the thread-scaling
 // sweeps record how the three parallel kernels — batch sampling, the
 // neighbourhood measure and sybil recovery — scale at 1/2/4/8 threads (and
-// the paper_eval attack's recovery at 1/4, and a 4,000-target recovery at
-// 1), the utility measures, the passive attack harness and the audit's
-// measures get one sequential row each, and the end-to-end anonymize bench
-// attaches the pipeline's RefinementStats. The JSON context records
+// the neighbourhood measure on Hepth at 1/2/4, the paper_eval attack's
+// recovery at 1/4, and a 4,000-target recovery at 1), the utility
+// measures, the passive attack harness, the audit's measures and the whole
+// audit request get one sequential row each, and the end-to-end anonymize
+// bench attaches the pipeline's RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
 // show real speedup) are identifiable from the artifact alone.
 //
@@ -63,6 +64,7 @@
 #include "ksym/release_io.h"
 #include "ksym/sampling.h"
 #include "ksym/sharded_anonymizer.h"
+#include "serve/api.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_graph.h"
 #include "stats/distributions.h"
@@ -614,6 +616,27 @@ void BM_ExactSampleHepth(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactSampleHepth);
 
+// An exact batch as `ksym_sample --exact --samples 20` draws it, on one
+// thread.
+void BM_ExactBatchHepth(benchmark::State& state) {
+  AnonymizationOptions options;
+  options.k = 5;
+  auto release = AnonymizeWithPartition(HepthGraph(), HepthOrbits(), options);
+  KSYM_CHECK(release.ok());
+  BatchSampleOptions batch;
+  batch.num_samples = 20;
+  batch.target_vertices = release->original_vertices;
+  batch.exact = true;
+  const Rng rng(7);
+  for (auto _ : state) {
+    auto samples = DrawSamples(release->graph, release->partition, batch, rng);
+    KSYM_CHECK(samples.ok());
+    benchmark::DoNotOptimize(samples);
+  }
+  AttachMemoryCounters(state, release->graph);
+}
+BENCHMARK(BM_ExactBatchHepth)->Unit(benchmark::kMillisecond);
+
 // --- Out-of-core anonymization: the full manifest-in →
 // anonymized-shard-set-out pipeline (degree pass, sharded TDV refinement,
 // delta-based orbit copy, streamed release emission) on the 200k-vertex
@@ -736,8 +759,8 @@ BENCHMARK(BM_BatchSampleThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_NeighborhoodMeasureThreads(benchmark::State& state) {
-  const Graph& graph = EnronGraph();
+void NeighborhoodMeasureThreadsBench(benchmark::State& state,
+                                     const Graph& graph) {
   ExecutionContext context(static_cast<uint32_t>(state.range(0)));
   const StructuralMeasure measure = NeighborhoodMeasure(&context);
   for (auto _ : state) {
@@ -749,21 +772,53 @@ void BM_NeighborhoodMeasureThreads(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(context.threads()));
   AttachMemoryCounters(state, graph);
 }
+
+void BM_NeighborhoodMeasureThreads(benchmark::State& state) {
+  NeighborhoodMeasureThreadsBench(state, EnronGraph());
+}
 BENCHMARK(BM_NeighborhoodMeasureThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// The ego-net canonical forms of Fig. 2's neighborhood measure on the
-// Net_trace stand-in, whose hub ego nets are mostly twin leaves.
-void BM_NeighborhoodMeasureNetTrace(benchmark::State& state) {
-  const Graph& graph = NetTraceGraph();
+void BM_NeighborhoodMeasureThreadsHepth(benchmark::State& state) {
+  NeighborhoodMeasureThreadsBench(state, HepthGraph());
+}
+BENCHMARK(BM_NeighborhoodMeasureThreadsHepth)
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// Fig. 2's neighborhood measure, one thread: one key per ego net.
+void NeighborhoodMeasureBench(benchmark::State& state, const Graph& graph) {
   const StructuralMeasure measure = NeighborhoodMeasure(nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(measure.eval(graph));
   }
   AttachMemoryCounters(state, graph);
 }
+
+// The Net_trace stand-in: its hub ego nets are mostly twin leaves.
+void BM_NeighborhoodMeasureNetTrace(benchmark::State& state) {
+  NeighborhoodMeasureBench(state, NetTraceGraph());
+}
 BENCHMARK(BM_NeighborhoodMeasureNetTrace)->Unit(benchmark::kMillisecond);
+
+void BM_NeighborhoodMeasureHepth(benchmark::State& state) {
+  NeighborhoodMeasureBench(state, HepthGraph());
+}
+BENCHMARK(BM_NeighborhoodMeasureHepth)->Unit(benchmark::kMillisecond);
+
+// A guard: 2,986 of the 3,000 ego nets of WS(3000, 4, 0.1) have a
+// neighbour-graph component of four or more vertices, so they still take
+// one canonical search each.
+void BM_NeighborhoodMeasureWattsStrogatz(benchmark::State& state) {
+  static const Graph* graph = [] {
+    Rng rng(11);
+    return new Graph(WattsStrogatz(3000, 4, 0.1, rng));
+  }();
+  NeighborhoodMeasureBench(state, *graph);
+}
+BENCHMARK(BM_NeighborhoodMeasureWattsStrogatz)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The PR 9 adversary family (DESIGN.md §14): sybil-pattern recovery, the
@@ -949,6 +1004,22 @@ void BM_AuditMeasuresHepth(benchmark::State& state) {
   AttachMemoryCounters(state, graph);
 }
 BENCHMARK(BM_AuditMeasuresHepth)->Unit(benchmark::kMillisecond);
+
+// The audit request perfbench's serve_mixed sends: the Hepth stand-in as
+// .ksymcsr, TDV, k = 5 (load, partition, and the five measures' report).
+void BM_AuditHepth(benchmark::State& state) {
+  serve::AuditRequest request;
+  request.input = LoadFilesFor(HepthGraph(), "hepth").csr;
+  request.k = 5;
+  request.tdv = true;
+  for (auto _ : state) {
+    Result<serve::Response> response = serve::RunAudit(request);
+    KSYM_CHECK(response.ok());
+    benchmark::DoNotOptimize(response);
+  }
+  AttachMemoryCounters(state, HepthGraph());
+}
+BENCHMARK(BM_AuditHepth)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // The dynamic-graph subsystem (DESIGN.md §15): the CSR rebuild a commit

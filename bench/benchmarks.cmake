@@ -91,7 +91,8 @@ ksym_bench(bench_ablation_skeleton ksym_datasets ksym_core ksym_stats)
 ksym_bench(bench_ablation_perturbation ksym_datasets ksym_core ksym_attack_lib ksym_baseline ksym_stats)
 ksym_bench(bench_ablation_cost_k ksym_datasets ksym_core)
 ksym_bench(bench_ablation_kautomorphism ksym_datasets ksym_core ksym_stats ksym_baseline)
-ksym_bench(bench_perf_micro ksym_datasets ksym_core ksym_attack_lib ksym_stats ksym_sharding ksym_dyn)
+ksym_bench(bench_perf_micro ksym_datasets ksym_core ksym_attack_lib ksym_stats ksym_sharding ksym_dyn
+  ksym_serve_lib)
 target_link_libraries(bench_perf_micro PRIVATE benchmark::benchmark)
 target_compile_definitions(bench_perf_micro PRIVATE
   KSYM_BENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}"

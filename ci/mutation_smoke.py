@@ -153,6 +153,25 @@ MUTATIONS = [
         new="",
         test="common_test",
     ),
+    Mutation(
+        name="4-vertex ego-net components are keyed by size and edge count",
+        path="src/attack/measures.cc",
+        old=("        default:\n"
+             "          large |= component;\n"),
+        new=("        case 4:\n"
+             "          key.push_back(DegreeSum(component) / 2);\n"
+             "          break;\n"
+             "        default:\n"
+             "          large |= component;\n"),
+        test="neighborhood_oracle_test",
+    ),
+    Mutation(
+        name="backbone takes 4-vertex components with a matching key as copies",
+        path="src/ksym/backbone.cc",
+        old="        if (component.members.size() <= 3) {\n",
+        new="        if (component.members.size() <= 4) {\n",
+        test="backbone_test",
+    ),
 ]
 
 

@@ -31,8 +31,8 @@ struct StructuralMeasure {
 };
 
 // Keys are computed per vertex and interned in vertex order. Only
-// NeighborhoodMeasure, whose ego-net canonical forms cost enough to gain
-// from threads, shards its key loop across the optional ExecutionContext's
+// NeighborhoodMeasure, whose ego-net keys cost enough to gain from
+// threads, shards its key loop across the optional ExecutionContext's
 // pool (the context must outlive the measure); its labels are
 // bit-identical for any thread count. The other factories run one plain
 // loop and ignore their context, which they keep because the repository
@@ -57,8 +57,13 @@ StructuralMeasure CombinedMeasure(const ExecutionContext* context = nullptr);
 /// of the k-neighborhood anonymity model (Zhou & Pei, reference [19]).
 /// Refines deg(v) and tri(v) (both derivable from the ego network) but is
 /// incomparable with Deg(v), which sees neighbours' *outside* degrees.
-/// Ego networks up to 64 vertices are classified by exact canonical form;
-/// larger (hub) ego networks by their coloured refinement trace, which is
+/// Two rooted ego networks are isomorphic iff their neighbour graphs
+/// H = G[N(v)] are, so an ego network of up to 64 vertices is classified
+/// exactly by H: a star (H without edges) by its size alone; otherwise by
+/// H's numbers of components that are K1, K2, P3 and K3 (the only
+/// connected graphs of at most three vertices) and one canonical form of
+/// its components of four or more vertices. Larger (hub) ego networks are
+/// classified by their coloured refinement trace, which is
 /// isomorphism-invariant (collisions only make the adversary weaker).
 StructuralMeasure NeighborhoodMeasure(const ExecutionContext* context = nullptr);
 

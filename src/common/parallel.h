@@ -4,7 +4,7 @@
 //
 // Exactly three loops run on the pool, the three that beat their plain
 // loop in a benchmark (DESIGN.md §8): DrawSamples (one sample per index),
-// NeighborhoodMeasure (one ego-net canonical form per vertex) and
+// NeighborhoodMeasure (one ego-net key per vertex) and
 // RecoverSybils (one embedding search per anchor). Every other consumer
 // runs sequentially and uses its context only as a stats sink, or ignores
 // it.

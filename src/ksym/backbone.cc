@@ -128,16 +128,25 @@ BackboneResult ComputeBackbone(const Graph& graph,
                 });
 
       // Keep one representative per colour-isomorphism class; remove the
-      // rest (they are orbit-copies).
+      // rest (they are orbit-copies). A component of at most three
+      // vertices is a colour-preserving copy of any component with its
+      // key: one vertex is decided by its colour, two by their colour
+      // pair, P3 by its centre's colour (the degree-2 entry) and its
+      // leaves', and K3 by its colour multiset. Four vertices are not:
+      // the paths a-b-c-d and a-c-b-d share a key.
       std::map<CellComponent::Key, std::vector<const CellComponent*>> reps;
       for (const CellComponent& component : components) {
         auto& bucket = reps[component.InvariantKey()];
         bool is_copy = false;
-        for (const CellComponent* rep : bucket) {
-          if (AreIsomorphic(component.subgraph, rep->subgraph,
-                            component.colors, rep->colors)) {
-            is_copy = true;
-            break;
+        if (component.members.size() <= 3) {
+          is_copy = !bucket.empty();
+        } else {
+          for (const CellComponent* rep : bucket) {
+            if (AreIsomorphic(component.subgraph, rep->subgraph,
+                              component.colors, rep->colors)) {
+              is_copy = true;
+              break;
+            }
           }
         }
         if (is_copy) {

@@ -50,6 +50,60 @@ void SpendBudget(int64_t budget, const Weight& weight, const Cost& cost,
   }
 }
 
+/// Algorithm 3 after its backbone step: regrows `backbone`, the backbone of
+/// a release with cells `partition`, by CPN[b] whole-cell copies of each
+/// backbone cell b. `weights` has been checked against `partition`.
+Result<Graph> RegrowBackbone(const VertexPartition& partition,
+                             const BackboneResult& backbone,
+                             size_t target_vertices, Rng& rng,
+                             const std::vector<double>& weights,
+                             SampleStats* stats) {
+  // Backbone cell b corresponds to the released cell of its
+  // representative in the input partition (for sizes and weights).
+  const size_t num_backbone_cells = backbone.partition.cells.size();
+  std::vector<uint32_t> released_cell(num_backbone_cells);
+  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
+    const VertexId rep_in_backbone = backbone.partition.cells[b].front();
+    released_cell[b] = partition.cell_of[backbone.kept[rep_in_backbone]];
+  }
+
+  // Distribute the vertex budget: CPN[b] copy operations per backbone cell,
+  // subject to (CPN[b] + 1) * |B_b| <= |V'_released(b)| so the sample never
+  // outgrows the released graph's cell. Once every cell is saturated the
+  // sample stays smaller than n.
+  std::vector<size_t> cpn(num_backbone_cells, 0);
+  SpendBudget(
+      static_cast<int64_t>(target_vertices) -
+          static_cast<int64_t>(backbone.graph.NumVertices()),
+      [&](size_t b) { return weights[released_cell[b]]; },
+      [&](size_t b) {
+        return static_cast<int64_t>(backbone.partition.cells[b].size());
+      },
+      [&](size_t b, size_t copies) {  // Room for one more copy.
+        return (copies + 2) * backbone.partition.cells[b].size() <=
+               partition.cells[released_cell[b]].size();
+      },
+      cpn, rng);
+
+  // Regrow: Algorithm 1 on the backbone, CPN[b] whole-cell copies of each
+  // backbone cell b.
+  CopyPlan plan(backbone.partition);
+  size_t copy_operations = 0;
+  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
+    if (cpn[b] == 0) continue;
+    KSYM_RETURN_IF_ERROR(plan.AddCell(b, backbone.partition.cells[b], cpn[b]));
+    copy_operations += cpn[b];
+  }
+  KSYM_ASSIGN_OR_RETURN(Graph sample, ReleasedGraph(backbone.graph, plan));
+  if (stats != nullptr) {
+    stats->backbone_vertices = backbone.graph.NumVertices();
+    stats->copy_operations = copy_operations;
+    stats->requested_vertices = target_vertices;
+    stats->sampled_vertices = sample.NumVertices();
+  }
+  return sample;
+}
+
 }  // namespace
 
 std::vector<double> InverseDegreeCellWeights(
@@ -86,54 +140,8 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
     weights = &default_weights;
   }
   KSYM_RETURN_IF_ERROR(CheckCellWeights(*weights, partition.cells.size()));
-
-  // Backbone of the released pair; backbone cell b corresponds to released
-  // cell via the representative's cell in the input partition.
-  const BackboneResult backbone = ComputeBackbone(graph, partition, nullptr);
-  const size_t num_backbone_cells = backbone.partition.cells.size();
-
-  // Map each backbone cell to its released cell (for sizes and weights).
-  std::vector<uint32_t> released_cell(num_backbone_cells);
-  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
-    const VertexId rep_in_backbone = backbone.partition.cells[b].front();
-    released_cell[b] = partition.cell_of[backbone.kept[rep_in_backbone]];
-  }
-
-  // Distribute the vertex budget: CPN[b] copy operations per backbone cell,
-  // subject to (CPN[b] + 1) * |B_b| <= |V'_released(b)| so the sample never
-  // outgrows the released graph's cell. Once every cell is saturated the
-  // sample stays smaller than n.
-  std::vector<size_t> cpn(num_backbone_cells, 0);
-  SpendBudget(
-      static_cast<int64_t>(target_vertices) -
-          static_cast<int64_t>(backbone.graph.NumVertices()),
-      [&](size_t b) { return (*weights)[released_cell[b]]; },
-      [&](size_t b) {
-        return static_cast<int64_t>(backbone.partition.cells[b].size());
-      },
-      [&](size_t b, size_t copies) {  // Room for one more copy.
-        return (copies + 2) * backbone.partition.cells[b].size() <=
-               partition.cells[released_cell[b]].size();
-      },
-      cpn, rng);
-
-  // Regrow: Algorithm 1 on the backbone, CPN[b] whole-cell copies of each
-  // backbone cell b.
-  CopyPlan plan(backbone.partition);
-  size_t copy_operations = 0;
-  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
-    if (cpn[b] == 0) continue;
-    KSYM_RETURN_IF_ERROR(plan.AddCell(b, backbone.partition.cells[b], cpn[b]));
-    copy_operations += cpn[b];
-  }
-  KSYM_ASSIGN_OR_RETURN(Graph sample, ReleasedGraph(backbone.graph, plan));
-  if (stats != nullptr) {
-    stats->backbone_vertices = backbone.graph.NumVertices();
-    stats->copy_operations = copy_operations;
-    stats->requested_vertices = target_vertices;
-    stats->sampled_vertices = sample.NumVertices();
-  }
-  return sample;
+  return RegrowBackbone(partition, ComputeBackbone(graph, partition, nullptr),
+                        target_vertices, rng, *weights, stats);
 }
 
 Result<Graph> ApproximateBackboneSample(const Graph& graph,
@@ -248,24 +256,28 @@ Result<std::vector<Graph>> DrawSamples(const Graph& graph,
   if (stats != nullptr) {
     stats->assign(num_samples, SampleStats{});
   }
+  // An exact batch computes the backbone once; each sample regrows it.
+  BackboneResult backbone;
+  if (options.exact && num_samples > 0) {
+    backbone = ComputeBackbone(graph, partition, nullptr);
+  }
   // Sample i depends only on rng.Fork(i): any shard assignment yields the
   // same batch. Workers run the single-sample algorithms sequentially (no
   // nested context — the pool is not reentrant).
   ThreadPool* pool =
       options.context == nullptr ? nullptr : options.context->pool();
   ParallelFor(pool, num_samples,
-              [&graph, &partition, &options, &rng, weights, stats, &samples,
-               &statuses](size_t begin, size_t end, uint32_t) {
+              [&graph, &partition, &options, &rng, weights, stats, &backbone,
+               &samples, &statuses](size_t begin, size_t end, uint32_t) {
                 for (size_t i = begin; i < end; ++i) {
                   Rng sample_rng = rng.Fork(i);
                   SampleStats* sample_stats =
                       stats == nullptr ? nullptr : &(*stats)[i];
                   auto sample =
                       options.exact
-                          ? ExactBackboneSample(graph, partition,
-                                                options.target_vertices,
-                                                sample_rng, weights,
-                                                sample_stats)
+                          ? RegrowBackbone(partition, backbone,
+                                           options.target_vertices,
+                                           sample_rng, *weights, sample_stats)
                           : ApproximateBackboneSample(graph, partition,
                                                       options.target_vertices,
                                                       sample_rng, weights,

@@ -275,6 +275,7 @@ Result<Response> RunAudit(const AuditRequest& request, GraphCache* cache) {
 
   response.report += StrFormat("\n%-20s %10s %12s %8s %8s\n", "measure",
                                "unique", "under-k", "r_f", "s_f");
+  timer.Reset();
   for (const auto& measure :
        {DegreeMeasure(), TriangleMeasure(), NeighborDegreeSequenceMeasure(),
         NeighborhoodMeasure(), CombinedMeasure()}) {
@@ -288,6 +289,7 @@ Result<Response> RunAudit(const AuditRequest& request, GraphCache* cache) {
                                  measure.name.c_str(), r.measure_singletons,
                                  exposed, r.r_f, r.s_f);
   }
+  response.log += StrFormat("measures %.1f ms\n", timer.ElapsedMillis());
   return response;
 }
 

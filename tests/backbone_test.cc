@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "aut/isomorphism.h"
 #include "graph/generators.h"
 #include "ksym/anonymizer.h"
@@ -132,6 +135,49 @@ TEST(BackboneTest, MultiOrbitSubstructuresDoNotReduce) {
   const BackboneResult backbone = ComputeBackbone(g, orbits, nullptr);
   EXPECT_EQ(backbone.removed_vertices, 1u);     // One of the two leaves.
   EXPECT_EQ(backbone.graph.NumVertices(), 6u);  // Both arms preserved.
+}
+
+// The backbone of a cell {0..7} with the given inside `edges`, beside four
+// outside vertices A, B, C, D (8..11) in cells of their own. `outside`
+// joins each member to one of them, which gives it its L(V) colour.
+BackboneResult TwoComponentCell(
+    const std::vector<std::pair<VertexId, VertexId>>& edges,
+    const std::vector<std::pair<VertexId, char>>& outside) {
+  GraphBuilder b(12);
+  for (const auto& [u, v] : edges) b.AddEdge(u, v);
+  for (const auto& [v, colour] : outside) {
+    b.AddEdge(v, static_cast<VertexId>(8 + (colour - 'A')));
+  }
+  const Graph g = b.Build();
+  std::vector<std::vector<VertexId>> cells = {{}};
+  for (VertexId v = 0; v < 8; ++v) cells[0].push_back(v);
+  for (VertexId v = 8; v < 12; ++v) cells.push_back({v});
+  return ComputeBackbone(g, VertexPartition::FromCells(12, std::move(cells)),
+                         nullptr);
+}
+
+TEST(BackboneTest, FourVertexPathsWithTheSameKeyAreNotCopies) {
+  // Paths 0-1-2-3 coloured A-B-C-D and 4-5-6-7 coloured A-C-B-D: equal
+  // sizes, edge counts and (colour, degree) profiles, but no
+  // colour-preserving isomorphism, so both stay.
+  const BackboneResult backbone = TwoComponentCell(
+      {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}},
+      {{0, 'A'}, {1, 'B'}, {2, 'C'}, {3, 'D'},
+       {4, 'A'}, {5, 'C'}, {6, 'B'}, {7, 'D'}});
+  EXPECT_EQ(backbone.removed_vertices, 0u);
+  EXPECT_EQ(backbone.graph.NumVertices(), 12u);
+}
+
+TEST(BackboneTest, EquallyColouredThreeVertexPathsAreCopies) {
+  // Paths 0-1-2 and 3-4-5, both coloured A-B-C with the centre B, plus the
+  // isolated members 6 (D) and 7 (D): one path and one isolated vertex go.
+  const BackboneResult backbone = TwoComponentCell(
+      {{0, 1}, {1, 2}, {3, 4}, {4, 5}},
+      {{0, 'A'}, {1, 'B'}, {2, 'C'}, {3, 'A'}, {4, 'B'}, {5, 'C'},
+       {6, 'D'}, {7, 'D'}});
+  EXPECT_EQ(backbone.removed_vertices, 4u);
+  EXPECT_EQ(backbone.reduction_operations, 2u);
+  EXPECT_EQ(backbone.kept, (std::vector<VertexId>{0, 1, 2, 6, 8, 9, 10, 11}));
 }
 
 TEST(BackboneTest, EmptyAndTrivialInputs) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "ksym/anonymizer.h"
@@ -72,6 +74,39 @@ TEST(ExactSamplingTest, RejectsMismatchedWeights) {
   EXPECT_FALSE(ExactBackboneSample(release.graph, release.partition, 8, rng,
                                    &bad_weights)
                    .ok());
+}
+
+TEST(ExactSamplingTest, BatchEqualsOneSampleAtATime) {
+  // DrawSamples computes the backbone once per exact batch; each sample
+  // must still be the one ExactBackboneSample draws from rng.Fork(i).
+  Rng graph_rng(79);
+  AnonymizationOptions options;
+  options.k = 3;
+  const auto release = Anonymize(BarabasiAlbert(120, 2, graph_rng), options);
+  ASSERT_TRUE(release.ok());
+  BatchSampleOptions batch;
+  batch.num_samples = 8;
+  batch.target_vertices = release->original_vertices;
+  batch.exact = true;
+  const Rng rng(83);
+  std::vector<SampleStats> stats;
+  const auto samples =
+      DrawSamples(release->graph, release->partition, batch, rng, &stats);
+  ASSERT_TRUE(samples.ok());
+  ASSERT_EQ(samples->size(), batch.num_samples);
+  for (size_t i = 0; i < batch.num_samples; ++i) {
+    Rng sample_rng = rng.Fork(i);
+    SampleStats one_stats;
+    const auto one =
+        ExactBackboneSample(release->graph, release->partition,
+                            release->original_vertices, sample_rng, nullptr,
+                            &one_stats);
+    ASSERT_TRUE(one.ok());
+    EXPECT_TRUE((*samples)[i] == *one) << "sample " << i;
+    EXPECT_EQ(stats[i].backbone_vertices, one_stats.backbone_vertices);
+    EXPECT_EQ(stats[i].copy_operations, one_stats.copy_operations);
+    EXPECT_EQ(stats[i].sampled_vertices, one_stats.sampled_vertices);
+  }
 }
 
 TEST(ApproxSamplingTest, SelectsExactlyTargetWhenReachable) {
