@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the core primitives: neighbor
 // scans over the CSR core (against the seed's vector-of-vectors layout),
 // equitable refinement, automorphism search, orbit copying / anonymization
-// (including the end-to-end pipeline), backbone detection, and the two
-// samplers. Complements the figure benches, which measure end-to-end shapes
-// rather than throughput.
+// (including the end-to-end pipeline and the vertex-minimal variant),
+// backbone detection, and the two samplers. Complements the figure
+// benches, which measure end-to-end shapes rather than throughput.
 //
 // Every run must name its JSON output with --benchmark_out=<file>; without
 // it the binary prints a usage line and exits 2. Graph memory footprints
@@ -61,6 +61,7 @@
 #include "graph/io.h"
 #include "ksym/anonymizer.h"
 #include "ksym/backbone.h"
+#include "ksym/minimal.h"
 #include "ksym/release_io.h"
 #include "ksym/sampling.h"
 #include "ksym/sharded_anonymizer.h"
@@ -568,6 +569,21 @@ void BM_BackboneDetectionHepth(benchmark::State& state) {
 }
 BENCHMARK(BM_BackboneDetectionHepth);
 
+// Section 5.1's vertex-minimal anonymization of Hepth from its exact
+// Orb(G) at k = 5: Algorithm 1 with the one-component unit chooser.
+void BM_MinimalAnonymizeHepth(benchmark::State& state) {
+  AnonymizationOptions options;
+  options.k = 5;
+  for (auto _ : state) {
+    auto release =
+        AnonymizeMinimalVertices(HepthGraph(), HepthOrbits(), options);
+    KSYM_CHECK(release.ok());
+    benchmark::DoNotOptimize(release);
+  }
+  AttachMemoryCounters(state, HepthGraph());
+}
+BENCHMARK(BM_MinimalAnonymizeHepth);
+
 void BM_ApproxSampleHepth(benchmark::State& state) {
   AnonymizationOptions options;
   options.k = 5;
@@ -978,7 +994,7 @@ void BM_AttackPassiveHarness(benchmark::State& state) {
 }
 BENCHMARK(BM_AttackPassiveHarness)->Unit(benchmark::kMillisecond);
 
-// Key interning (attack/intern.h) inside the passive measures: the
+// Key interning (common/intern.h) inside the passive measures: the
 // neighbour-degree measure on BA(200k, 4), 200k vector keys, and the five
 // measures an audit runs, on Hepth.
 void BM_NeighborDegreeMeasure200k(benchmark::State& state) {

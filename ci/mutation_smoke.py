@@ -168,9 +168,16 @@ MUTATIONS = [
     Mutation(
         name="backbone takes 4-vertex components with a matching key as copies",
         path="src/ksym/backbone.cc",
-        old="        if (component.members.size() <= 3) {\n",
-        new="        if (component.members.size() <= 4) {\n",
+        old="    if (latest != kNone && Members(c).size() <= 3) {\n",
+        new="    if (latest != kNone && Members(c).size() <= 4) {\n",
         test="backbone_test",
+    ),
+    Mutation(
+        name="minimal chooser checks only component 1 against component 0",
+        path="src/ksym/minimal.cc",
+        old="    for (uint32_t c = 1; c < classes.NumComponents(); ++c) {\n",
+        new="    for (uint32_t c = 1; c < 2 && c < classes.NumComponents(); ++c) {\n",
+        test="minimal_test",
     ),
 ]
 

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "attack/intern.h"
+#include "common/intern.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -27,7 +27,7 @@ StructuralMeasure AdjacencyMeasure(uint32_t ell) {
                                 degrees.end(), std::greater<uint32_t>());
               keys[v].assign(degrees.begin(), degrees.begin() + keep);
             }
-            return attack_internal::InternLabels(std::move(keys));
+            return InternLabels(std::move(keys));
           }};
 }
 

@@ -4,12 +4,10 @@
 #include <string>
 #include <utility>
 
-#include "attack/intern.h"
+#include "common/intern.h"
 
 namespace ksym {
 namespace {
-
-using attack_internal::InternLabels;
 
 // One synchronous round: next[v] = most frequent label in N(v), smallest on
 // ties. `count` is label-indexed scratch, all zero on entry and on return:
@@ -93,7 +91,7 @@ StructuralMeasure CommunityMeasure(uint32_t iterations) {
                 i = j;
               }
             }
-            return attack_internal::InternLabels(std::move(keys));
+            return InternLabels(std::move(keys));
           }};
 }
 

@@ -5,29 +5,13 @@
 #include <iterator>
 #include <utility>
 
-#include "attack/intern.h"
 #include "aut/canonical.h"
 #include "aut/refinement.h"
+#include "common/intern.h"
 #include "graph/algorithms.h"
 
 namespace ksym {
 namespace {
-
-using attack_internal::InternLabels;
-
-std::vector<std::vector<uint32_t>> NeighborDegreeSequences(
-    const Graph& graph) {
-  std::vector<std::vector<uint32_t>> sequences(graph.NumVertices());
-  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    auto& seq = sequences[v];
-    seq.reserve(graph.Degree(v));
-    for (VertexId u : graph.Neighbors(v)) {
-      seq.push_back(static_cast<uint32_t>(graph.Degree(u)));
-    }
-    std::sort(seq.begin(), seq.end());
-  }
-  return sequences;
-}
 
 // Keys the rooted ego net of a vertex v (the induced subgraph on
 // N(v) ∪ {v}, v marked) up to isomorphism. Two rooted ego nets are
@@ -193,21 +177,35 @@ StructuralMeasure TriangleMeasure(const ExecutionContext* /*context*/) {
 StructuralMeasure NeighborDegreeSequenceMeasure(
     const ExecutionContext* /*context*/) {
   return {"neighbor-degrees", [](const Graph& graph) {
-            return InternLabels(NeighborDegreeSequences(graph));
-          }};
-}
-
-StructuralMeasure CombinedMeasure(const ExecutionContext* /*context*/) {
-  return {"combined", [](const Graph& graph) {
-            const std::vector<uint64_t> tri = TriangleCounts(graph);
-            std::vector<std::pair<std::vector<uint32_t>, uint64_t>> keys;
-            keys.reserve(graph.NumVertices());
-            auto sequences = NeighborDegreeSequences(graph);
+            std::vector<std::vector<uint32_t>> keys(graph.NumVertices());
             for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-              keys.emplace_back(std::move(sequences[v]), tri[v]);
+              std::vector<uint32_t>& key = keys[v];
+              key.reserve(graph.Degree(v));
+              for (VertexId u : graph.Neighbors(v)) {
+                key.push_back(static_cast<uint32_t>(graph.Degree(u)));
+              }
+              std::sort(key.begin(), key.end());
             }
             return InternLabels(std::move(keys));
           }};
+}
+
+StructuralMeasure CombinedMeasure(const ExecutionContext* context) {
+  return {"combined", [context](const Graph& graph) {
+            return CombinedLabels(
+                NeighborDegreeSequenceMeasure(context).eval(graph),
+                TriangleMeasure(context).eval(graph));
+          }};
+}
+
+std::vector<uint32_t> CombinedLabels(const std::vector<uint32_t>& deg_labels,
+                                     const std::vector<uint32_t>& tri_labels) {
+  KSYM_CHECK(deg_labels.size() == tri_labels.size());
+  std::vector<uint64_t> keys(deg_labels.size());
+  for (size_t v = 0; v < keys.size(); ++v) {
+    keys[v] = uint64_t{deg_labels[v]} << 32 | tri_labels[v];
+  }
+  return InternLabels(std::move(keys));
 }
 
 StructuralMeasure NeighborhoodMeasure(const ExecutionContext* context) {
@@ -234,10 +232,15 @@ VertexPartition PartitionByMeasure(const Graph& graph,
                                    const StructuralMeasure& measure) {
   const std::vector<uint32_t> labels = measure.eval(graph);
   KSYM_CHECK(labels.size() == graph.NumVertices());
+  return PartitionByLabels(labels);
+}
+
+VertexPartition PartitionByLabels(const std::vector<uint32_t>& labels) {
   // Convert labels to representatives (minimum vertex with the label).
   std::vector<VertexId> rep_of_label(labels.size(), kInvalidVertex);
   std::vector<VertexId> rep(labels.size());
   for (VertexId v = 0; v < labels.size(); ++v) {
+    KSYM_CHECK(labels[v] < labels.size());
     if (rep_of_label[labels[v]] == kInvalidVertex) rep_of_label[labels[v]] = v;
     rep[v] = rep_of_label[labels[v]];
   }

@@ -52,6 +52,13 @@ StructuralMeasure NeighborDegreeSequenceMeasure(
 /// The paper's combined two-tuple f(v) = (Deg(v), tri(v)).
 StructuralMeasure CombinedMeasure(const ExecutionContext* context = nullptr);
 
+/// The combined measure's labels from its components' labels: interns the
+/// pairs (deg_labels[v], tri_labels[v]) in vertex order. Equal label pairs
+/// are equal (Deg(v), tri(v)) pairs, so given NeighborDegreeSequenceMeasure's
+/// and TriangleMeasure's labels these are CombinedMeasure's.
+std::vector<uint32_t> CombinedLabels(const std::vector<uint32_t>& deg_labels,
+                                     const std::vector<uint32_t>& tri_labels);
+
 /// The 1-neighborhood isomorphism class: the induced subgraph on
 /// N(v) ∪ {v} with v marked, up to isomorphism — the background knowledge
 /// of the k-neighborhood anonymity model (Zhou & Pei, reference [19]).
@@ -70,6 +77,10 @@ StructuralMeasure NeighborhoodMeasure(const ExecutionContext* context = nullptr)
 /// The partition V_f induced by the equivalence u ~ v <=> f(u) = f(v).
 VertexPartition PartitionByMeasure(const Graph& graph,
                                    const StructuralMeasure& measure);
+
+/// The partition into vertices of equal label, labels[v] being v's dense
+/// label (below labels.size(), as a measure's eval returns them).
+VertexPartition PartitionByLabels(const std::vector<uint32_t>& labels);
 
 /// The candidate set C(f, v): all vertices indistinguishable from v under
 /// the measure (including v).

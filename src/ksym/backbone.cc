@@ -1,38 +1,122 @@
 #include "ksym/backbone.h"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
+#include <numeric>
 #include <utility>
 
 #include "aut/isomorphism.h"
-#include "graph/algorithms.h"
+#include "common/intern.h"
 
 namespace ksym {
 namespace {
 
-// One connected component of a cell-induced subgraph, extracted with its
-// L(V) colours (colour = id of the member's external neighbourhood).
-struct CellComponent {
-  std::vector<VertexId> members;  // Sorted original vertex ids.
-  Graph subgraph;                 // Induced on `members`.
-  std::vector<uint32_t> colors;   // External-neighbourhood colour per member.
-
-  // Cheap isomorphism-invariant grouping key.
-  using Key = std::tuple<size_t, size_t, std::vector<std::pair<uint32_t, uint32_t>>>;
-  Key InvariantKey() const {
-    std::vector<std::pair<uint32_t, uint32_t>> profile;
-    profile.reserve(members.size());
-    for (VertexId i = 0; i < subgraph.NumVertices(); ++i) {
-      profile.emplace_back(colors[i],
-                           static_cast<uint32_t>(subgraph.Degree(i)));
-    }
-    std::sort(profile.begin(), profile.end());
-    return {subgraph.NumVertices(), subgraph.NumEdges(), std::move(profile)};
-  }
-};
+constexpr uint32_t kNone = ~uint32_t{0};
 
 }  // namespace
+
+CellCopyClasses::CellCopyClasses(const Graph& graph)
+    : graph_(graph), index_of_(graph.NumVertices()), extractor_(graph) {}
+
+void CellCopyClasses::Classify(const VertexPartition& partition,
+                               uint32_t cell, const std::vector<bool>& alive) {
+  const auto live = [&alive](VertexId v) { return alive.empty() || alive[v]; };
+  members_.clear();
+  for (VertexId v : partition.cells[cell]) {
+    if (live(v)) members_.push_back(v);
+  }
+  KSYM_DCHECK(std::is_sorted(members_.begin(), members_.end()));
+  for (uint32_t i = 0; i < members_.size(); ++i) index_of_[members_[i]] = i;
+
+  // Components by BFS from the lowest unreached member, so they come out
+  // numbered by minimum member, each sorted after its search. The search
+  // counts each member's degree inside its component (kNone: unreached).
+  by_component_.clear();
+  start_.clear();
+  degree_.assign(members_.size(), kNone);
+  for (uint32_t first = 0; first < members_.size(); ++first) {
+    if (degree_[first] != kNone) continue;
+    start_.push_back(static_cast<uint32_t>(by_component_.size()));
+    degree_[first] = 0;
+    by_component_.push_back(members_[first]);
+    for (size_t head = start_.back(); head < by_component_.size(); ++head) {
+      const VertexId v = by_component_[head];
+      for (VertexId u : graph_.Neighbors(v)) {
+        if (partition.cell_of[u] != cell || !live(u)) continue;
+        ++degree_[index_of_[v]];
+        uint32_t& degree = degree_[index_of_[u]];
+        if (degree == kNone) {
+          degree = 0;
+          by_component_.push_back(u);
+        }
+      }
+    }
+    std::sort(by_component_.begin() + start_.back(), by_component_.end());
+  }
+  const uint32_t num_components = static_cast<uint32_t>(start_.size());
+  start_.push_back(static_cast<uint32_t>(by_component_.size()));
+  copy_of_.resize(num_components);
+  std::iota(copy_of_.begin(), copy_of_.end(), 0);
+  if (num_components <= 1) return;
+
+  // L(V) colours: one per distinct live neighbourhood outside the cell.
+  std::vector<std::vector<VertexId>> outside(members_.size());
+  for (uint32_t i = 0; i < members_.size(); ++i) {
+    for (VertexId u : graph_.Neighbors(members_[i])) {
+      if (partition.cell_of[u] != cell && live(u)) outside[i].push_back(u);
+    }
+  }
+  const std::vector<uint32_t> color = InternLabels(std::move(outside));
+  const auto colors_of = [&](uint32_t c) {
+    std::vector<uint32_t> colors;
+    for (VertexId v : Members(c)) colors.push_back(color[index_of_[v]]);
+    return colors;
+  };
+
+  // Invariant keys: (size, edges, sorted (colour, degree) pairs).
+  std::vector<std::vector<uint64_t>> keys(num_components);
+  for (uint32_t c = 0; c < num_components; ++c) {
+    std::vector<uint64_t>& key = keys[c];
+    key = {Members(c).size(), 0};
+    for (VertexId v : Members(c)) {
+      const uint32_t i = index_of_[v];
+      key[1] += degree_[i];
+      key.push_back(uint64_t{color[i]} << 32 | degree_[i]);
+    }
+    key[1] /= 2;
+    std::sort(key.begin() + 2, key.end());
+  }
+  const std::vector<uint32_t> key_label = InternLabels(std::move(keys));
+
+  // Each component against the earlier class firsts with its key, chained
+  // from the latest through next_first. A component of at most three
+  // vertices copies any component with its key, whose class is then the
+  // only one: one vertex is decided by its colour, two by their colour
+  // pair, P3 by its centre (the degree-2 entry) and its leaves, and K3 by
+  // its colour multiset. Four are not: the paths a-b-c-d and a-c-b-d share
+  // a key.
+  std::vector<uint32_t> latest_first(num_components, kNone);
+  std::vector<uint32_t> next_first(num_components, kNone);
+  for (uint32_t c = 0; c < num_components; ++c) {
+    uint32_t& latest = latest_first[key_label[c]];
+    if (latest != kNone && Members(c).size() <= 3) {
+      copy_of_[c] = latest;
+    } else if (latest != kNone) {
+      const Graph component = extractor_.Extract(Members(c));
+      const std::vector<uint32_t> colors = colors_of(c);
+      for (uint32_t d = latest; d != kNone; d = next_first[d]) {
+        if (AreIsomorphic(component, extractor_.Extract(Members(d)), colors,
+                          colors_of(d))) {
+          copy_of_[c] = d;
+          break;
+        }
+      }
+    }
+    if (copy_of_[c] == c) {
+      next_first[c] = latest;
+      latest = c;
+    }
+  }
+}
 
 BackboneResult ComputeBackbone(const Graph& graph,
                                const VertexPartition& partition,
@@ -44,119 +128,20 @@ BackboneResult ComputeBackbone(const Graph& graph,
   BackboneResult result;
   std::vector<bool> alive(n, true);
 
-  // Scratch reused across cells and sweeps: member index (flat, reset only
-  // at touched entries), BFS queue, and the subgraph extractor's remap.
-  std::vector<uint32_t> index_of(n, static_cast<uint32_t>(-1));
-  std::vector<uint32_t> queue;
-  std::vector<VertexId> members;
-  SubgraphExtractor extractor(graph);
-
+  // Remove every component that copies an earlier one, cell by cell, until
+  // a pass removes nothing.
+  CellCopyClasses classes(graph);
   bool changed = true;
   while (changed) {
     changed = false;
     for (uint32_t cell = 0; cell < partition.cells.size(); ++cell) {
-      members.clear();
-      for (VertexId v : partition.cells[cell]) {
-        if (alive[v]) members.push_back(v);
-      }
-      if (members.size() <= 1) continue;
-
-      // Index of each member within `members`.
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        index_of[members[i]] = i;
-      }
-
-      // L(V) colours: one colour per distinct alive external neighbourhood.
-      std::map<std::vector<VertexId>, uint32_t> signature_color;
-      std::vector<uint32_t> color(members.size());
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        std::vector<VertexId> external;
-        for (VertexId u : graph.Neighbors(members[i])) {
-          if (alive[u] && partition.cell_of[u] != cell) external.push_back(u);
-        }
-        const auto [it, inserted] = signature_color.emplace(
-            std::move(external),
-            static_cast<uint32_t>(signature_color.size()));
-        color[i] = it->second;
-      }
-
-      // Connected components of the cell-induced subgraph (alive members).
-      std::vector<uint32_t> comp(members.size(), static_cast<uint32_t>(-1));
-      uint32_t num_comps = 0;
-      for (uint32_t start = 0; start < members.size(); ++start) {
-        if (comp[start] != static_cast<uint32_t>(-1)) continue;
-        const uint32_t c = num_comps++;
-        queue.clear();
-        queue.push_back(start);
-        comp[start] = c;
-        size_t head = 0;
-        while (head < queue.size()) {
-          const uint32_t i = queue[head++];
-          for (VertexId u : graph.Neighbors(members[i])) {
-            if (!alive[u] || partition.cell_of[u] != cell) continue;
-            const uint32_t j = index_of[u];
-            KSYM_DCHECK(j != static_cast<uint32_t>(-1));
-            if (comp[j] == static_cast<uint32_t>(-1)) {
-              comp[j] = c;
-              queue.push_back(j);
-            }
-          }
-        }
-      }
-      if (num_comps <= 1) {
-        for (VertexId v : members) index_of[v] = static_cast<uint32_t>(-1);
-        continue;
-      }
-
-      // Extract components (in order of minimum member, which keeps the
-      // lowest-id — typically original — component as the representative).
-      std::vector<CellComponent> components(num_comps);
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        components[comp[i]].members.push_back(members[i]);
-      }
-      for (CellComponent& component : components) {
-        component.subgraph = extractor.Extract(component.members);
-        component.colors.resize(component.members.size());
-        for (size_t i = 0; i < component.members.size(); ++i) {
-          component.colors[i] = color[index_of[component.members[i]]];
-        }
-      }
-      for (VertexId v : members) index_of[v] = static_cast<uint32_t>(-1);
-      std::sort(components.begin(), components.end(),
-                [](const CellComponent& a, const CellComponent& b) {
-                  return a.members.front() < b.members.front();
-                });
-
-      // Keep one representative per colour-isomorphism class; remove the
-      // rest (they are orbit-copies). A component of at most three
-      // vertices is a colour-preserving copy of any component with its
-      // key: one vertex is decided by its colour, two by their colour
-      // pair, P3 by its centre's colour (the degree-2 entry) and its
-      // leaves', and K3 by its colour multiset. Four vertices are not:
-      // the paths a-b-c-d and a-c-b-d share a key.
-      std::map<CellComponent::Key, std::vector<const CellComponent*>> reps;
-      for (const CellComponent& component : components) {
-        auto& bucket = reps[component.InvariantKey()];
-        bool is_copy = false;
-        if (component.members.size() <= 3) {
-          is_copy = !bucket.empty();
-        } else {
-          for (const CellComponent* rep : bucket) {
-            if (AreIsomorphic(component.subgraph, rep->subgraph,
-                              component.colors, rep->colors)) {
-              is_copy = true;
-              break;
-            }
-          }
-        }
-        if (is_copy) {
-          for (VertexId v : component.members) alive[v] = false;
-          result.removed_vertices += component.members.size();
-          ++result.reduction_operations;
-          changed = true;
-        } else {
-          bucket.push_back(&component);
-        }
+      classes.Classify(partition, cell, alive);
+      for (uint32_t c = 0; c < classes.NumComponents(); ++c) {
+        if (classes.CopyOf(c) == c) continue;
+        for (VertexId v : classes.Members(c)) alive[v] = false;
+        result.removed_vertices += classes.Members(c).size();
+        ++result.reduction_operations;
+        changed = true;
       }
     }
   }
@@ -165,7 +150,7 @@ BackboneResult ComputeBackbone(const Graph& graph,
   for (VertexId v = 0; v < n; ++v) {
     if (alive[v]) result.kept.push_back(v);
   }
-  result.graph = extractor.Extract(result.kept);
+  result.graph = InducedSubgraph(graph, result.kept);
   std::vector<VertexId> to_new(n, kInvalidVertex);
   for (size_t i = 0; i < result.kept.size(); ++i) {
     to_new[result.kept[i]] = static_cast<VertexId>(i);

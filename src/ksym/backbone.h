@@ -13,15 +13,21 @@
 // The pass repeats until no component can be removed, which on graphs
 // actually produced by orbit copying reaches the unique least element
 // (Theorems 3-4 guarantee order-independence).
+//
+// One classifier, CellCopyClasses below, decides which components of a
+// cell are L(V)-copies; backbone detection and the vertex-minimal unit
+// chooser (ksym/minimal.h) both read its answer.
 
 #ifndef KSYM_KSYM_BACKBONE_H_
 #define KSYM_KSYM_BACKBONE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aut/orbits.h"
 #include "common/parallel.h"
+#include "graph/algorithms.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -48,6 +54,52 @@ struct BackboneResult {
 BackboneResult ComputeBackbone(const Graph& graph,
                                const VertexPartition& partition,
                                const ExecutionContext* context);
+
+// ---------------------------------------------------------------------------
+// The one L(V)-copy test behind ComputeBackbone and minimal.h's unit
+// chooser. Not a separate algorithm: callers outside ksym/ use the entry
+// points.
+// ---------------------------------------------------------------------------
+
+/// Classifies the connected components of one cell's induced subgraph by
+/// L(V)-copy: component c copies component d when a colour-preserving
+/// isomorphism maps c onto d, a member's colour being its neighbourhood
+/// outside the cell. Keeps O(|V|) scratch, so one instance serves every
+/// cell of a graph.
+class CellCopyClasses {
+ public:
+  explicit CellCopyClasses(const Graph& graph);
+
+  /// Classifies `cell` of `partition` (sorted, as VertexPartition keeps
+  /// it) over its live members: v with alive[v], or every member when
+  /// `alive` is empty. Only live vertices count as neighbours.
+  void Classify(const VertexPartition& partition, uint32_t cell,
+                const std::vector<bool>& alive);
+
+  /// Components, numbered by minimum member.
+  uint32_t NumComponents() const {
+    return static_cast<uint32_t>(copy_of_.size());
+  }
+  /// Component c's members, ascending.
+  std::span<const VertexId> Members(uint32_t c) const {
+    return std::span<const VertexId>(by_component_)
+        .subspan(start_[c], start_[c + 1] - start_[c]);
+  }
+  /// The first component that c is an L(V)-copy of; c when it copies none.
+  uint32_t CopyOf(uint32_t c) const { return copy_of_[c]; }
+
+ private:
+  const Graph& graph_;
+  // Each live member's index in members_; read only for live members of
+  // the cell being classified, so stale entries need no reset.
+  std::vector<uint32_t> index_of_;
+  std::vector<VertexId> members_;   // Live members, ascending.
+  std::vector<uint32_t> degree_;    // Per member, inside its component.
+  std::vector<VertexId> by_component_;  // Members grouped by component.
+  std::vector<uint32_t> start_;  // Component c: [start_[c], start_[c + 1]).
+  std::vector<uint32_t> copy_of_;
+  SubgraphExtractor extractor_;
+};
 
 }  // namespace ksym
 

@@ -16,6 +16,9 @@
 // would break the symmetry between components attached to different parts
 // of the graph, and we fall back to whole-orbit copying.
 //
+// Which components are L(V)-copies is decided by the one classifier that
+// backbone detection uses (CellCopyClasses, ksym/backbone.h).
+//
 // This is not a second Algorithm 1: it is the same per-cell walk and the
 // same Ocp (ksym/anonymizer.h, ksym/orbit_copy.h) with a different unit
 // chooser, so it emits its release the same way.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "attack/harness.h"
 #include "attack/measures.h"
@@ -276,18 +278,26 @@ Result<Response> RunAudit(const AuditRequest& request, GraphCache* cache) {
   response.report += StrFormat("\n%-20s %10s %12s %8s %8s\n", "measure",
                                "unique", "under-k", "r_f", "s_f");
   timer.Reset();
+  std::vector<std::pair<std::string, std::vector<uint32_t>>> rows;
   for (const auto& measure :
        {DegreeMeasure(), TriangleMeasure(), NeighborDegreeSequenceMeasure(),
-        NeighborhoodMeasure(), CombinedMeasure()}) {
-    const VertexPartition cells = PartitionByMeasure(graph, measure);
+        NeighborhoodMeasure()}) {
+    rows.emplace_back(measure.name, measure.eval(graph));
+  }
+  // The combined measure (Deg(v), tri(v)), from the neighbour-degree and
+  // triangle labels above.
+  rows.emplace_back(CombinedMeasure().name,
+                    CombinedLabels(rows[2].second, rows[1].second));
+  for (const auto& [name, labels] : rows) {
+    const VertexPartition cells = PartitionByLabels(labels);
     size_t exposed = 0;
     for (const auto& cell : cells.cells) {
       if (cell.size() < request.k) exposed += cell.size();
     }
     const ReidentificationStats r = CompareToOrbits(cells, orbits);
     response.report += StrFormat("%-20s %10zu %12zu %8.3f %8.3f\n",
-                                 measure.name.c_str(), r.measure_singletons,
-                                 exposed, r.r_f, r.s_f);
+                                 name.c_str(), r.measure_singletons, exposed,
+                                 r.r_f, r.s_f);
   }
   response.log += StrFormat("measures %.1f ms\n", timer.ElapsedMillis());
   return response;

@@ -3,15 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "attack/intern.h"
 #include "attack/measures.h"
 #include "attack/reidentification.h"
+#include "common/intern.h"
 #include "common/rng.h"
+#include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "ksym/anonymizer.h"
 
@@ -69,7 +71,6 @@ TEST(InternLabelsTest, MatchesMapReferenceOnRandomKeys) {
       wide_vectors.push_back(std::move(wide_vector));
       pairs.emplace_back(std::move(vector), rng.NextBounded(2));
     }
-    using attack_internal::InternLabels;
     EXPECT_EQ(InternLabels(scalars), MapInternLabels(scalars)) << round;
     EXPECT_EQ(InternLabels(wide), MapInternLabels(wide)) << round;
     EXPECT_EQ(InternLabels(vectors), MapInternLabels(vectors)) << round;
@@ -111,6 +112,30 @@ TEST(MeasuresTest, NeighborDegreeSequenceRefinesDegree) {
   for (const auto& cell : by_nds.cells) {
     const uint32_t degree_cell = by_degree.cell_of[cell.front()];
     for (VertexId v : cell) EXPECT_EQ(by_degree.cell_of[v], degree_cell);
+  }
+}
+
+TEST(MeasuresTest, CombinedLabelsInternTheDegreeSequenceTrianglePairs) {
+  Rng rng(26);
+  for (int trial = 0; trial < 120; ++trial) {
+    const size_t n = 5 + rng.NextBounded(60);
+    const Graph g = trial % 2 == 0
+                        ? ErdosRenyiGnm(n, rng.NextBounded(3 * n), rng)
+                        : BarabasiAlbert(n, 1 + rng.NextBounded(3), rng);
+    const std::vector<uint64_t> tri = TriangleCounts(g);
+    std::vector<std::pair<std::vector<size_t>, uint64_t>> keys;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      std::vector<size_t> degrees;
+      for (VertexId u : g.Neighbors(v)) degrees.push_back(g.Degree(u));
+      std::sort(degrees.begin(), degrees.end());
+      keys.emplace_back(std::move(degrees), tri[v]);
+    }
+    const std::vector<uint32_t> expected = MapInternLabels(keys);
+    EXPECT_EQ(CombinedLabels(NeighborDegreeSequenceMeasure().eval(g),
+                             TriangleMeasure().eval(g)),
+              expected)
+        << trial;
+    EXPECT_EQ(CombinedMeasure().eval(g), expected) << trial;
   }
 }
 

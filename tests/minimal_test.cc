@@ -108,6 +108,27 @@ TEST(MinimalTest, FallsBackWhenComponentsAreNotCopies) {
       IsCellwiseSubAutomorphismPartition(minimal->graph, minimal->partition));
 }
 
+TEST(MinimalTest, CopiesTheWholeCellWhenOnlySomeComponentsAreCopies) {
+  // Hubs 0 and 1 share an orbit; pendants 2, 3 hang off 0 and 4, 5 off 1.
+  // In the pendant cell {2, 3, 4, 5} the single-vertex components 2 and 3
+  // are L(V)-copies, but 4 and 5 copy neither: copying vertex 2 alone would
+  // give hub 0 a third pendant and hub 1 two, so the cell is copied whole.
+  GraphBuilder b(6);
+  b.AddEdge(0, 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(0, 3);
+  b.AddEdge(1, 4);
+  b.AddEdge(1, 5);
+  const Graph g = b.Build();
+  AnonymizationOptions options;
+  options.k = 5;
+  const auto minimal = AnonymizeMinimalVertices(g, options);
+  ASSERT_TRUE(minimal.ok());
+  EXPECT_EQ(minimal->partition.CellSizeOf(2), 8u);
+  EXPECT_TRUE(
+      IsCellwiseSubAutomorphismPartition(minimal->graph, minimal->partition));
+}
+
 TEST(MinimalTest, HubExclusionComposes) {
   const Graph star = MakeStar(10);
   AnonymizationOptions options;

@@ -14,10 +14,10 @@
 #include <utility>
 #include <vector>
 
-#include "attack/intern.h"
 #include "attack/measures.h"
 #include "aut/canonical.h"
 #include "aut/refinement.h"
+#include "common/intern.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -52,7 +52,7 @@ std::vector<uint32_t> ReferenceLabels(const Graph& graph) {
       key.push_back(partition.NumCells());
     }
   }
-  return attack_internal::InternLabels(std::move(keys));
+  return InternLabels(std::move(keys));
 }
 
 void ExpectReferenceLabels(const Graph& graph, const std::string& name) {
