@@ -168,8 +168,10 @@ MUTATIONS = [
     Mutation(
         name="backbone takes 4-vertex components with a matching key as copies",
         path="src/ksym/backbone.cc",
-        old="    if (latest != kNone && Members(c).size() <= 3) {\n",
-        new="    if (latest != kNone && Members(c).size() <= 4) {\n",
+        old=("      if (Members(c).size() <= 3 || "
+             "sharing[key_label[c]] == 1) continue;\n"),
+        new=("      if (Members(c).size() <= 4 || "
+             "sharing[key_label[c]] == 1) continue;\n"),
         test="backbone_test",
     ),
     Mutation(
@@ -178,6 +180,13 @@ MUTATIONS = [
         old="    for (uint32_t c = 1; c < classes.NumComponents(); ++c) {\n",
         new="    for (uint32_t c = 1; c < 2 && c < classes.NumComponents(); ++c) {\n",
         test="minimal_test",
+    ),
+    Mutation(
+        name="text release reader drops its vertex id range check",
+        path="src/ksym/release_io.cc",
+        old="      if (!parse_field(index, &value) || value >= kInvalidVertex) {\n",
+        new="      if (!parse_field(index, &value)) {\n",
+        test="release_io_test",
     ),
 ]
 

@@ -11,9 +11,10 @@
 // or the best leaf give automorphisms, stored by their moved points, which
 // prune sibling branches in the same orbit.
 //
-// This is the engine behind graph-isomorphism testing in the backbone
-// detector (Algorithm 2 needs component isomorphism constrained by external
-// neighbourhoods, which we encode as vertex colours).
+// The backbone detector keys components by it (Algorithm 2 needs component
+// isomorphism constrained by external neighbourhoods, which we encode as
+// vertex colours), and AreIsomorphic (aut/isomorphism.h) compares two
+// forms.
 
 #ifndef KSYM_AUT_CANONICAL_H_
 #define KSYM_AUT_CANONICAL_H_

@@ -1,10 +1,7 @@
-// Graph isomorphism testing via canonical forms.
-//
-// Backbone detection (Algorithm 2 of the paper) needs to decide whether one
-// connected component of a cell-induced subgraph is an orbit-copy of
-// another. That reduces to colour-preserving isomorphism, with colours
-// encoding each vertex's neighbourhood outside the cell (the L(V) relation
-// of Section 4.2.2).
+// Graph isomorphism testing via canonical forms: the library's test of
+// whether two given graphs are isomorphic, optionally colour-preserving.
+// Backbone detection does not call it: it keys each component once by its
+// coloured canonical form (aut/canonical.h) and compares keys.
 
 #ifndef KSYM_AUT_ISOMORPHISM_H_
 #define KSYM_AUT_ISOMORPHISM_H_

@@ -12,7 +12,7 @@ namespace {
 // component is an L(V)-copy of it, otherwise the whole cell.
 CopyUnitChooser MinimalUnits(CellCopyClasses& classes) {
   return [&classes](const VertexPartition& initial, uint32_t cell) {
-    classes.Classify(initial, cell, {});
+    classes.Classify(initial, cell);
     for (uint32_t c = 1; c < classes.NumComponents(); ++c) {
       // Copying one component would break the symmetry between the others.
       if (classes.CopyOf(c) != 0) return initial.cells[cell];

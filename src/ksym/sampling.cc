@@ -52,36 +52,29 @@ void SpendBudget(int64_t budget, const Weight& weight, const Cost& cost,
 
 /// Algorithm 3 after its backbone step: regrows `backbone`, the backbone of
 /// a release with cells `partition`, by CPN[b] whole-cell copies of each
-/// backbone cell b. `weights` has been checked against `partition`.
+/// backbone cell b, which is release cell b restricted to the backbone.
+/// `weights` has been checked against `partition`.
 Result<Graph> RegrowBackbone(const VertexPartition& partition,
                              const BackboneResult& backbone,
                              size_t target_vertices, Rng& rng,
                              const std::vector<double>& weights,
                              SampleStats* stats) {
-  // Backbone cell b corresponds to the released cell of its
-  // representative in the input partition (for sizes and weights).
-  const size_t num_backbone_cells = backbone.partition.cells.size();
-  std::vector<uint32_t> released_cell(num_backbone_cells);
-  for (uint32_t b = 0; b < num_backbone_cells; ++b) {
-    const VertexId rep_in_backbone = backbone.partition.cells[b].front();
-    released_cell[b] = partition.cell_of[backbone.kept[rep_in_backbone]];
-  }
-
   // Distribute the vertex budget: CPN[b] copy operations per backbone cell,
-  // subject to (CPN[b] + 1) * |B_b| <= |V'_released(b)| so the sample never
-  // outgrows the released graph's cell. Once every cell is saturated the
-  // sample stays smaller than n.
+  // subject to (CPN[b] + 1) * |B_b| <= |V'_b| so the sample never outgrows
+  // the released graph's cell. Once every cell is saturated the sample
+  // stays smaller than n.
+  const size_t num_backbone_cells = backbone.partition.cells.size();
   std::vector<size_t> cpn(num_backbone_cells, 0);
   SpendBudget(
       static_cast<int64_t>(target_vertices) -
           static_cast<int64_t>(backbone.graph.NumVertices()),
-      [&](size_t b) { return weights[released_cell[b]]; },
+      [&](size_t b) { return weights[b]; },
       [&](size_t b) {
         return static_cast<int64_t>(backbone.partition.cells[b].size());
       },
       [&](size_t b, size_t copies) {  // Room for one more copy.
         return (copies + 2) * backbone.partition.cells[b].size() <=
-               partition.cells[released_cell[b]].size();
+               partition.cells[b].size();
       },
       cpn, rng);
 

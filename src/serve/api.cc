@@ -33,8 +33,10 @@ namespace {
 // Caps on the bare counts that size a request's work, each at least ten
 // times any count the tools, tests and benchmarks ask for. Past them a
 // request would allocate without bound (a graph per sample, a measure per
-// ell) or hold a worker for hours (label-propagation rounds).
+// ell), start an OS thread per count (a sample's or attack's pool) or hold
+// a worker for hours (label-propagation rounds).
 constexpr uint64_t kMaxSamples = 1000;
+constexpr uint64_t kMaxThreads = 256;
 constexpr uint64_t kMaxEll = 64;
 constexpr uint64_t kMaxCommunityIterations = 100;
 
@@ -310,6 +312,7 @@ Result<Response> RunSample(const SampleRequest& request, GraphCache* cache) {
   }
   KSYM_RETURN_IF_ERROR(
       CheckCount("--samples", request.samples, kMaxSamples));
+  KSYM_RETURN_IF_ERROR(CheckCount("--threads", request.threads, kMaxThreads));
   KSYM_ASSIGN_OR_RETURN(const ResolvedRelease resolved,
                         ResolveRelease(request.release, cache));
   const ReleaseTriple& release = resolved.release();
@@ -365,6 +368,7 @@ Result<Response> RunAttack(const AttackRequest& request, GraphCache* cache) {
   KSYM_RETURN_IF_ERROR(CheckCount("--community-iters",
                                   request.community_iters,
                                   kMaxCommunityIterations));
+  KSYM_RETURN_IF_ERROR(CheckCount("--threads", request.threads, kMaxThreads));
   if (IsManifestFile(request.input)) {
     return Status::InvalidArgument(
         "attack needs the resident graph; sharded manifests are not "

@@ -191,6 +191,14 @@ void ExpectSameBackbone(const Graph& graph, const VertexPartition& partition,
   EXPECT_EQ(got.removed_vertices, want.removed_vertices) << name;
   EXPECT_EQ(got.reduction_operations, want.reduction_operations) << name;
   EXPECT_TRUE(got.graph == want.graph) << name;
+  // Backbone cell b is cell b of V restricted to `kept`: the exact regrow
+  // reads the release's cell b for it.
+  ASSERT_EQ(got.partition.cells.size(), partition.cells.size()) << name;
+  for (uint32_t b = 0; b < got.partition.cells.size(); ++b) {
+    for (VertexId v : got.partition.cells[b]) {
+      EXPECT_EQ(partition.cell_of[got.kept[v]], b) << name;
+    }
+  }
 }
 
 void ExpectSameCosts(const CopyCosts& got, const CopyCosts& want,

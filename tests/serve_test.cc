@@ -727,6 +727,31 @@ TEST(ArgParserDeathTest, FailUsageExitsTwo) {
   EXPECT_EXIT(parser.FailUsage("--input is required"),
               testing::ExitedWithCode(2), "--input is required");
 }
+TEST(ApiTest, ThreadCountsPastTheCapAreRejectedBeforeAnyWork) {
+  // Each --threads worker is an OS thread. The check runs before the
+  // release or graph is loaded, so this test starts no threads.
+  SampleRequest sample;
+  sample.release = WriteTestRelease("api_threads_rel");
+  sample.output_prefix = TempPath("api_threads_s");
+  sample.threads = 257;
+  const std::string first = sample.output_prefix + ".0.edges";
+  std::filesystem::remove(first);
+  const auto sampled = RunSample(sample);
+  ASSERT_FALSE(sampled.ok());
+  EXPECT_EQ(sampled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sampled.status().message(),
+            "--threads 257 exceeds the cap of 256");
+  EXPECT_FALSE(std::filesystem::exists(first));
+
+  AttackRequest attack;
+  attack.input = WriteTestEdges("api_threads.edges");
+  attack.threads = 257;
+  const auto attacked = RunAttack(attack);
+  ASSERT_FALSE(attacked.ok());
+  EXPECT_EQ(attacked.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(attacked.status().message(),
+            "--threads 257 exceeds the cap of 256");
+}
 
 // ---------------------------------------------------------------------------
 // Server end to end
@@ -821,6 +846,33 @@ TEST(ServerTest, OversizedCountsAnswerErrorsAndTheDaemonServesOn) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->GetString("status"), "ok");
   EXPECT_EQ(server.stats().failed, 3u);
+  server.Stop();
+}
+
+TEST(ServerTest, OversizedTextReleaseAnswersAnErrorAndTheDaemonServesOn) {
+  // A text release is read on the request's path (a cache bypass). Its
+  // declared vertex count must be bounded before anything is allocated
+  // for it: a bad_alloc on a worker would end the daemon.
+  const std::string release = TempPath("srv_oversized.ksym");
+  WriteFileBytes(release,
+                 "# ksym-release 1\noriginal 2\nvertices 1000000000000000\n"
+                 "edge 0 1\ncell 0 1\n");
+  Server server(BaseOptions("srv_oversized.sock"));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.options().socket_path);
+  ASSERT_TRUE(client.connected());
+  const auto response = ParseWireLine(client.RoundTrip(
+      "{\"op\":\"sample\",\"release\":\"" + release +
+      "\",\"output_prefix\":\"" + TempPath("srv_oversized_s") + "\"}"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->GetString("status"), "error");
+  EXPECT_NE(response->GetString("error").find(
+                "line 3: bad vertices (at most 4294967295)"),
+            std::string::npos)
+      << response->GetString("error");
+  const auto stats = ParseWireLine(client.RoundTrip("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->GetString("status"), "ok");
   server.Stop();
 }
 
