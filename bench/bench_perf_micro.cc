@@ -517,10 +517,8 @@ void BM_AnonymizeEndToEndHepth(benchmark::State& state) {
 BENCHMARK(BM_AnonymizeEndToEndHepth)->Arg(2)->Arg(5);
 
 // The release_tdv input: a 30k-vertex power-law graph (gamma = 2.1, degrees
-// drawn from the truncated Pareto tail, max 300, configuration model),
-// anonymized to k = 5 from its TDV partition — the copy-and-emit step of
-// the in-memory publish.
-void BM_AnonymizeTdvPowerLaw30k(benchmark::State& state) {
+// drawn from the truncated Pareto tail, max 300, configuration model).
+const Graph& PowerLaw30kGraph() {
   static const Graph* graph = [] {
     Rng rng(7);
     std::vector<size_t> degrees(30000);
@@ -535,20 +533,38 @@ void BM_AnonymizeTdvPowerLaw30k(benchmark::State& state) {
     KSYM_CHECK(built.ok());
     return new Graph(std::move(built).value());
   }();
-  const VertexPartition tdv = ComputeTotalDegreePartition(*graph, nullptr);
+  return *graph;
+}
+
+// TDV of that graph, refinement and cell read-out: the partition step of
+// the in-memory publish.
+void BM_TdvPowerLaw30k(benchmark::State& state) {
+  const Graph& graph = PowerLaw30kGraph();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeTotalDegreePartition(graph, nullptr));
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_TdvPowerLaw30k)->Unit(benchmark::kMillisecond);
+
+// That graph anonymized to k = 5 from its TDV partition: the copy-and-emit
+// step of the in-memory publish.
+void BM_AnonymizeTdvPowerLaw30k(benchmark::State& state) {
+  const Graph& graph = PowerLaw30kGraph();
+  const VertexPartition tdv = ComputeTotalDegreePartition(graph, nullptr);
   AnonymizationOptions options;
   options.k = 5;
   options.use_total_degree_partition = true;
   size_t released_edges = 0;
   for (auto _ : state) {
-    auto result = AnonymizeWithPartition(*graph, tdv, options);
+    auto result = AnonymizeWithPartition(graph, tdv, options);
     KSYM_CHECK(result.ok());
     released_edges = result->graph.NumEdges();
     benchmark::DoNotOptimize(result);
   }
   state.counters["released_edges"] =
       benchmark::Counter(static_cast<double>(released_edges));
-  AttachMemoryCounters(state, *graph);
+  AttachMemoryCounters(state, graph);
 }
 BENCHMARK(BM_AnonymizeTdvPowerLaw30k)->Unit(benchmark::kMillisecond);
 

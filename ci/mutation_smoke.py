@@ -46,6 +46,17 @@ MUTATIONS = [
         new="const uint32_t skip = largest_start;",
         test="refinement_test",
     ),
+    # SortSplitKeys's direct tests (keys differing in one byte) and the
+    # reference split on power-law graphs both catch this one.
+    Mutation(
+        name="split-key radix sort skips the highest byte that varies",
+        path="src/aut/refinement.cc",
+        old=("  for (unsigned p = 0; p < passes; ++p) {\n"
+             "    uint32_t sum = 0;\n"),
+        new=("  for (unsigned p = 0; p + 1 < passes; ++p) {\n"
+             "    uint32_t sum = 0;\n"),
+        test="refinement_test",
+    ),
     Mutation(
         name="a copy row drops its other-cell neighbours' copies",
         path="src/ksym/orbit_copy.cc",

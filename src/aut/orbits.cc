@@ -72,6 +72,26 @@ VertexPartition VertexPartition::FromCells(
   return partition;
 }
 
+VertexPartition VertexPartition::FromOrderedPartition(
+    const OrderedPartition& ordered) {
+  const size_t n = ordered.NumVertices();
+  VertexPartition partition;
+  partition.cell_of.resize(n);
+  partition.cells.reserve(ordered.NumCells());
+  std::vector<uint32_t> index_of_start(n, static_cast<uint32_t>(-1));
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t start = ordered.CellStartOf(v);
+    uint32_t& index = index_of_start[start];
+    if (index == static_cast<uint32_t>(-1)) {
+      index = static_cast<uint32_t>(partition.cells.size());
+      partition.cells.emplace_back().reserve(ordered.CellSizeAt(start));
+    }
+    partition.cell_of[v] = index;
+    partition.cells[index].push_back(v);
+  }
+  return partition;
+}
+
 VertexPartition ComputeAutomorphismPartition(const Graph& graph,
                                              const std::vector<uint32_t>& colors,
                                              const ExecutionContext* context) {
@@ -82,10 +102,14 @@ VertexPartition ComputeAutomorphismPartition(const Graph& graph,
 VertexPartition ComputeTotalDegreePartition(const Graph& graph,
                                             const ExecutionContext* context,
                                             uint64_t* trace_hash) {
-  return VertexPartition::FromCells(
-      graph.NumVertices(),
-      EquitablePartition(graph, RefinementOptions{.context = context,
-                                                  .trace_hash = trace_hash}));
+  OrderedPartition refined(graph.NumVertices(), {});
+  // The refiner outlives the read-out. Freed first, its scratch moved
+  // glibc's dynamic mmap threshold before the read-out's allocations, and
+  // release_tdv's peak RSS read 36 instead of 25 MiB on two of ten seeds.
+  Refiner refiner(graph, context);
+  const uint64_t trace = refiner.RefineAll(refined);
+  if (trace_hash != nullptr) *trace_hash = trace;
+  return VertexPartition::FromOrderedPartition(refined);
 }
 
 }  // namespace ksym

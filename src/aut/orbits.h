@@ -19,6 +19,8 @@
 
 namespace ksym {
 
+class OrderedPartition;
+
 /// A partition of the vertex set into labelled cells.
 struct VertexPartition {
   /// cell_of[v]: index of v's cell in `cells`.
@@ -40,6 +42,11 @@ struct VertexPartition {
   static VertexPartition FromCells(size_t n,
                                    std::vector<std::vector<VertexId>> cells);
 
+  /// The cells of an ordered partition, in one scan of the vertices in id
+  /// order: it meets each cell first at its minimum, so cells come out
+  /// numbered by minimum with their members ascending, and nothing sorts.
+  static VertexPartition FromOrderedPartition(const OrderedPartition& ordered);
+
   friend bool operator==(const VertexPartition& a, const VertexPartition& b) {
     return a.cells == b.cells;
   }
@@ -56,6 +63,7 @@ VertexPartition ComputeAutomorphismPartition(const Graph& graph,
 /// TDV(G): the coarsest equitable partition (iterated degree refinement),
 /// on `context`'s execution policy. Every cell is a union of orbits, so it
 /// is a *conservative upper approximation*: cell sizes >= orbit sizes.
+/// One RefineAll of the unit partition, read out by FromOrderedPartition.
 /// If `trace_hash` is non-null it receives the refinement trace hash — the
 /// digest the sharded pipeline compares against the in-memory run.
 VertexPartition ComputeTotalDegreePartition(const Graph& graph,

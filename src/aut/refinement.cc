@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -132,6 +133,60 @@ void OrderedPartition::RevertTo(size_t mark) {
   }
 }
 
+void SortSplitKeys(std::span<SplitKey> keys, std::vector<SplitKey>& scratch) {
+  const size_t n = keys.size();
+  if (n <= kInsertionSortMaxKeys) {
+    for (size_t i = 1; i < n; ++i) {
+      const SplitKey key = keys[i];
+      size_t j = i;
+      for (; j > 0 && key < keys[j - 1]; --j) keys[j] = keys[j - 1];
+      keys[j] = key;
+    }
+    return;
+  }
+  // LSD radix sort: one stable counting pass per byte, lowest first. A byte
+  // every key shares (equal in their OR and their AND) would leave the
+  // order as it is, so it gets no pass. One read of the keys counts the
+  // histograms of every pass.
+  SplitKey any = 0;
+  SplitKey all = ~SplitKey{0};
+  for (const SplitKey key : keys) {
+    any |= key;
+    all &= key;
+  }
+  unsigned shifts[16] = {};
+  unsigned passes = 0;
+  for (unsigned shift = 0; shift < 128; shift += 8) {
+    if (static_cast<uint8_t>((any ^ all) >> shift) != 0) {
+      shifts[passes++] = shift;
+    }
+  }
+  // Only the passes' rows are zeroed, and only they are read.
+  uint32_t offsets[16][256];
+  for (unsigned p = 0; p < passes; ++p) std::fill_n(offsets[p], 256, 0u);
+  for (const SplitKey key : keys) {
+    for (unsigned p = 0; p < passes; ++p) {
+      ++offsets[p][static_cast<uint8_t>(key >> shifts[p])];
+    }
+  }
+  scratch.resize(n);
+  SplitKey* from = keys.data();
+  SplitKey* to = scratch.data();
+  for (unsigned p = 0; p < passes; ++p) {
+    uint32_t sum = 0;
+    for (uint32_t& offset : offsets[p]) {
+      const uint32_t count = offset;
+      offset = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      to[offsets[p][static_cast<uint8_t>(from[i] >> shifts[p])]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != keys.data()) std::copy(from, from + n, keys.data());
+}
+
 Refiner::Refiner(const Graph& graph) : Refiner(graph, nullptr) {}
 
 Refiner::Refiner(const Graph& graph, const ExecutionContext* context)
@@ -193,27 +248,27 @@ void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
   // the only edge access in refinement, one seam call per splitter.
   source_->CountSplitter(p.CellAt(w_start), count_, touched_);
   if (touched_.empty()) return;
-  keyed_.clear();
+  keys_.clear();
   for (VertexId v : touched_) {
-    keyed_.push_back({(uint64_t{p.CellStartOf(v)} << 32) | count_[v], v});
+    keys_.push_back(SplitKey{p.CellStartOf(v)} << 64 |
+                    SplitKey{count_[v]} << 32 | v);
     count_[v] = 0;
   }
   touched_.clear();
-  std::sort(keyed_.begin(), keyed_.end());
+  SortSplitKeys(keys_, sort_scratch_);
 
-  // One run of keyed_ per affected cell, in ascending cell order.
-  for (size_t first = 0, last = 0; first < keyed_.size(); first = last) {
-    const uint32_t c_start =
-        static_cast<uint32_t>(keyed_[first].cell_and_count >> 32);
-    while (last < keyed_.size() &&
-           keyed_[last].cell_and_count >> 32 == c_start) {
-      ++last;
-    }
+  const auto cell_of = [this](size_t i) {
+    return static_cast<uint32_t>(keys_[i] >> 64);
+  };
+  const auto count_of = [this](size_t i) {
+    return static_cast<uint32_t>(keys_[i] >> 32);
+  };
+  // One run of keys_ per affected cell, in ascending cell order.
+  for (size_t first = 0, last = 0; first < keys_.size(); first = last) {
+    const uint32_t c_start = cell_of(first);
+    while (last < keys_.size() && cell_of(last) == c_start) ++last;
     const uint32_t c_size = p.CellSizeAt(c_start);
     const uint32_t rest = c_size - static_cast<uint32_t>(last - first);
-    const auto count_of = [this](size_t i) {
-      return static_cast<uint32_t>(keyed_[i].cell_and_count);
-    };
     // Uniform (every member touched the same number of times): no split.
     if (rest == 0 && count_of(first) == count_of(last - 1)) continue;
 
@@ -231,7 +286,7 @@ void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
     }
     uint32_t group_len = 0;
     for (size_t i = first; i < last; ++i) {
-      tail_.push_back(keyed_[i].vertex);
+      tail_.push_back(static_cast<VertexId>(keys_[i]));
       ++group_len;
       if (i + 1 == last || count_of(i + 1) != count_of(i)) {
         tail_groups_.push_back(group_len);

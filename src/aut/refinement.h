@@ -105,6 +105,22 @@ class OrderedPartition {
   mutable uint32_t target_hint_ = 0;
 };
 
+/// A touched vertex's split key: (cell start << 64) | (count << 32) |
+/// vertex. Ascending keys group a splitter's touched vertices by cell, in
+/// start order, then by count, then by vertex id: an order independent of
+/// the order in which a neighbor source discovered them.
+using SplitKey = unsigned __int128;
+
+/// Key count up to which SortSplitKeys uses insertion sort; more keys get
+/// the radix sort.
+inline constexpr size_t kInsertionSortMaxKeys = 32;
+
+/// Sorts `keys` ascending, by a method chosen from their number alone:
+/// insertion sort, or an LSD byte radix sort through `scratch` with one
+/// pass per byte on which the keys are not all equal. Internal helper for
+/// the refiner; exposed for tests.
+void SortSplitKeys(std::span<SplitKey> keys, std::vector<SplitKey>& scratch);
+
 /// Options for the refinement entry points.
 struct RefinementOptions {
   /// Initial colouring (empty = unit partition), as for OrderedPartition.
@@ -124,9 +140,9 @@ struct RefinementOptions {
 /// scheduling — a split queues every sub-cell except the largest, unless
 /// the parent cell is still queued — so each vertex sits in O(log n)
 /// processed splitters and a full refinement reads O((n + m) log n) arcs;
-/// splits move only the vertices the splitter touches, after one sort of
-/// them. All per-call state is cleared as it is consumed, so a refine call
-/// costs O(work), never O(n).
+/// splits move only the vertices the splitter touches, after one
+/// SortSplitKeys of their keys. All per-call state is cleared as it is
+/// consumed, so a refine call costs O(work), never O(n).
 ///
 /// The Graph constructors bind the refiner to an in-memory CSR source; the
 /// NeighborSource constructor accepts any implementation of the counting
@@ -150,19 +166,6 @@ class Refiner {
   uint64_t RefineFrom(OrderedPartition& p, uint32_t seed_start);
 
  private:
-  /// A touched vertex keyed for the split pass: (cell start << 32 | count)
-  /// then vertex id, so a sort groups each cell's touched vertices by count
-  /// in an order independent of how the source discovered them.
-  struct TouchedKey {
-    uint64_t cell_and_count;
-    VertexId vertex;
-    friend bool operator<(const TouchedKey& a, const TouchedKey& b) {
-      return a.cell_and_count != b.cell_and_count
-                 ? a.cell_and_count < b.cell_and_count
-                 : a.vertex < b.vertex;
-    }
-  };
-
   /// Queues the cell starting at `start` as a splitter.
   void Schedule(uint32_t start) {
     pending_[start] = 1;
@@ -187,7 +190,8 @@ class Refiner {
   // Scratch reused across calls, so refines do not allocate.
   std::vector<uint32_t> worklist_;
   std::vector<VertexId> touched_;
-  std::vector<TouchedKey> keyed_;
+  std::vector<SplitKey> keys_;
+  std::vector<SplitKey> sort_scratch_;
   std::vector<VertexId> tail_;
   std::vector<uint32_t> tail_groups_;
 };

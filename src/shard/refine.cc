@@ -21,11 +21,13 @@ std::vector<std::vector<VertexId>> ShardedEquitablePartition(
 VertexPartition ShardedTotalDegreePartition(const ShardedGraph& graph,
                                             const ExecutionContext* context,
                                             uint64_t* trace_hash) {
-  return VertexPartition::FromCells(
-      graph.NumVertices(),
-      ShardedEquitablePartition(graph,
-                                RefinementOptions{.context = context,
-                                                  .trace_hash = trace_hash}));
+  ShardedNeighborSource source(graph);
+  OrderedPartition refined(graph.NumVertices(), {});
+  // Outlives the read-out, as in ComputeTotalDegreePartition.
+  Refiner refiner(source, context);
+  const uint64_t trace = refiner.RefineAll(refined);
+  if (trace_hash != nullptr) *trace_hash = trace;
+  return VertexPartition::FromOrderedPartition(refined);
 }
 
 }  // namespace ksym

@@ -50,7 +50,9 @@ std::vector<std::vector<VertexId>> ShardedEquitablePartition(
     const ShardedGraph& graph, const RefinementOptions& options);
 
 /// ComputeTotalDegreePartition over a shard set: TDV(G) without ever
-/// materializing G. == ComputeTotalDegreePartition on the merged graph.
+/// materializing G. == ComputeTotalDegreePartition on the merged graph:
+/// one RefineAll through a ShardedNeighborSource, and the cells read out
+/// by the same VertexPartition::FromOrderedPartition.
 VertexPartition ShardedTotalDegreePartition(const ShardedGraph& graph,
                                             const ExecutionContext* context,
                                             uint64_t* trace_hash = nullptr);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "aut/refinement.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 
 namespace ksym {
@@ -26,6 +28,29 @@ TEST(VertexPartitionTest, FromCellsOrdersByMinimum) {
       VertexPartition::FromCells(4, {{3, 1}, {2, 0}});
   EXPECT_EQ(p.cells[0], (std::vector<VertexId>{0, 2}));
   EXPECT_EQ(p.cells[1], (std::vector<VertexId>{1, 3}));
+}
+
+// The one-scan builder gives what FromCells makes of the partition's cells:
+// cells numbered by minimum, members ascending, and the same cell_of.
+TEST(VertexPartitionTest, FromOrderedPartitionMatchesFromCells) {
+  Rng rng(0x0B17);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t n = 1 + rng.NextBounded(200);
+    const Graph graph = ErdosRenyiGnm(n, rng.NextBounded(2 * n), rng);
+    std::vector<uint32_t> colors(n);
+    for (uint32_t& color : colors) {
+      color = static_cast<uint32_t>(rng.NextBounded(4));
+    }
+    OrderedPartition ordered(n, trial % 2 == 0 ? colors
+                                               : std::vector<uint32_t>{});
+    Refiner(graph).RefineAll(ordered);
+    const VertexPartition expected =
+        VertexPartition::FromCells(n, ordered.Cells());
+    const VertexPartition partition =
+        VertexPartition::FromOrderedPartition(ordered);
+    EXPECT_EQ(partition, expected);
+    EXPECT_EQ(partition.cell_of, expected.cell_of);
+  }
 }
 
 TEST(OrbitPartitionTest, FigureOneExample) {

@@ -1,14 +1,18 @@
 // Tests for ordered partitions and equitable (colour) refinement, with a
-// naive synchronous 1-WL as the refiner's independent oracle.
+// naive synchronous 1-WL as the refiner's independent oracle, and a
+// reference split (16-byte keys, std::sort) that the refiner must match in
+// every element order and trace hash.
 
 #include "aut/refinement.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 
@@ -337,6 +341,320 @@ TEST(RefinementOracleTest, MatchesNaiveOneWlOnRandomGraphs) {
       p.RevertTo(mark);
       EXPECT_EQ(AsCellSet(p.Cells()), AsCellSet(cells));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SortSplitKeys against std::sort at every tier boundary
+// ---------------------------------------------------------------------------
+
+// Sorts a copy of `keys` both ways and expects the same sequence.
+void ExpectSortsLikeStdSort(std::vector<SplitKey> keys,
+                            std::vector<SplitKey>& scratch) {
+  std::vector<SplitKey> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  SortSplitKeys(keys, scratch);
+  ASSERT_TRUE(keys == expected);
+}
+
+SplitKey RandomKey(Rng& rng) {
+  return SplitKey{rng.Next()} << 64 | rng.Next();
+}
+
+// Sizes on both sides of the tier boundary, and radix sizes up to more
+// keys than a 16-bit count holds.
+std::vector<size_t> TierBoundarySizes() {
+  return {0,
+          1,
+          2,
+          kInsertionSortMaxKeys - 1,
+          kInsertionSortMaxKeys,
+          kInsertionSortMaxKeys + 1,
+          511,
+          512,
+          513,
+          70001};
+}
+
+TEST(SortSplitKeysTest, RandomKeysAtEachTierBoundary) {
+  Rng rng(0x5027);
+  std::vector<SplitKey> scratch;
+  for (const size_t size : TierBoundarySizes()) {
+    SCOPED_TRACE(testing::Message() << "size " << size);
+    std::vector<SplitKey> keys(size);
+    for (SplitKey& key : keys) key = RandomKey(rng);
+    ExpectSortsLikeStdSort(keys, scratch);
+    std::sort(keys.begin(), keys.end());
+    ExpectSortsLikeStdSort(keys, scratch);
+    std::reverse(keys.begin(), keys.end());
+    ExpectSortsLikeStdSort(keys, scratch);
+  }
+}
+
+// Keys equal everywhere but in one byte (with repeats): the radix tier makes
+// exactly one pass, and for byte 15 that is the top byte.
+TEST(SortSplitKeysTest, KeysThatDifferInOneByteOnly) {
+  Rng rng(0x5028);
+  std::vector<SplitKey> scratch;
+  for (const size_t size : TierBoundarySizes()) {
+    for (unsigned byte = 0; byte < 16; ++byte) {
+      SCOPED_TRACE(testing::Message() << "size " << size << " byte " << byte);
+      const SplitKey base = RandomKey(rng) & ~(SplitKey{0xFF} << (8 * byte));
+      std::vector<SplitKey> keys(size);
+      for (SplitKey& key : keys) {
+        key = base | SplitKey{rng.NextBounded(256)} << (8 * byte);
+      }
+      ExpectSortsLikeStdSort(keys, scratch);
+    }
+  }
+}
+
+// Keys shaped as the refiner builds them: cell starts and counts from small
+// ranges, distinct vertices in no particular order.
+TEST(SortSplitKeysTest, RefinerShapedKeys) {
+  Rng rng(0x5029);
+  std::vector<SplitKey> scratch;
+  for (const size_t size : TierBoundarySizes()) {
+    SCOPED_TRACE(testing::Message() << "size " << size);
+    std::vector<SplitKey> keys(size);
+    for (size_t i = 0; i < size; ++i) {
+      const uint64_t start = rng.NextBounded(70000);
+      const uint64_t count = 1 + rng.NextBounded(300);
+      const VertexId vertex = static_cast<VertexId>(i * 0x9E3779B1u);
+      keys[i] = SplitKey{start} << 64 | SplitKey{count} << 32 | vertex;
+    }
+    ExpectSortsLikeStdSort(keys, scratch);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference split: the refiner with 16-byte keys and std::sort
+// ---------------------------------------------------------------------------
+
+// The refiner's schedule and split written out again, with each touched
+// vertex keyed as a 16-byte (cell start << 32 | count, vertex) pair and the
+// keys ordered by std::sort. Any difference from Refiner in element order,
+// cells or trace hashes therefore comes from the key or its sort.
+class ReferenceRefiner {
+ public:
+  explicit ReferenceRefiner(const Graph& graph)
+      : graph_(graph),
+        count_(graph.NumVertices(), 0),
+        pending_(graph.NumVertices(), 0) {}
+
+  uint64_t RefineAll(OrderedPartition& p) {
+    for (uint32_t pos = 0; pos < p.NumVertices(); pos += p.CellSizeAt(pos)) {
+      Schedule(pos);
+    }
+    return Drain(p);
+  }
+
+  uint64_t RefineFrom(OrderedPartition& p, uint32_t seed_start) {
+    Schedule(seed_start);
+    return Drain(p);
+  }
+
+ private:
+  struct Key {
+    uint64_t cell_and_count;
+    VertexId vertex;
+    friend bool operator<(const Key& a, const Key& b) {
+      return a.cell_and_count != b.cell_and_count
+                 ? a.cell_and_count < b.cell_and_count
+                 : a.vertex < b.vertex;
+    }
+  };
+
+  void Schedule(uint32_t start) {
+    pending_[start] = 1;
+    worklist_.push_back(start);
+  }
+
+  uint64_t Drain(OrderedPartition& p) {
+    uint64_t hash = 0x243F6A8885A308D3ull;
+    for (size_t head = 0; head < worklist_.size(); ++head) {
+      pending_[worklist_[head]] = 0;
+      Split(p, worklist_[head], hash);
+    }
+    worklist_.clear();
+    return HashCombine(hash, p.NumCells());
+  }
+
+  void Split(OrderedPartition& p, uint32_t w_start, uint64_t& hash) {
+    std::vector<VertexId> touched;
+    for (VertexId u : p.CellAt(w_start)) {
+      for (VertexId v : graph_.Neighbors(u)) {
+        if (count_[v]++ == 0) touched.push_back(v);
+      }
+    }
+    std::vector<Key> keys;
+    for (VertexId v : touched) {
+      keys.push_back({uint64_t{p.CellStartOf(v)} << 32 | count_[v], v});
+      count_[v] = 0;
+    }
+    std::sort(keys.begin(), keys.end());
+    const auto cell_of = [&keys](size_t i) {
+      return static_cast<uint32_t>(keys[i].cell_and_count >> 32);
+    };
+    const auto count_of = [&keys](size_t i) {
+      return static_cast<uint32_t>(keys[i].cell_and_count);
+    };
+    for (size_t first = 0, last = 0; first < keys.size(); first = last) {
+      const uint32_t c_start = cell_of(first);
+      while (last < keys.size() && cell_of(last) == c_start) ++last;
+      const uint32_t rest =
+          p.CellSizeAt(c_start) - static_cast<uint32_t>(last - first);
+      if (rest == 0 && count_of(first) == count_of(last - 1)) continue;
+      std::vector<VertexId> tail;
+      std::vector<uint32_t> groups;
+      uint32_t largest_start = c_start;
+      uint32_t largest_size = rest;
+      uint32_t gstart = c_start + rest;
+      if (rest > 0) {
+        hash = HashCombine(hash, uint64_t{c_start} << 32);
+        hash = HashCombine(hash, rest);
+      }
+      uint32_t group_len = 0;
+      for (size_t i = first; i < last; ++i) {
+        tail.push_back(keys[i].vertex);
+        ++group_len;
+        if (i + 1 == last || count_of(i + 1) != count_of(i)) {
+          groups.push_back(group_len);
+          hash = HashCombine(hash, uint64_t{c_start} << 32 | count_of(i));
+          hash = HashCombine(hash, group_len);
+          if (group_len > largest_size) {
+            largest_size = group_len;
+            largest_start = gstart;
+          }
+          gstart += group_len;
+          group_len = 0;
+        }
+      }
+      p.SplitCell(c_start, tail, groups);
+      const uint32_t skip = pending_[c_start] ? c_start : largest_start;
+      gstart = c_start;
+      if (rest > 0) {
+        if (gstart != skip) Schedule(gstart);
+        gstart += rest;
+      }
+      for (uint32_t size : groups) {
+        if (gstart != skip) Schedule(gstart);
+        gstart += size;
+      }
+      hash = HashCombine(hash, uint64_t{w_start} << 32 | c_start);
+    }
+  }
+
+  const Graph& graph_;
+  std::vector<uint32_t> count_;
+  std::vector<uint8_t> pending_;
+  std::vector<uint32_t> worklist_;
+};
+
+// Same element order, and at every position the same cell start and size.
+void ExpectSamePartition(const OrderedPartition& actual,
+                         const OrderedPartition& expected) {
+  ASSERT_EQ(actual.NumCells(), expected.NumCells());
+  ASSERT_TRUE(std::equal(actual.Elements().begin(), actual.Elements().end(),
+                         expected.Elements().begin(),
+                         expected.Elements().end()));
+  for (VertexId v : expected.Elements()) {
+    const uint32_t start = expected.CellStartOf(v);
+    ASSERT_EQ(actual.CellStartOf(v), start) << "vertex " << v;
+    ASSERT_EQ(actual.CellSizeAt(start), expected.CellSizeAt(start));
+  }
+}
+
+// Runs a search-like path on both refiners: RefineAll, then Individualize
+// + RefineFrom of a random member of the target cell until the partition is
+// discrete or `max_depth` vertices are individualized, then RevertTo every
+// mark on the way back, branching once more at each level. Trace hashes and
+// partitions must agree at every step.
+void ExpectRefinersAgree(const Graph& graph, const std::vector<uint32_t>& colors,
+                         size_t max_depth, Rng& rng) {
+  const size_t n = graph.NumVertices();
+  OrderedPartition actual(n, colors);
+  OrderedPartition expected(n, colors);
+  Refiner refiner(graph);
+  ReferenceRefiner reference(graph);
+  ASSERT_EQ(refiner.RefineAll(actual), reference.RefineAll(expected));
+  ExpectSamePartition(actual, expected);
+
+  const auto individualize_both = [&] {
+    const uint32_t target = expected.TargetCell();
+    ASSERT_EQ(actual.TargetCell(), target);
+    const auto cell = expected.CellAt(target);
+    const VertexId v = cell[rng.NextBounded(cell.size())];
+    const uint64_t trace = refiner.RefineFrom(actual, actual.Individualize(v));
+    ASSERT_EQ(trace, reference.RefineFrom(expected, expected.Individualize(v)));
+    ExpectSamePartition(actual, expected);
+  };
+  std::vector<size_t> marks;
+  while (marks.size() < max_depth && !expected.IsDiscrete()) {
+    marks.push_back(expected.JournalMark());
+    ASSERT_EQ(actual.JournalMark(), marks.back());
+    individualize_both();
+  }
+  while (!marks.empty()) {
+    actual.RevertTo(marks.back());
+    expected.RevertTo(marks.back());
+    marks.pop_back();
+    ExpectSamePartition(actual, expected);
+    const size_t mark = expected.JournalMark();
+    individualize_both();
+    actual.RevertTo(mark);
+    expected.RevertTo(mark);
+    ExpectSamePartition(actual, expected);
+  }
+}
+
+// A configuration-model graph with a truncated Pareto degree sequence of
+// exponent 2.1, like the benchmark's power-law inputs.
+Graph PowerLawGraph(size_t n, size_t max_degree, Rng& rng) {
+  std::vector<size_t> degrees(n);
+  size_t sum = 0;
+  for (size_t& d : degrees) {
+    const double x = std::pow(1.0 - rng.NextDouble(), -1.0 / 1.1);
+    d = std::clamp<size_t>(static_cast<size_t>(x), 1, max_degree);
+    sum += d;
+  }
+  if (sum % 2 == 1) ++degrees[0];
+  auto graph = ConfigurationModel(degrees, rng);
+  EXPECT_TRUE(graph.ok()) << graph.status();
+  return std::move(graph).value();
+}
+
+TEST(ReferenceSplitTest, MatchesOnSmallRandomGraphs) {
+  Rng rng(0x5030);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Graph graph = RandomOracleGraph(trial % 3, rng);
+    std::vector<uint32_t> colors(graph.NumVertices());
+    for (uint32_t& color : colors) {
+      color = static_cast<uint32_t>(rng.NextBounded(3));
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectRefinersAgree(graph, {}, graph.NumVertices(), rng);
+    ExpectRefinersAgree(graph, colors, graph.NumVertices(), rng);
+  }
+}
+
+// Power-law graphs of 3k-30k vertices: their first splitter, the unit
+// cell, touches every vertex with an edge, so it takes the radix tier, and
+// so do the big splitters that follow.
+TEST(ReferenceSplitTest, MatchesOnPowerLawGraphs) {
+  Rng rng(0x5031);
+  for (const size_t n : {3000u, 10000u, 30000u}) {
+    const Graph graph = PowerLawGraph(n, 300, rng);
+    size_t touched_by_unit_cell = 0;
+    for (VertexId v = 0; v < n; ++v) touched_by_unit_cell += graph.Degree(v) > 0;
+    ASSERT_GT(touched_by_unit_cell, kInsertionSortMaxKeys);
+    std::vector<uint32_t> colors(n);
+    for (uint32_t& color : colors) {
+      color = static_cast<uint32_t>(rng.NextBounded(2));
+    }
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ExpectRefinersAgree(graph, {}, 12, rng);
+    ExpectRefinersAgree(graph, colors, 12, rng);
   }
 }
 

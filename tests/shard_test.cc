@@ -403,7 +403,9 @@ TEST(PartitionerTest, EntryBudgetPlanRespectsBudgetExceptLoneHubs) {
     EXPECT_LT(begin, end);
     cursor = end;
     const uint64_t entries = graph.RawOffsets()[end] - graph.RawOffsets()[begin];
-    if (end - begin > 1) EXPECT_LE(entries, options.max_entries);
+    if (end - begin > 1) {
+      EXPECT_LE(entries, options.max_entries);
+    }
   }
   EXPECT_EQ(cursor, graph.NumVertices());
 }
